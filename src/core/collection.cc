@@ -152,9 +152,7 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
            "tracer from checkpointed or restored runs";
   }
 
-  sim::Simulator simulator(config.reference_scheduler
-                               ? sim::SchedulerKind::kReference
-                               : sim::SchedulerKind::kCalendar);
+  sim::Simulator simulator;
   // Restore phase 1 (sim/simulator.h): validate the blob, bind it to this
   // run, and pre-populate the kind registry so components re-binding in the
   // original construction order get their original kind ids back.
@@ -330,10 +328,11 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     options.metrics->GetCounter("perf.su_resumes", engine).Add(work.su_resumes);
     options.metrics->GetCounter("perf.bound_skips", engine).Add(work.bound_skips);
     // Scheduler work accounting (sim/simulator.h): exact, seed-stable queue
-    // operation counts, labeled by backend so calendar and reference runs
-    // stay separable — the same A/B pattern as the SIR engine above.
+    // operation counts. The label is a constant — the calendar queue is the
+    // only backend — kept because metrics digests, bench/suite/pins.json and
+    // crn_bench's counter lookups all key on "{scheduler=calendar}".
     const sim::SchedStats& sched_stats = simulator.sched_stats();
-    const obs::Labels sched{{"scheduler", sim::ToString(simulator.scheduler_kind())}};
+    const obs::Labels sched{{"scheduler", "calendar"}};
     options.metrics->GetCounter("perf.sched_pushes", sched).Add(sched_stats.pushes);
     options.metrics->GetCounter("perf.sched_pops", sched).Add(sched_stats.pops);
     options.metrics->GetCounter("perf.sched_cancels", sched)
@@ -505,9 +504,7 @@ ContinuousResult RunAddcContinuous(const Scenario& scenario, sim::TimeNs interva
     next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
   }
 
-  sim::Simulator simulator(config.reference_scheduler
-                               ? sim::SchedulerKind::kReference
-                               : sim::SchedulerKind::kCalendar);
+  sim::Simulator simulator;
   pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
   const mac::MacConfig mac_config =
       MakeMacConfig(config, scenario.pcr(), RunOptions{});

@@ -4,7 +4,7 @@
 #include <map>
 #include <utility>
 
-#include "harness/thread_pool.h"
+#include "harness/work_stealing.h"
 
 namespace crn::harness {
 
@@ -24,7 +24,7 @@ RunProfiler::Scope::Scope(RunProfiler* profiler, std::string phase,
 RunProfiler::Scope::~Scope() {
   if (profiler_ == nullptr) return;
   profiler_->RecordSpan(std::move(phase_), std::move(label_), begin_s_,
-                        profiler_->Now(), ThreadPool::current_worker_index());
+                        profiler_->Now(), CurrentWorkerIndex());
 }
 
 std::vector<RunProfiler::Span> RunProfiler::spans() const {

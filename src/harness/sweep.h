@@ -78,9 +78,6 @@ struct SweepSpec {
   // 1 — ResolveGrain in work_stealing.h). Any value yields bit-identical
   // results; grain trades scheduling flexibility against claim traffic.
   std::int64_t grain = 0;
-  // Execution engine (parallel_runner.h). The legacy ThreadPool engine is
-  // selectable only for A/B benchmarking — results are bit-identical.
-  ExecutionEngine engine = ExecutionEngine::kWorkStealing;
   // Share deployment geometry (positions + graph + CDS tree) across cells
   // whose geometry-determining parameters match (core/scenario_prefab.h):
   // points varying only MAC/spectrum parameters skip the rebuild entirely.

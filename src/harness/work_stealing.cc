@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "harness/thread_pool.h"
 
 namespace crn::harness {
 
@@ -16,7 +15,7 @@ namespace {
 
 // One pre-materialized task: a contiguous index range plus its claim flag.
 // Plain data — building the task array allocates one vector total, not one
-// closure per cell like the legacy ThreadPool path did.
+// closure per cell.
 struct Chunk {
   std::int64_t begin = 0;
   std::int64_t end = 0;
@@ -42,7 +41,13 @@ struct Failure {
 // ever derives from this generator.
 constexpr std::uint64_t kVictimSeed = 0x57EA15EEDULL;
 
+// 0 on any non-worker thread; workers set their 1-based index for the
+// duration of the fan-out.
+thread_local std::int32_t t_worker_index = 0;
+
 }  // namespace
+
+std::int32_t CurrentWorkerIndex() { return t_worker_index; }
 
 std::int64_t ResolveGrain(std::int64_t requested, std::int64_t count,
                           std::int32_t workers) {
@@ -111,7 +116,7 @@ WorkStealingStats RunWorkStealing(
   };
 
   const auto worker_body = [&](std::int32_t w) {
-    internal::SetCurrentWorkerIndex(w + 1);
+    t_worker_index = w + 1;
     Failure& failure = failures[static_cast<std::size_t>(w)];
     const Block own = blocks[static_cast<std::size_t>(w)];
     // Phase 1: drain the own block LIFO.
@@ -155,11 +160,11 @@ WorkStealingStats RunWorkStealing(
       }
       if (!claimed_one && !saw_open) break;
     }
-    internal::SetCurrentWorkerIndex(0);
+    t_worker_index = 0;
   };
 
-  // All workers are spawned threads (the caller just joins), mirroring the
-  // legacy pool so profiler worker tags mean the same thing in both engines.
+  // All workers are spawned threads (the caller just joins), so profiler
+  // worker tags 1..workers always name a worker and 0 the caller.
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(worker_count));
   for (std::int32_t w = 0; w < worker_count; ++w) {

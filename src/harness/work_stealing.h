@@ -25,14 +25,6 @@
 
 namespace crn::harness {
 
-// Fan-out engine selector (ParallelRunner, SweepSpec). The legacy pool is
-// kept only so bench_sweep_scaling can A/B the engines on identical work —
-// both produce bit-identical results.
-enum class ExecutionEngine : std::uint8_t {
-  kWorkStealing,  // default: flat chunk array + owner-LIFO / thief-FIFO
-  kThreadPool,    // legacy: per-cell std::function over the mutex-FIFO pool
-};
-
 // Scheduling diagnostics for one fan-out. tasks/chunks/workers are exact
 // functions of (count, workers, grain); steals depends on OS scheduling and
 // is bounded above by chunks.
@@ -50,6 +42,11 @@ struct WorkStealingStats {
 // claim traffic stays O(workers).
 std::int64_t ResolveGrain(std::int64_t requested, std::int64_t count,
                           std::int32_t workers);
+
+// 1-based index of the worker running the calling thread; 0 when the caller
+// is not a worker (the main thread, or any serial fan-out). Profiler spans
+// use it as a stable Chrome-trace tid — it never feeds simulation state.
+std::int32_t CurrentWorkerIndex();
 
 // Runs fn(0) .. fn(count - 1), each exactly once, on min(workers, chunks)
 // threads. Every cell finishes even if some throw; the lowest-index

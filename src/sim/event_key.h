@@ -1,7 +1,7 @@
 // Shared (time, class, sequence) event ordering.
 //
-// Every queue in the repo that orders timestamped events — both simulator
-// scheduler backends (sim/simulator.h) and the fault-plan timeline compiler
+// Every queue in the repo that orders timestamped events — the simulator's
+// calendar queue (sim/simulator.h) and the fault-plan timeline compiler
 // (faults/fault_plan.cc) — compares through this one key, so same-instant
 // tie-breaking has exactly one definition.
 #ifndef CRN_SIM_EVENT_KEY_H_

@@ -8,13 +8,6 @@
 
 namespace crn::sim {
 
-Simulator::Simulator(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::kCalendar) {
-    cal_buckets_.resize(kMinCalendarBuckets);
-    cal_mask_ = kMinCalendarBuckets - 1;
-  }
-}
-
 std::uint32_t Simulator::AllocSlot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
@@ -161,28 +154,11 @@ void Simulator::AttachFlightRecorder(FlightRecorder* recorder) {
 
 void Simulator::Push(const QEntry& entry) {
   ++stats_.pushes;
-  if (kind_ == SchedulerKind::kReference) {
-    ref_queue_.push(entry);
-  } else {
-    CalPush(entry);
-  }
+  if (cal_size_ + 1 > 2 * cal_buckets_.size()) CalResize(cal_size_ + 1);
+  CalInsert(entry);
 }
 
 bool Simulator::PopLive(QEntry* out) {
-  if (kind_ == SchedulerKind::kReference) {
-    while (!ref_queue_.empty()) {
-      const QEntry entry = ref_queue_.top();
-      ref_queue_.pop();
-      if (!EntryLive(entry)) {
-        ++stats_.stale_skips;
-        continue;
-      }
-      ++stats_.pops;
-      *out = entry;
-      return true;
-    }
-    return false;
-  }
   while (cal_size_ > 0) {
     std::vector<QEntry>* bucket = CalMinBucket();
     const QEntry entry = bucket->back();
@@ -201,19 +177,6 @@ bool Simulator::PopLive(QEntry* out) {
 }
 
 bool Simulator::PeekLive(QEntry* out) {
-  if (kind_ == SchedulerKind::kReference) {
-    while (!ref_queue_.empty()) {
-      const QEntry entry = ref_queue_.top();
-      if (!EntryLive(entry)) {
-        ref_queue_.pop();
-        ++stats_.stale_skips;
-        continue;
-      }
-      *out = entry;
-      return true;
-    }
-    return false;
-  }
   while (cal_size_ > 0) {
     std::vector<QEntry>* bucket = CalMinBucket();
     const QEntry entry = bucket->back();
@@ -334,18 +297,9 @@ void Simulator::SaveState(StateWriter& writer) const {
   // mirror of FinishRestore). Stale entries ride along so the resumed run's
   // stale-skip count and calendar occupancy match the uninterrupted run.
   std::vector<QEntry> entries;
-  if (kind_ == SchedulerKind::kReference) {
-    auto copy = ref_queue_;
-    entries.reserve(copy.size());
-    while (!copy.empty()) {
-      entries.push_back(copy.top());
-      copy.pop();
-    }
-  } else {
-    entries.reserve(cal_size_);
-    for (const std::vector<QEntry>& bucket : cal_buckets_) {
-      entries.insert(entries.end(), bucket.begin(), bucket.end());
-    }
+  entries.reserve(cal_size_);
+  for (const std::vector<QEntry>& bucket : cal_buckets_) {
+    entries.insert(entries.end(), bucket.begin(), bucket.end());
   }
   std::sort(entries.begin(), entries.end(),
             [](const QEntry& a, const QEntry& b) { return a.seq < b.seq; });
@@ -359,7 +313,9 @@ void Simulator::SaveState(StateWriter& writer) const {
       << pending_ << ") at checkpoint";
 
   writer.BeginSection("sim.core");
-  writer.WriteU8(static_cast<std::uint8_t>(kind_));
+  // Queue-backend byte, kept so the CRNCKPT1 layout is unchanged: always 0
+  // (the calendar queue). BeginRestore rejects anything else.
+  writer.WriteU8(0);
   writer.WriteI64(now_);
   writer.WriteU64(next_seq_);
   writer.WriteU64(events_executed_);
@@ -410,7 +366,7 @@ void Simulator::BeginRestore(StateReader& reader) {
       << "BeginRestore requires a fresh simulator";
   if (!reader.OpenSection("sim.core")) return;
 
-  const auto saved_kind = static_cast<SchedulerKind>(reader.ReadU8());
+  const std::uint8_t saved_backend = reader.ReadU8();
   const TimeNs saved_now = reader.ReadI64();
   const EventId saved_next_seq = reader.ReadU64();
   const std::uint64_t saved_events = reader.ReadU64();
@@ -437,22 +393,19 @@ void Simulator::BeginRestore(StateReader& reader) {
   reader.EndSection();
   if (!reader.ok()) return;  // caller surfaces reader.error()
 
-  CRN_CHECK(saved_kind == kind_)
-      << "checkpoint was taken with the " << ToString(saved_kind)
-      << " scheduler but this run uses " << ToString(kind_)
-      << " — restore with the same --scheduler";
-  if (kind_ == SchedulerKind::kCalendar) {
-    CRN_CHECK(bucket_count >= kMinCalendarBuckets &&
-              (bucket_count & (bucket_count - 1)) == 0)
-        << "checkpoint calendar geometry is invalid (" << bucket_count
-        << " buckets)";
-    // Geometry must be restored exactly: the resize schedule (a CI-gated
-    // work counter) depends on the (size, bucket-count) trajectory.
-    cal_buckets_.assign(static_cast<std::size_t>(bucket_count), {});
-    cal_mask_ = bucket_count - 1;
-    cal_shift_ = saved_shift;
-    cal_size_ = 0;
-  }
+  CRN_CHECK(saved_backend == 0)
+      << "checkpoint was written by the removed reference-heap scheduler; "
+         "re-run it without --scheduler";
+  CRN_CHECK(bucket_count >= kMinCalendarBuckets &&
+            (bucket_count & (bucket_count - 1)) == 0)
+      << "checkpoint calendar geometry is invalid (" << bucket_count
+      << " buckets)";
+  // Geometry must be restored exactly: the resize schedule (a CI-gated work
+  // counter) depends on the (size, bucket-count) trajectory.
+  cal_buckets_.assign(static_cast<std::size_t>(bucket_count), {});
+  cal_mask_ = bucket_count - 1;
+  cal_shift_ = saved_shift;
+  cal_size_ = 0;
   now_ = saved_now;
   next_seq_ = saved_next_seq;
   events_executed_ = saved_events;
@@ -517,28 +470,17 @@ void Simulator::FinishRestore() {
     // Bypass Push(): these re-pushes already happened in the original run
     // (the saved work counters cover them), and the calendar geometry is
     // already exact so no resize may trigger.
-    if (kind_ == SchedulerKind::kReference) {
-      ref_queue_.push(entry);
-    } else {
-      CalInsert(entry);
-    }
+    CalInsert(entry);
   }
   CRN_CHECK(restore_claims_.empty())
       << restore_claims_.size()
       << " RestoreArm claims matched no checkpoint queue entry";
-  if (kind_ == SchedulerKind::kCalendar) {
-    CRN_CHECK(cal_size_ == saved_cal_size_);
-    cal_tick_ = saved_cal_tick_;
-  }
+  CRN_CHECK(cal_size_ == saved_cal_size_);
+  cal_tick_ = saved_cal_tick_;
   pending_ = live_count;
   stats_ = saved_stats_;
   staged_entries_.clear();
   restoring_ = false;
-}
-
-void Simulator::CalPush(const QEntry& entry) {
-  if (cal_size_ + 1 > 2 * cal_buckets_.size()) CalResize(cal_size_ + 1);
-  CalInsert(entry);
 }
 
 void Simulator::CalInsert(const QEntry& entry) {

@@ -10,9 +10,12 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "sim/checkpoint.h"
+#include "sim/simulator.h"
 
 namespace crn::sim {
 namespace {
@@ -242,6 +245,47 @@ TEST(CheckpointFormatTest, OversizedStringLengthIsRejectedBeforeAllocating) {
   EXPECT_FALSE(reader.ok());
   EXPECT_NE(reader.error().find("oversized string"), std::string::npos)
       << reader.error();
+}
+
+TEST(CheckpointFormatTest, ReferenceSchedulerByteIsRejectedOnRestore) {
+  // The sim.core section opens with a queue-backend byte that is always 0.
+  // A blob whose byte is 1 (written when a binary-heap backend still
+  // existed) is well formed — its CRC is valid — but cannot be restored.
+  Simulator original;
+  original.ScheduleOnce(10, EventPriority::kDefault, [] {});
+  StateWriter writer;
+  original.SaveState(writer);
+  std::string blob = writer.Finish();
+
+  // Section layout: name_length(4) + name + payload_length(8) + crc(4) +
+  // payload. sim.core is the last section SaveState writes, and the backend
+  // byte is its payload's first byte.
+  const std::string name = "sim.core";
+  const std::size_t name_at = blob.find(name);
+  ASSERT_NE(name_at, std::string::npos);
+  const std::size_t crc_at = name_at + name.size() + 8;
+  const std::size_t payload_at = crc_at + 4;
+  ASSERT_EQ(blob[payload_at], 0);
+  blob[payload_at] = 1;
+  const std::uint32_t crc = Crc32(std::string_view(blob).substr(payload_at));
+  for (int b = 0; b < 4; ++b) {
+    blob[crc_at + b] = static_cast<char>((crc >> (8U * b)) & 0xFFU);
+  }
+
+  StateReader reader(blob);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  Simulator restored;
+  restored.LoadRegistry(reader);
+  try {
+    restored.BeginRestore(reader);
+    FAIL() << "a reference-scheduler checkpoint was accepted";
+  } catch (const ContractViolation& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("checkpoint was written by the removed reference-heap "
+                        "scheduler; re-run it without --scheduler"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

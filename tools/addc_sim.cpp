@@ -14,8 +14,10 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/env.h"
 #include "core/collection.h"
 #include "core/scenario.h"
@@ -50,9 +52,6 @@ Scenario (defaults: the paper's Fig. 6 configuration scaled by --scale):
   --pu-power=F --su-power=F --pu-radius=F --su-radius=F
   --eta-p-db=F --eta-s-db=F
   --c2=paper|corrected    PCR constant variant (default paper; see DESIGN.md)
-  --scheduler=calendar|reference  event-queue backend (default calendar; the
-                          reference heap is the determinism A/B check — both
-                          produce bit-identical runs, see DESIGN.md §12)
   --fairness=BOOL         Algorithm 1 line-12 wait (default true)
   --seed=INT --reps=INT   reproducibility (defaults 0x5EEDADDC, 1)
 
@@ -186,13 +185,6 @@ int main(int argc, char** argv) {
   const std::string c2 = flags.GetString("c2", "paper");
   config.c2_variant =
       c2 == "corrected" ? core::C2Variant::kCorrected : core::C2Variant::kPaper;
-  const std::string scheduler = flags.GetString("scheduler", "calendar");
-  if (scheduler != "calendar" && scheduler != "reference") {
-    std::cerr << "error: --scheduler must be calendar or reference, got '"
-              << scheduler << "'\n";
-    return 2;
-  }
-  config.reference_scheduler = scheduler == "reference";
 
   const std::string algorithm = flags.GetString("algorithm", "both");
   const std::string metric_name = flags.GetString("metric", "accumulated");
@@ -210,8 +202,8 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.GetString("trace-out", "");
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string flight_out = flags.GetString("flight-recorder-out", "");
-  const auto flight_depth = static_cast<std::size_t>(
-      flags.GetInt("flight-recorder-depth", 1 << 16));
+  const std::int64_t flight_depth =
+      flags.GetInt("flight-recorder-depth", 1 << 16);
   const auto metrics_stride =
       static_cast<std::int32_t>(flags.GetInt("metrics-stride", 1024));
   const std::string svg_path = flags.GetString("svg", "");
@@ -235,6 +227,17 @@ int main(int argc, char** argv) {
     }
     std::cerr << "run with --help for usage\n";
     return 2;
+  }
+  // Counts that size allocations or loops: a non-positive value would
+  // otherwise abort deep inside the run (std::length_error, CRN_CHECK).
+  for (const auto& [flag, value] :
+       {std::pair<const char*, std::int64_t>{"--reps", reps},
+        {"--snapshots", snapshots},
+        {"--flight-recorder-depth", flight_depth}}) {
+    if (value < 1) {
+      std::cerr << "error: " << flag << " must be >= 1, got " << value << "\n";
+      return 2;
+    }
   }
 
   faults::FaultPlan fault_plan;
@@ -281,7 +284,7 @@ int main(int argc, char** argv) {
       options.faults = &fault_plan;
       options.fault_report = &fault_report;
     }
-    sim::FlightRecorder flight_recorder(flight_depth);
+    sim::FlightRecorder flight_recorder(static_cast<std::size_t>(flight_depth));
     if (!flight_out.empty()) options.flight_recorder = &flight_recorder;
 
     std::string restore_blob;
@@ -318,7 +321,17 @@ int main(int argc, char** argv) {
       };
     }
 
-    const core::CollectionResult result = core::RunAddc(scenario, options);
+    core::CollectionResult result;
+    try {
+      result = core::RunAddc(scenario, options);
+    } catch (const ContractViolation& error) {
+      // A blob that fails restore validation (wrong scenario or attachments,
+      // a removed scheduler) is bad input, not a crash.
+      if (restore_path.empty()) throw;
+      std::cerr << "error: cannot restore " << restore_path << ": "
+                << error.what() << "\n";
+      return 2;
+    }
     all_completed = result.completed;
     PrintResultRow(result, csv);
     if (!csv && fault_report.injected_total() > 0) {
@@ -500,7 +513,9 @@ int main(int argc, char** argv) {
          << " pt=" << config.pu_activity
          << " burst=" << config.pu_mean_burst_slots
          << " alpha=" << config.alpha << " c2=" << c2
-         << " scheduler=" << scheduler
+         // The calendar queue is the only scheduler; the field stays so
+         // journals written while it was selectable still replay.
+         << " scheduler=calendar"
          << " fairness=" << config.fairness_wait
          << " algorithm=" << algorithm << " metric=" << metric_name
          << " reps=" << reps << " csv=" << csv << " audit=" << audit
@@ -584,7 +599,7 @@ int main(int argc, char** argv) {
   double metrics_final_ms = 0.0;
   // Flight recorder watches rep 0's ADDC run; the profiler supplies its
   // wall probe so per-kind fire wall time lands in the dump summary.
-  sim::FlightRecorder flight_recorder(flight_depth);
+  sim::FlightRecorder flight_recorder(static_cast<std::size_t>(flight_depth));
   harness::RunProfiler flight_profiler;
   if (!flight_out.empty()) {
     harness::AttachFlightRecorderProbe(flight_profiler, flight_recorder);
@@ -632,9 +647,7 @@ int main(int argc, char** argv) {
         for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
           next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
         }
-        sim::Simulator simulator(config.reference_scheduler
-                                     ? sim::SchedulerKind::kReference
-                                     : sim::SchedulerKind::kCalendar);
+        sim::Simulator simulator;
         pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
         mac::MacConfig mac_config;
         mac_config.pcr = scenario.pcr();

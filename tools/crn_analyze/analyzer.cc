@@ -199,15 +199,11 @@ AnalyzeResult AnalyzeTree(const std::string& root,
 }
 
 int RunSelfTest(const std::string& root) {
-  const fs::path root_path(root);
-  // The migrated rules share the legacy checker's fixtures — one source of
-  // truth for both binaries; the new passes have their own fixture set.
-  const fs::path legacy_fixtures = root_path / "tools" / "lint_fixtures";
-  const fs::path analyze_fixtures =
-      root_path / "tools" / "crn_analyze" / "fixtures";
+  const fs::path fixtures =
+      fs::path(root) / "tools" / "crn_analyze" / "fixtures";
 
   // fixture file name → rule expected to fire ("" = must stay clean).
-  const std::map<std::string, std::string> expected_legacy = {
+  const std::map<std::string, std::string> expected = {
       {"src__common__bad_rng.cc", "banned-rng"},
       {"src__sim__bad_clock.cc", "wall-clock"},
       {"src__sim__bad_throw.cc", "throw-in-callback"},
@@ -220,13 +216,10 @@ int RunSelfTest(const std::string& root) {
       {"src__mac__bad_io.cc", "library-io"},
       {"src__core__clean_fixture.cc", ""},
       {"src__core__clean_rawstring.cc", ""},
-  };
-  const std::map<std::string, std::string> expected_analyze = {
       {"src__core__bad_ptr_key.cc", "determinism-taint"},
       {"src__core__bad_ptr_sort.cc", "determinism-taint"},
       {"src__sim__bad_time_seed.cc", "determinism-taint"},
       {"src__mac__bad_static_state.cc", "concurrency-discipline"},
-      {"src__harness__bad_capture.cc", "concurrency-discipline"},
       {"src__core__bad_suppression.cc", "suppression-justification"},
       {"src__mac__bad_raw_schedule.cc", "raw-schedule-in-mac"},
       {"src__mac__bad_unnamed_timer.cc", "unnamed-timer-kind"},
@@ -236,13 +229,12 @@ int RunSelfTest(const std::string& root) {
   };
 
   int failures = 0;
-  auto check_fixture = [&](const fs::path& dir, const std::string& file_name,
-                           const std::string& rule) {
-    const fs::path file = dir / file_name;
+  for (const auto& [file_name, rule] : expected) {
+    const fs::path file = fixtures / file_name;
     if (!fs::exists(file)) {
       std::cout << "FAIL " << file_name << ": fixture missing\n";
       ++failures;
-      return;
+      continue;
     }
     const SourceFile source =
         MakeSourceFile(FixtureLogicalPath(file_name), ReadFileContent(file));
@@ -256,7 +248,7 @@ int RunSelfTest(const std::string& root) {
                   << "] line " << findings.front().line << ")\n";
         ++failures;
       }
-      return;
+      continue;
     }
     const bool fired =
         std::any_of(findings.begin(), findings.end(),
@@ -267,19 +259,12 @@ int RunSelfTest(const std::string& root) {
       std::cout << "FAIL " << file_name << ": [" << rule << "] did not fire\n";
       ++failures;
     }
-  };
-
-  for (const auto& [file_name, rule] : expected_legacy) {
-    check_fixture(legacy_fixtures, file_name, rule);
-  }
-  for (const auto& [file_name, rule] : expected_analyze) {
-    check_fixture(analyze_fixtures, file_name, rule);
   }
 
   // Include-graph pass: a deliberately introduced cycle and an upward
   // include, analyzed together as one miniature tree.
   {
-    const fs::path graph_dir = analyze_fixtures / "graph";
+    const fs::path graph_dir = fixtures / "graph";
     std::vector<SourceFile> graph_files;
     if (fs::exists(graph_dir)) {
       std::vector<fs::path> fixture_paths;
@@ -309,7 +294,7 @@ int RunSelfTest(const std::string& root) {
 
   // Baseline policy: an entry without a justification must be rejected.
   {
-    const fs::path bad_baseline = analyze_fixtures / "bad_baseline.txt";
+    const fs::path bad_baseline = fixtures / "bad_baseline.txt";
     Baseline baseline = LoadBaseline(bad_baseline.string());
     if (!fs::exists(bad_baseline)) {
       std::cout << "FAIL bad_baseline.txt: fixture missing\n";
@@ -322,8 +307,7 @@ int RunSelfTest(const std::string& root) {
     }
   }
 
-  const int total = static_cast<int>(expected_legacy.size()) +
-                    static_cast<int>(expected_analyze.size()) + 3;
+  const int total = static_cast<int>(expected.size()) + 3;
   std::cout << "crn_analyze self-test: " << (total - failures) << "/" << total
             << " checks ok\n";
   return failures;

@@ -34,9 +34,8 @@ struct AnalyzeResult {
 // caller's (main.cc prints and maps to 0/1/2).
 AnalyzeResult AnalyzeTree(const std::string& root, const AnalyzeOptions& options);
 
-// Proves every rule fires on its fixture (tools/lint_fixtures/ for the ten
-// migrated rules, tools/crn_analyze/fixtures/ for the new passes) and that
-// clean fixtures stay silent. Returns the number of failures.
+// Proves every rule fires on its fixture in tools/crn_analyze/fixtures/ and
+// that clean fixtures stay silent. Returns the number of failures.
 int RunSelfTest(const std::string& root);
 
 }  // namespace crn::analyze

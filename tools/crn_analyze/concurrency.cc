@@ -64,29 +64,16 @@ std::vector<Finding> RunConcurrencyDisciplinePass(const SourceFile& file) {
     const Token& token = tokens[i];
     if (token.kind != TokenKind::kIdentifier) continue;
 
-    // Mutable static / thread_local state: every RunSweep cell callback and
-    // ThreadPool job in the process can reach it, so it is both a data race
+    // Mutable static / thread_local state: every RunSweep cell callback on
+    // every worker in the process can reach it, so it is both a data race
     // and a determinism leak across --jobs values.
     if ((token.text == "static" || token.text == "thread_local") &&
         IsMutableVariableDecl(tokens, i)) {
       add(token.line,
           "mutable " + token.text +
-              " state is shared across ParallelRunner cells and ThreadPool "
-              "jobs (data race + determinism leak across --jobs); pass "
-              "state through the cell's context instead");
-    }
-
-    // A lambda with a by-reference capture submitted straight to the pool:
-    // the captured locals are shared mutable state across jobs unless every
-    // capture is immutable — which the analyzer cannot prove, so the site
-    // must justify itself with a crn-lint-ok reason.
-    if (token.text == "Submit" && i + 3 < tokens.size() &&
-        IsPunct(tokens[i + 1], '(') && IsPunct(tokens[i + 2], '[') &&
-        IsPunct(tokens[i + 3], '&')) {
-      add(token.line,
-          "by-reference capture submitted to the ThreadPool shares mutable "
-          "locals across jobs; capture by value, or justify with "
-          "crn-lint-ok why every by-ref capture is safe");
+              " state is shared across ParallelRunner cells and workers "
+              "(data race + determinism leak across --jobs); pass state "
+              "through the cell's context instead");
     }
   }
 

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/common/bad_rng.cc): every form of banned
-// randomness. crn_lint --self-test requires [banned-rng] to fire here.
+// randomness. crn_analyze --self-test requires [banned-rng] to fire here.
 #include <cstdlib>
 #include <random>
 

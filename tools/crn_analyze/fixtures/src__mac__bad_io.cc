@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/mac/bad_io.cc): terminal output from a
-// library layer. crn_lint --self-test requires [library-io] to fire here.
+// library layer. crn_analyze --self-test requires [library-io] to fire here.
 #include <iostream>
 
 namespace crn::mac {

@@ -1,5 +1,5 @@
 // Lint fixture (logical path src/sim/bad_throw.cc): a raw throw inside an
-// event callback. crn_lint --self-test requires [throw-in-callback] to fire
+// event callback. crn_analyze --self-test requires [throw-in-callback] to fire
 // here.
 #include <stdexcept>
 

@@ -1,5 +1,5 @@
 // A lightweight C++ tokenizer for static analysis — not a full lexer, but
-// exact where the line-regex legacy scanner was approximate:
+// exact where a line-regex scanner is approximate:
 //
 //   * raw string literals R"delim(...)delim" spanning any number of lines
 //   * block comments spanning lines, line comments with splices (`\` + NL)
@@ -10,8 +10,8 @@
 //
 // Output is three synchronized views of the same file:
 //   scrubbed — per-line text with comments and literal contents blanked,
-//              byte content only from real code (the view the migrated
-//              legacy rules match against)
+//              byte content only from real code (the view the per-file
+//              rules match against)
 //   tokens   — identifiers / numbers / string markers / punctuation with
 //              1-based line numbers (the view the taint and concurrency
 //              passes walk)

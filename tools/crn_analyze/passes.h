@@ -1,4 +1,4 @@
-// Whole-file token-walk passes, new in crn_analyze (no legacy equivalent):
+// Whole-file token-walk passes:
 //
 //   determinism-taint       simulation-visible state derived from pointer
 //                           identity (std::map/set/unordered_* keyed on a
@@ -8,9 +8,7 @@
 //                           (time()/clock()/gettimeofday()/getpid()) that
 //                           could flow into sim::TimeNs computations.
 //   concurrency-discipline  mutable static / thread_local state reachable
-//                           from ParallelRunner cell callbacks, and
-//                           by-reference lambda captures submitted straight
-//                           to the ThreadPool.
+//                           from ParallelRunner cell callbacks.
 //
 // Both passes scan src/ only: tests and benches may freely use pointers,
 // wall clocks, and shared state for their own bookkeeping.
