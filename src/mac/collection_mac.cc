@@ -71,7 +71,7 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
       next_hop_(std::move(next_hop)),
       config_(ValidatedConfig(config)),
       backoff_rng_(rng.Stream("backoff")),
-      activity_rng_(rng.Stream("pu-activity")),
+      activity_(rng.Stream("pu-activity")),
       audit_rng_(rng.Stream("pu-audit")),
       sensing_rng_(rng.Stream("sensing")),
       sir_(spectrum::PathLoss(config.alpha)),
@@ -784,22 +784,22 @@ void CollectionMac::OnSlotBoundary() {
     simulator_.Stop();
     return;
   }
-  primary_.ResampleSlot(activity_rng_);
-  field_.NotePuSample(primary_.active_transmitters());
+  primary_.ResampleSlot(activity_);
+  field_.NotePuSample(primary_.activity_mask());
   ++slot_index_;
   slot_start_time_ = now;
   EmitLifecycle(LifecycleEvent::Kind::kSlotBoundary, graph::kInvalidNode, nullptr,
-                static_cast<std::int64_t>(primary_.active_transmitters().size()));
+                primary_.active_count());
 
   // Spectrum handoff: transmitters sense the PU comeback and abort at once
   // (a missed detection lets the transmission ride on, harming the PU —
   // which the audit then observes).
   if (!active_tx_.empty()) {
-    std::vector<NodeId> to_abort;
+    to_abort_.clear();
     for (const Transmission& tx : active_tx_) {
-      if (SensePuBusy(tx.transmitter)) to_abort.push_back(tx.transmitter);
+      if (SensePuBusy(tx.transmitter)) to_abort_.push_back(tx.transmitter);
     }
-    for (NodeId node : to_abort) AbortOnPuReturn(node);
+    for (NodeId node : to_abort_) AbortOnPuReturn(node);
   }
 
   // Refresh every contending SU's PU-side busy flag; each check doubles as
@@ -950,7 +950,9 @@ void CollectionMac::CheckTermination() {
 void CollectionMac::SaveState(sim::StateWriter& writer) const {
   writer.BeginSection("mac");
   sim::WriteRng(writer, backoff_rng_);
-  sim::WriteRng(writer, activity_rng_);
+  // The serial generator at the consumed position, not the lookahead: the
+  // blob must not depend on how far the stream has drawn ahead.
+  sim::WriteRng(writer, activity_.State());
   sim::WriteRng(writer, audit_rng_);
   sim::WriteRng(writer, sensing_rng_);
   // The only config fields mutable mid-run (SetSensingErrorRates); the rest
@@ -1252,8 +1254,10 @@ void CollectionMac::LoadState(sim::StateReader& reader) {
 
   backoff_rng_.RestoreState(rng_words[0][0], rng_words[0][1], rng_words[0][2],
                             rng_words[0][3]);
-  activity_rng_.RestoreState(rng_words[1][0], rng_words[1][1], rng_words[1][2],
-                             rng_words[1][3]);
+  Rng activity;
+  activity.RestoreState(rng_words[1][0], rng_words[1][1], rng_words[1][2],
+                        rng_words[1][3]);
+  activity_.Restore(activity);
   audit_rng_.RestoreState(rng_words[2][0], rng_words[2][1], rng_words[2][2],
                           rng_words[2][3]);
   sensing_rng_.RestoreState(rng_words[3][0], rng_words[3][1], rng_words[3][2],

@@ -36,6 +36,7 @@
 #include "geom/spatial_grid.h"
 #include "geom/vec2.h"
 #include "mac/packet.h"
+#include "pu/activity_stream.h"
 #include "pu/primary_network.h"
 #include "sim/simulator.h"
 #include "spectrum/interference.h"
@@ -403,7 +404,7 @@ class CollectionMac {
   // how many backoff draws each algorithm makes. The audit stream isolates
   // receiver-position draws the same way.
   Rng backoff_rng_;
-  Rng activity_rng_;
+  pu::ActivityStream activity_;  // the "pu-activity" stream, drawn ahead
   Rng audit_rng_;
   Rng sensing_rng_;
   spectrum::SirEvaluator sir_;
@@ -436,6 +437,9 @@ class CollectionMac {
 
   // Active transmissions, indexed by transmitter.
   std::vector<Transmission> active_tx_;
+  // Slot-boundary scratch: transmitters that sensed a returning PU. A member
+  // so the boundary does not allocate while transmissions are on the air.
+  std::vector<NodeId> to_abort_;
   std::vector<std::int32_t> active_tx_slot_;  // node -> index in active_tx_, -1
   // Announced transmissions that ended but whose end-of-carrier has not yet
   // been sensed (sensing_latency > 0). Counted as busy by new contenders so

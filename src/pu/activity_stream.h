@@ -1,0 +1,100 @@
+// The MAC's "pu-activity" random stream, drawn ahead as Bernoulli bits.
+//
+// Every PU activity draw of a run comes from one xoshiro256** stream in a
+// fixed order: slot by slot, PU by PU. PrimaryNetwork::ResampleSlot(Rng&)
+// takes those draws one at a time; ActivityStream precomputes them a block
+// at a time and hands out the compare results, so a slot boundary reads its
+// N activity bits with a few word copies instead of N serial generator
+// steps.
+//
+// A block covers kLanes · kLaneDraws consecutive draws of the sequence. Lane
+// k owns draws [k·L, (k+1)·L) of the block; its start state is the block's
+// base state advanced k·L steps through the GF(2) jump matrix M^L
+// (xoshiro256**'s state transition is linear over GF(2)). The lanes then
+// advance together in one vector kernel, so every bit keeps the exact value
+// and position the serial generator gives it. The first block is drawn on
+// the first read after construction or Restore().
+//
+// Each draw x is compared against two thresholds at once (two bit planes):
+// i.i.d. activity uses one, the Markov chain uses one per PU state (idle
+// PUs turn on, active PUs turn off). The thresholds are the integer forms
+// of Rng::Bernoulli (Rng::BernoulliThreshold), so a bit equals the
+// Bernoulli outcome of that draw exactly.
+#ifndef CRN_PU_ACTIVITY_STREAM_H_
+#define CRN_PU_ACTIVITY_STREAM_H_
+
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.h"
+
+namespace crn::pu {
+
+class ActivityStream {
+ public:
+  static constexpr std::int32_t kLanes = 8;
+  static constexpr std::int32_t kLaneDraws = 2048;  // L
+  static constexpr std::int32_t kBlockDraws = kLanes * kLaneDraws;
+
+  // Vector widths (64-bit lanes per register) of the lane kernel: 4 (AVX2)
+  // or 2 (the baseline every build has). Every width runs the same integer
+  // operations and yields the same bits.
+  // SupportedWidths() lists what this host can run, widest first;
+  // BestWidth() is its first entry, picked once per process.
+  [[nodiscard]] static std::vector<int> SupportedWidths();
+  [[nodiscard]] static int BestWidth();
+
+  // `rng` is the serial generator at the stream's first draw.
+  explicit ActivityStream(const Rng& rng, int width = BestWidth());
+
+  // Sets the Bernoulli thresholds (Rng::BernoulliThreshold) the two bit
+  // planes compare against. Free when unchanged; otherwise the unconsumed
+  // rest of the current block is recomputed from its base state.
+  void SetThresholds(std::uint64_t plane0, std::uint64_t plane1);
+
+  // Consumes one draw and returns its bit on `plane` (0 or 1).
+  bool Next(int plane) {
+    if (pos_ == kBlockDraws) Refill();
+    const std::uint64_t word =
+        planes_[two_planes_ ? plane : 0][static_cast<std::size_t>(pos_ >> 6)];
+    const bool bit = ((word >> (pos_ & 63)) & 1) != 0;
+    ++pos_;
+    return bit;
+  }
+
+  // Consumes `count` draws and writes their plane-0 bits to `out`, bit i of
+  // the run at bit i of the ⌈count/64⌉ words; bits past `count` are zero.
+  void Take(std::int32_t count, std::uint64_t* out);
+
+  // The serial generator after every consumed draw: the state
+  // ResampleSlot(Rng&) would hold. Jumps to the consumed draw's lane and
+  // steps within it (under kLaneDraws steps): for the checkpoint path, not
+  // for every slot.
+  [[nodiscard]] Rng State() const;
+  // Re-anchors the stream at `rng`, dropping the lookahead.
+  void Restore(const Rng& rng);
+
+ private:
+  static constexpr std::int32_t kBlockWords = kBlockDraws / 64;
+  // One spare word so a 64-bit read at any offset stays in bounds.
+  static constexpr std::int32_t kPlaneWords = kBlockWords + 1;
+
+  // Starts the next block at next_base_.
+  void Refill();
+  // (Re)computes the block at base_ with the current thresholds.
+  void Fill();
+
+  int width_;
+  std::uint64_t thresholds_[2] = {0, 0};
+  bool two_planes_ = false;
+  Rng base_;       // serial state at the block's first draw
+  Rng next_base_;  // serial state after the block's last draw
+  // Draws consumed from the block; kBlockDraws also before the first block.
+  std::int32_t pos_ = kBlockDraws;
+  std::array<std::array<std::uint64_t, kPlaneWords>, 2> planes_{};
+};
+
+}  // namespace crn::pu
+
+#endif  // CRN_PU_ACTIVITY_STREAM_H_

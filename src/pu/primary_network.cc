@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "geom/deployment.h"
+#include "pu/activity_stream.h"
 #include "sim/checkpoint.h"
 
 namespace crn::pu {
@@ -51,115 +52,147 @@ PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
   }
   CRN_CHECK(static_cast<std::int32_t>(positions_.size()) == config.count)
       << positions_.size() << " positions for N=" << config.count;
-  active_.assign(positions_.size(), 0);
   activity_mask_.assign((positions_.size() + 63) / 64, 0);
   receiver_.assign(positions_.size(), geom::Vec2{});
 }
 
-void PrimaryNetwork::ResampleSlot(Rng& rng) {
-  switch (config_.process) {
-    case ActivityProcess::kIid: {
-      // This loop is the single hottest site in long runs (N draws per slot
-      // boundary, every slot), so the Bernoulli is hoisted into an integer
-      // threshold compare: (x >> 11)·2⁻⁵³ < p  ⟺  (x >> 11) < ⌈p·2⁵³⌉.
-      // Both double operations are exact (53-bit integer, power-of-two
-      // scale), so the draws are bit-identical to Rng::Bernoulli.
-      const double p = config_.activity;
-      if (p <= 0.0 || p >= 1.0) {
-        // Rng::Bernoulli consumes no draw at the extremes; match that.
-        const char pinned = p >= 1.0 ? 1 : 0;
-        for (PuId id = 0; id < count(); ++id) active_[id] = pinned;
-        PackMaskFromBytes();
-        break;
+namespace {
+
+// A Bernoulli(p) draw as the generator takes it: p ≤ 0 and p ≥ 1 consume no
+// draw (Rng::Bernoulli returns early); otherwise the draw's bit under the
+// integer threshold decides.
+struct Bernoulli {
+  explicit Bernoulli(double p)
+      : draws(p > 0.0 && p < 1.0),
+        pinned(p >= 1.0),
+        threshold(draws ? Rng::BernoulliThreshold(p) : 0) {}
+  bool draws;
+  bool pinned;  // the outcome when no draw is taken
+  std::uint64_t threshold;
+};
+
+// The serial draw source: one generator step per draw, on a local copy of
+// the caller's generator (mask stores would otherwise force a reload of the
+// Rng state on every draw, since they may alias it).
+struct SerialDraws {
+  Rng rng;
+  std::uint64_t threshold[2] = {0, 0};
+
+  void Bits(std::uint64_t t, PuId n, std::uint64_t* mask) {
+    std::uint64_t word = 0;
+    for (PuId id = 0; id < n; ++id) {
+      word |= static_cast<std::uint64_t>((rng() >> 11) < t) << (id & 63);
+      if ((id & 63) == 63) {
+        mask[id >> 6] = word;
+        word = 0;
       }
-      const std::uint64_t threshold = Rng::BernoulliThreshold(p);
-      const PuId n = count();
-      // Draw from a local copy of the generator: active_ stores are char
-      // writes, which the compiler must otherwise assume may alias the
-      // caller's Rng state, forcing a state reload/spill on every draw.
-      // The draw loop packs activity into the bitmask in the same pass; the
-      // active list is rebuilt afterwards by ctz-scanning the mask words. A
-      // per-PU branchy (or even branchless store+bump) append costs ~2.5×
-      // as much as the whole draw loop at p_t ≈ 0.3 — the data-dependent
-      // branch mispredicts, and the index chain serializes the loop.
-      Rng local = rng;
-      char* out = active_.data();
-      std::uint64_t* mask = activity_mask_.data();
-      std::uint64_t word = 0;
-      for (PuId id = 0; id < n; ++id) {
-        const std::uint64_t is_active = (local() >> 11) < threshold ? 1 : 0;
-        out[id] = static_cast<char>(is_active);
-        word |= is_active << (id & 63);
-        if ((id & 63) == 63) {
-          mask[id >> 6] = word;
-          word = 0;
-        }
-      }
-      if ((n & 63) != 0) mask[n >> 6] = word;
-      rng = local;
-      break;
     }
-    case ActivityProcess::kMarkov: {
-      // Two-state chain with stationary probability p_t of being active:
-      //   P(active -> idle)  = 1/L                    (mean burst L slots)
-      //   P(idle  -> active) = p_t / (L (1 - p_t))    (stationarity)
-      // The first sampled slot draws from the stationary distribution.
-      // Degenerate duty cycles pin the chain to one state.
-      const double p_off =
-          config_.activity >= 1.0 ? 0.0 : 1.0 / config_.mean_burst_slots;
-      const double p_on =
-          config_.activity >= 1.0
-              ? 1.0
-              : config_.activity * p_off / (1.0 - config_.activity);
-      for (PuId id = 0; id < count(); ++id) {
-        bool is_active;
-        if (slots_sampled_ == 0) {
-          is_active = rng.Bernoulli(config_.activity);
-        } else if (active_[id]) {
-          is_active = !rng.Bernoulli(p_off);
-        } else {
-          is_active = rng.Bernoulli(p_on);
-        }
-        active_[id] = is_active ? 1 : 0;
+    if ((n & 63) != 0) mask[n >> 6] = word;
+  }
+  void SetThresholds(std::uint64_t plane0, std::uint64_t plane1) {
+    threshold[0] = plane0;
+    threshold[1] = plane1;
+  }
+  bool Next(int plane) { return (rng() >> 11) < threshold[plane]; }
+};
+
+// The lookahead source: the same draws, read from precomputed bit blocks.
+struct StreamDraws {
+  ActivityStream& stream;
+
+  void Bits(std::uint64_t t, PuId n, std::uint64_t* mask) {
+    stream.SetThresholds(t, t);
+    stream.Take(n, mask);
+  }
+  void SetThresholds(std::uint64_t plane0, std::uint64_t plane1) {
+    stream.SetThresholds(plane0, plane1);
+  }
+  bool Next(int plane) { return stream.Next(plane); }
+};
+
+}  // namespace
+
+void PrimaryNetwork::ResampleSlot(Rng& rng) {
+  SerialDraws draws{rng};
+  Resample(draws);
+  rng = draws.rng;
+}
+
+void PrimaryNetwork::ResampleSlot(ActivityStream& stream) {
+  StreamDraws draws{stream};
+  Resample(draws);
+}
+
+template <typename Draws>
+void PrimaryNetwork::Resample(Draws& draws) {
+  const PuId n = count();
+  std::uint64_t* mask = activity_mask_.data();
+  const double p = config_.activity;
+  if (config_.process == ActivityProcess::kIid || slots_sampled_ == 0) {
+    // Every PU takes one Bernoulli(p_t) draw, in id order. This is also the
+    // Markov chain's first slot, which starts from the stationary
+    // distribution.
+    const Bernoulli draw(p);
+    if (draw.draws) {
+      draws.Bits(draw.threshold, n, mask);
+    } else {
+      const std::uint64_t fill = draw.pinned ? ~std::uint64_t{0} : 0;
+      for (std::size_t w = 0; w < activity_mask_.size(); ++w) mask[w] = fill;
+      if ((n & 63) != 0) mask[n >> 6] &= (std::uint64_t{1} << (n & 63)) - 1;
+    }
+  } else {
+    // Two-state chain with stationary probability p_t of being active:
+    //   P(active -> idle)  = 1/L                    (mean burst L slots)
+    //   P(idle  -> active) = p_t / (L (1 - p_t))    (stationarity)
+    // Degenerate duty cycles pin the chain to one state. Idle PUs draw on
+    // plane 0, active PUs on plane 1; a PU whose probability is 0 or 1 draws
+    // nothing (with L = 1 every active PU turns idle without a draw).
+    const double p_off = p >= 1.0 ? 0.0 : 1.0 / config_.mean_burst_slots;
+    const double p_on = p >= 1.0 ? 1.0 : p * p_off / (1.0 - p);
+    const Bernoulli turn_on(p_on);
+    const Bernoulli turn_off(p_off);
+    if (turn_on.draws || turn_off.draws) {
+      // A plane no PU draws on copies the other's threshold, so the stream
+      // computes one plane only.
+      draws.SetThresholds(turn_on.draws ? turn_on.threshold : turn_off.threshold,
+                          turn_off.draws ? turn_off.threshold : turn_on.threshold);
+    }
+    for (PuId id = 0; id < n; ++id) {
+      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+      std::uint64_t& word = mask[id >> 6];
+      bool is_active;
+      if ((word & bit) != 0) {
+        is_active = !(turn_off.draws ? draws.Next(1) : turn_off.pinned);
+      } else {
+        is_active = turn_on.draws ? draws.Next(0) : turn_on.pinned;
       }
-      PackMaskFromBytes();
-      break;
+      word = is_active ? word | bit : word & ~bit;
     }
   }
-  RebuildActiveList();
-  activations_total_ += static_cast<std::int64_t>(active_list_.size());
+  NoteMaskChanged();
+  activations_total_ += active_count_;
   ++slots_sampled_;
 }
 
-void PrimaryNetwork::PackMaskFromBytes() {
-  std::uint64_t* mask = activity_mask_.data();
-  const char* bytes = active_.data();
-  const PuId n = count();
-  std::uint64_t word = 0;
-  for (PuId id = 0; id < n; ++id) {
-    word |= static_cast<std::uint64_t>(bytes[id] != 0) << (id & 63);
-    if ((id & 63) == 63) {
-      mask[id >> 6] = word;
-      word = 0;
-    }
-  }
-  if ((n & 63) != 0) mask[n >> 6] = word;
+void PrimaryNetwork::NoteMaskChanged() {
+  std::int32_t actives = 0;
+  for (const std::uint64_t word : activity_mask_) actives += __builtin_popcountll(word);
+  active_count_ = actives;
+  active_list_valid_ = false;
 }
 
-void PrimaryNetwork::RebuildActiveList() {
-  active_list_.resize(active_.size());
+const std::vector<PuId>& PrimaryNetwork::active_transmitters() const {
+  if (active_list_valid_) return active_list_;
+  active_list_.resize(static_cast<std::size_t>(active_count_));
   PuId* list = active_list_.data();
-  const std::uint64_t* mask = activity_mask_.data();
   std::size_t actives = 0;
   for (std::size_t w = 0; w < activity_mask_.size(); ++w) {
-    std::uint64_t bits = mask[w];
-    while (bits != 0) {
-      const int bit = __builtin_ctzll(bits);
-      list[actives++] = static_cast<PuId>(w * 64 + static_cast<std::size_t>(bit));
-      bits &= bits - 1;
+    for (std::uint64_t bits = activity_mask_[w]; bits != 0; bits &= bits - 1) {
+      list[actives++] = static_cast<PuId>(w * 64) + __builtin_ctzll(bits);
     }
   }
-  active_list_.resize(actives);
+  active_list_valid_ = true;
+  return active_list_;
 }
 
 void PrimaryNetwork::OverrideActivity(double activity) {
@@ -179,10 +212,8 @@ void PrimaryNetwork::SaveState(sim::StateWriter& writer) const {
   writer.WriteDouble(config_.activity);
   writer.WriteI64(slots_sampled_);
   writer.WriteI64(activations_total_);
-  writer.WriteU32(static_cast<std::uint32_t>(active_.size()));
-  for (const char byte : active_) {
-    writer.WriteU8(static_cast<std::uint8_t>(byte));
-  }
+  writer.WriteU32(static_cast<std::uint32_t>(count()));
+  for (PuId id = 0; id < count(); ++id) writer.WriteU8(IsActive(id) ? 1 : 0);
   // Receiver draws are lazy (audit-only), but the audit stride may span the
   // checkpoint boundary, so the positions must ride along bit-exactly.
   for (const geom::Vec2& receiver : receiver_) {
@@ -198,13 +229,15 @@ void PrimaryNetwork::LoadState(sim::StateReader& reader) {
   const std::int64_t slots_sampled = reader.ReadI64();
   const std::int64_t activations_total = reader.ReadI64();
   const std::uint32_t pu_count = reader.ReadU32();
-  if (reader.ok() && pu_count != active_.size()) {
+  if (reader.ok() && pu_count != static_cast<std::uint32_t>(count())) {
     // Consume nothing further; EndSection will flag the layout mismatch.
     reader.EndSection();
     return;
   }
-  std::vector<char> active(active_.size(), 0);
-  for (char& byte : active) byte = static_cast<char>(reader.ReadU8());
+  std::vector<std::uint64_t> mask(activity_mask_.size(), 0);
+  for (PuId id = 0; id < count(); ++id) {
+    if (reader.ReadU8() != 0) mask[id >> 6] |= std::uint64_t{1} << (id & 63);
+  }
   std::vector<geom::Vec2> receivers(receiver_.size());
   for (geom::Vec2& receiver : receivers) {
     receiver.x = reader.ReadDouble();
@@ -215,14 +248,13 @@ void PrimaryNetwork::LoadState(sim::StateReader& reader) {
   config_.activity = activity;
   slots_sampled_ = slots_sampled;
   activations_total_ = activations_total;
-  active_ = std::move(active);
+  activity_mask_ = std::move(mask);
   receiver_ = std::move(receivers);
-  PackMaskFromBytes();
-  RebuildActiveList();
+  NoteMaskChanged();
 }
 
 void PrimaryNetwork::SampleReceiverPositions(Rng& rng) {
-  for (PuId id : active_list_) {
+  for (PuId id : active_transmitters()) {
     // Uniform receiver in the disk of radius R (sqrt trick).
     const double rho = config_.radius * std::sqrt(rng.UniformDouble());
     const double theta = rng.UniformDouble(0.0, 2.0 * M_PI);

@@ -26,6 +26,8 @@ class StateWriter;
 
 namespace crn::pu {
 
+class ActivityStream;
+
 using PuId = std::int32_t;
 
 // Per-slot activity process. The paper uses "a generalized probabilistic
@@ -77,8 +79,13 @@ class PrimaryNetwork {
   [[nodiscard]] const geom::SpatialGrid& grid() const { return grid_; }
 
   // Re-samples every PU's activity for the slot starting now. Activity
-  // randomness comes from `rng` (a dedicated stream owned by the caller).
+  // randomness comes from `rng` (a dedicated stream owned by the caller),
+  // one serial draw at a time.
   void ResampleSlot(Rng& rng);
+  // The same slot drawn from a lookahead stream (pu/activity_stream.h): the
+  // same draws in the same order, so the activity and the stream's State()
+  // match ResampleSlot(Rng&) bit for bit.
+  void ResampleSlot(ActivityStream& stream);
 
   // Fault-injection hook (PU activity perturbation): replaces the per-slot
   // activity p_t from the next ResampleSlot() on. Pass the original value
@@ -86,13 +93,17 @@ class PrimaryNetwork {
   // the stationary target moves.
   void OverrideActivity(double activity);
 
-  [[nodiscard]] bool IsActive(PuId id) const { return active_[id] != 0; }
-  [[nodiscard]] const std::vector<PuId>& active_transmitters() const {
-    return active_list_;
+  [[nodiscard]] bool IsActive(PuId id) const {
+    return ((activity_mask_[static_cast<std::size_t>(id) >> 6] >> (id & 63)) & 1) != 0;
   }
-  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words.
-  // Carrier-sensing hot loops intersect it with precomputed "PUs near me"
-  // masks instead of walking id lists (collection_mac.cc).
+  [[nodiscard]] std::int32_t active_count() const { return active_count_; }
+  // Active PU ids in ascending order. Built on the first call in a slot:
+  // the slot boundary itself only needs the mask and the count.
+  [[nodiscard]] const std::vector<PuId>& active_transmitters() const;
+  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words;
+  // the only record of which PUs are active. Carrier-sensing hot loops
+  // intersect it with precomputed "PUs near me" masks instead of walking id
+  // lists (collection_mac.cc).
   [[nodiscard]] const std::vector<std::uint64_t>& activity_mask() const {
     return activity_mask_;
   }
@@ -119,18 +130,20 @@ class PrimaryNetwork {
   void LoadState(sim::StateReader& reader);
 
  private:
-  // Mirrors active_ bytes into activity_mask_ (slow paths; the iid fast
-  // path packs the mask during the draw loop itself).
-  void PackMaskFromBytes();
-  // Rebuilds active_list_ by ctz-scanning activity_mask_.
-  void RebuildActiveList();
+  // One slot of the activity process, drawing through `draws` (the serial
+  // generator or the lookahead stream; see primary_network.cc).
+  template <typename Draws>
+  void Resample(Draws& draws);
+  // Recounts the mask and invalidates the active list.
+  void NoteMaskChanged();
 
   PrimaryConfig config_;
   std::vector<geom::Vec2> positions_;
   geom::SpatialGrid grid_;
-  std::vector<char> active_;
-  std::vector<std::uint64_t> activity_mask_;  // bit-per-PU mirror of active_
-  std::vector<PuId> active_list_;
+  std::vector<std::uint64_t> activity_mask_;
+  std::int32_t active_count_ = 0;
+  mutable std::vector<PuId> active_list_;
+  mutable bool active_list_valid_ = true;
   std::vector<geom::Vec2> receiver_;
   std::int64_t slots_sampled_ = 0;
   std::int64_t activations_total_ = 0;

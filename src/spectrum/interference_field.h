@@ -25,7 +25,7 @@
 //    unchanged the memo is the exact same prefix sum a recomputation would
 //    produce — and ADDC's sibling serialization makes same-receiver,
 //    same-slot evaluations the dominant pattern.
-// NotePuSample compares the freshly sampled active list against the
+// NotePuSample compares the freshly sampled activity mask against the
 // previous slot's and leaves both epochs alone when the set is unchanged —
 // at low activity most slots change nothing and whole refloors vanish.
 //
@@ -206,6 +206,8 @@ class InterferenceField {
         pu_gains_(pu_positions.empty()
                       ? PairGainCache(loss, su_power, {}, su_positions)
                       : PairGainCache(loss, pu_power, pu_positions, su_positions)),
+        pu_count_(pu_positions.size()),
+        previous_pu_mask_((pu_positions.size() + 63) / 64, 0),
         pu_sum_(su_positions.size(), 0.0),
         pu_sum_epoch_(su_positions.size(), -1) {}
 
@@ -271,13 +273,13 @@ class InterferenceField {
   // incremental interference memos).
   [[nodiscard]] std::int64_t shrink_epoch() const { return shrink_epoch_; }
 
-  // A slot boundary resampled PU activity. Bumps both epochs only when the
-  // active set actually differs from the previous slot's (the list is in
-  // ascending PU id order, so vector equality is set equality). Returns
+  // A slot boundary resampled PU activity; `mask` is the slot's activity
+  // bitmask (bit p = PU p active, ⌈N/64⌉ words). Bumps both epochs only when
+  // the active set actually differs from the previous slot's. Returns
   // whether it changed.
-  bool NotePuSample(const std::vector<std::int32_t>& active) {
-    if (active == previous_active_pus_) return false;
-    previous_active_pus_ = active;
+  bool NotePuSample(const std::vector<std::uint64_t>& mask) {
+    if (mask == previous_pu_mask_) return false;
+    previous_pu_mask_ = mask;
     ++change_epoch_;
     ++pu_epoch_;
     return true;
@@ -288,9 +290,10 @@ class InterferenceField {
   }
 
   // Checkpoint protocol (sim/checkpoint.h, section "field"): work counters,
-  // the three epochs, the previous active-PU list, the per-receiver PU-sum
-  // memos, and both gain caches' materialization patterns (values are
-  // recomputed and digest-verified, see PairGainCache::SaveTo).
+  // the three epochs, the previous slot's active PUs (an ascending id list
+  // read off the mask), the per-receiver PU-sum memos, and both gain caches'
+  // materialization patterns (values are recomputed and digest-verified,
+  // see PairGainCache::SaveTo).
   void SaveState(sim::StateWriter& writer) const {
     writer.BeginSection("field");
     writer.WriteI64(work_.sir_evaluations);
@@ -304,8 +307,16 @@ class InterferenceField {
     writer.WriteI64(change_epoch_);
     writer.WriteI64(pu_epoch_);
     writer.WriteI64(shrink_epoch_);
-    writer.WriteU32(static_cast<std::uint32_t>(previous_active_pus_.size()));
-    for (const std::int32_t pu : previous_active_pus_) writer.WriteI32(pu);
+    std::uint32_t previous_count = 0;
+    for (const std::uint64_t word : previous_pu_mask_) {
+      previous_count += static_cast<std::uint32_t>(__builtin_popcountll(word));
+    }
+    writer.WriteU32(previous_count);
+    for (std::size_t w = 0; w < previous_pu_mask_.size(); ++w) {
+      for (std::uint64_t bits = previous_pu_mask_[w]; bits != 0; bits &= bits - 1) {
+        writer.WriteI32(static_cast<std::int32_t>(w * 64) + __builtin_ctzll(bits));
+      }
+    }
     writer.WriteU32(static_cast<std::uint32_t>(pu_sum_.size()));
     for (std::size_t i = 0; i < pu_sum_.size(); ++i) {
       writer.WriteDouble(pu_sum_[i]);
@@ -347,11 +358,18 @@ class InterferenceField {
     pu_gains_.LoadFrom(reader);
     reader.EndSection();
     if (!reader.ok()) return;
+    std::vector<std::uint64_t> previous_mask(previous_pu_mask_.size(), 0);
+    for (const std::int32_t pu : previous) {
+      CRN_CHECK(pu >= 0 && static_cast<std::size_t>(pu) < pu_count_)
+          << "checkpointed active PU " << pu << " is outside this scenario's "
+          << pu_count_ << " PUs";
+      previous_mask[static_cast<std::size_t>(pu) >> 6] |= std::uint64_t{1} << (pu & 63);
+    }
     work_ = work;
     change_epoch_ = change_epoch;
     pu_epoch_ = pu_epoch;
     shrink_epoch_ = shrink_epoch;
-    previous_active_pus_ = std::move(previous);
+    previous_pu_mask_ = std::move(previous_mask);
     pu_sum_ = std::move(sums);
     pu_sum_epoch_ = std::move(sum_epochs);
   }
@@ -364,7 +382,8 @@ class InterferenceField {
   std::int64_t change_epoch_ = 0;
   std::int64_t pu_epoch_ = 0;
   std::int64_t shrink_epoch_ = 0;
-  std::vector<std::int32_t> previous_active_pus_;
+  std::size_t pu_count_;
+  std::vector<std::uint64_t> previous_pu_mask_;  // last NotePuSample mask
   // Per-receiver PU interference sums, valid while pu_sum_epoch_ matches
   // pu_epoch_ (kCached only).
   std::vector<double> pu_sum_;

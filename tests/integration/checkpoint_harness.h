@@ -55,12 +55,17 @@ inline faults::FaultPlan SoakPlan() {
   return plan;
 }
 
+// The scenario every variant runs: n = 200 SUs, N = 40 PUs.
+inline Scenario HarnessScenario(std::uint64_t seed) {
+  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);
+  config.seed = seed;
+  return Scenario(config, 0);
+}
+
 inline Captured RunVariant(std::uint64_t seed, const Variant& variant,
                            std::int64_t checkpoint_every,
                            const std::string* restore_blob) {
-  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);  // n = 200
-  config.seed = seed;
-  const Scenario scenario(config, 0);
+  const Scenario scenario = HarnessScenario(seed);
 
   Captured out;
   obs::MetricsRegistry metrics;

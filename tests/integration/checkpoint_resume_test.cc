@@ -11,9 +11,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string>
 
+#include "common/rng.h"
 #include "core/invariant_auditor.h"
 #include "core/scenario.h"
+#include "pu/activity_stream.h"
+#include "pu/primary_network.h"
+#include "sim/checkpoint.h"
 
 #include "checkpoint_harness.h"
 
@@ -88,6 +94,101 @@ TEST(CheckpointResumeTest, ResumedRunCanItselfCheckpoint) {
   const Captured resumed_again =
       RunVariant(42, {}, 0, &resumed.checkpoints.back().second);
   ExpectBitIdentical(base, resumed_again);
+}
+
+std::uint64_t BlobHash(const std::string& blob) {
+  std::uint64_t hash = 0xCBF29CE484222325ULL;  // FNV-1a
+  for (const char c : blob) {
+    hash ^= static_cast<std::uint8_t>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  return hash;
+}
+
+// The checkpoints RunVariant(41, {}, 2000) wrote while the MAC drew PU
+// activity one serial generator step at a time, before the lookahead
+// stream (pu/activity_stream.h) replaced it. The stream must not move a
+// byte of CRNCKPT1; since the blobs are identical, every restore test here
+// also restores a blob of the serial-path format.
+struct PinnedBlob {
+  std::uint64_t events;
+  std::size_t size;
+  std::uint64_t hash;
+};
+constexpr PinnedBlob kSerialPathBlobs[] = {
+    {2000, 180294, 0x2a8a20e754fe87f2ULL},   {4000, 440870, 0x50a0e687918da4ebULL},
+    {6000, 805971, 0x7d9dac1397d32e5bULL},   {8000, 1205789, 0x6596a0f94a60693dULL},
+    {10000, 1658653, 0xb2761a2adf88b3d2ULL}, {12000, 2112217, 0xbd7b2b8fa8e3226cULL},
+    {14000, 2601549, 0xdbb4eba3834c4acaULL}, {16000, 3108715, 0xbc77b24ddb4dcd22ULL},
+    {18000, 3615813, 0x58348786c2a880d6ULL}, {20000, 4122927, 0x33009d3c34272a7fULL},
+    {22000, 4630019, 0x81d4c2dd6dd0cf71ULL},
+};
+
+TEST(CheckpointResumeTest, BlobsAreByteIdenticalToTheSerialActivityPath) {
+  const Captured base = RunVariant(41, {}, 2000, nullptr);
+  ASSERT_EQ(base.checkpoints.size(), std::size(kSerialPathBlobs));
+  for (std::size_t i = 0; i < base.checkpoints.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "checkpoint " << i);
+    EXPECT_EQ(base.checkpoints[i].first, kSerialPathBlobs[i].events);
+    EXPECT_EQ(base.checkpoints[i].second.size(), kSerialPathBlobs[i].size);
+    EXPECT_EQ(BlobHash(base.checkpoints[i].second), kSerialPathBlobs[i].hash);
+  }
+}
+
+// The slots a checkpoint's PU section has sampled, and the activity
+// generator its MAC section holds.
+struct ActivityAt {
+  std::int64_t slots = 0;
+  std::uint32_t pus = 0;
+  Rng generator;
+};
+
+ActivityAt ReadActivity(const std::string& blob) {
+  ActivityAt at;
+  sim::StateReader pu(blob);
+  pu.OpenSection("pu");
+  (void)pu.ReadDouble();  // p_t
+  at.slots = pu.ReadI64();
+  (void)pu.ReadI64();  // activations
+  at.pus = pu.ReadU32();
+  sim::StateReader mac(blob);
+  mac.OpenSection("mac");
+  Rng backoff;
+  sim::ReadRng(mac, backoff);
+  sim::ReadRng(mac, at.generator);
+  EXPECT_TRUE(pu.ok() && mac.ok());
+  return at;
+}
+
+TEST(CheckpointResumeTest, MidBlockCheckpointRestoresBitIdentically) {
+  const Captured base = RunVariant(41, {}, 2000, nullptr);
+  // The first checkpoint taken past a block's first lane and off every lane
+  // boundary: the stream had drawn ahead of the state the blob records, and
+  // State() has to jump to reach it.
+  const std::string* blob = nullptr;
+  ActivityAt at;
+  for (const auto& [events, candidate] : base.checkpoints) {
+    at = ReadActivity(candidate);
+    const std::int64_t draws = at.slots * at.pus;
+    if (draws % pu::ActivityStream::kBlockDraws > pu::ActivityStream::kLaneDraws &&
+        draws % pu::ActivityStream::kLaneDraws != 0) {
+      blob = &candidate;
+      break;
+    }
+  }
+  ASSERT_NE(blob, nullptr);
+
+  // The blob holds the serial generator: replaying ResampleSlot(Rng&) on
+  // the run's own stream for the checkpoint's slots lands on it exactly.
+  const Scenario scenario = HarnessScenario(41);
+  pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
+  Rng serial = scenario.MakeRunRng().Stream("mac").Stream("pu-activity");
+  for (std::int64_t slot = 0; slot < at.slots; ++slot) primary.ResampleSlot(serial);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(serial.state_word(i), at.generator.state_word(i)) << "word " << i;
+  }
+
+  ExpectBitIdentical(base, RunVariant(41, {}, 0, blob));
 }
 
 TEST(CheckpointResumeTest, RestoreRejectsMismatchedScenario) {
