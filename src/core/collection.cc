@@ -94,7 +94,7 @@ void WriteRunSection(sim::StateWriter& writer, const Scenario& scenario,
 
 void CheckRunSection(sim::StateReader& reader, const Scenario& scenario,
                      const std::string& label, const RunOptions& options) {
-  if (!reader.OpenSection("run")) return;
+  if (!reader.BeginSection("run")) return;
   const std::string saved_label = reader.ReadString();
   const std::uint64_t saved_seed = reader.ReadU64();
   const std::uint64_t saved_rep = reader.ReadU64();
@@ -241,6 +241,9 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     if (metrics_collector.has_value()) metrics_collector->LoadState(*reader);
     if (auditor.has_value()) auditor->LoadState(*reader);
     if (injector.has_value() && injector->armed()) injector->LoadState(*reader);
+    // A corrupt section stops here, before FinishRestore finds the events
+    // that section never re-claimed.
+    CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
     // Restore phase 4: push the staged queue against the re-claimed slots.
     simulator.FinishRestore();
     if (options.flight_recorder != nullptr) {
@@ -539,10 +542,9 @@ ContinuousResult RunAddcContinuous(const Scenario& scenario, sim::TimeNs interva
           : 0.0;
 
   for (std::int32_t k = 0; k < snapshot_count; ++k) {
-    const sim::TimeNs finish = mac.snapshot_finish_time()[k];
-    const sim::TimeNs created = mac.snapshot_created_time()[k];
-    if (finish >= 0 && created >= 0) {
-      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(finish - created));
+    const mac::CollectionMac::SnapshotTally& tally = mac.snapshots()[k];
+    if (tally.finish >= 0 && tally.created >= 0) {
+      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(tally.finish - tally.created));
     }
   }
   if (!result.snapshot_delay_ms.empty()) {

@@ -216,75 +216,38 @@ void InvariantAuditor::RecordViolation(std::string message) {
 }
 
 void InvariantAuditor::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("audit");
-  writer.WriteU64(time_auditor_.events_observed());
-  writer.WriteU64(time_auditor_.violations());
-  writer.WriteI64(time_auditor_.last_time());
-  writer.WriteU64(digest_.value());
-  sim::WriteRng(writer, receiver_rng_);
-  writer.WriteI64(report_.tx_starts);
-  writer.WriteI64(report_.separation_checks);
-  writer.WriteI64(report_.separation_violations);
-  writer.WriteI64(report_.receptions_checked);
-  writer.WriteI64(report_.su_sir_violations);
-  writer.WriteI64(report_.pu_checks);
-  writer.WriteI64(report_.pu_protection_violations);
-  writer.WriteI64(report_.routing_audits);
-  writer.WriteI64(report_.routing_violations);
-  writer.WriteU32(static_cast<std::uint32_t>(report_.first_violations.size()));
-  for (const std::string& violation : report_.first_violations) {
-    writer.WriteString(violation);
-  }
-  writer.WriteString(report_.flight_trail);
-  writer.WriteU32(static_cast<std::uint32_t>(active_.size()));
-  for (const ActiveTx& tx : active_) {
-    writer.WriteI32(tx.transmitter);
-    writer.WriteDouble(tx.position.x);
-    writer.WriteDouble(tx.position.y);
-  }
-  writer.EndSection();
+  Transfer(*this, writer);
 }
 
 void InvariantAuditor::LoadState(sim::StateReader& reader) {
   CRN_CHECK(simulator_ != nullptr) << "LoadState before Attach()";
-  if (!reader.OpenSection("audit")) return;
-  const std::uint64_t events_observed = reader.ReadU64();
-  const std::uint64_t time_violations = reader.ReadU64();
-  const sim::TimeNs last_time = reader.ReadI64();
-  const std::uint64_t digest = reader.ReadU64();
-  Rng rng;
-  sim::ReadRng(reader, rng);
-  AuditReport report;
-  report.tx_starts = reader.ReadI64();
-  report.separation_checks = reader.ReadI64();
-  report.separation_violations = reader.ReadI64();
-  report.receptions_checked = reader.ReadI64();
-  report.su_sir_violations = reader.ReadI64();
-  report.pu_checks = reader.ReadI64();
-  report.pu_protection_violations = reader.ReadI64();
-  report.routing_audits = reader.ReadI64();
-  report.routing_violations = reader.ReadI64();
-  const std::uint32_t violation_count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < violation_count && reader.ok(); ++i) {
-    report.first_violations.push_back(reader.ReadString());
-  }
-  report.flight_trail = reader.ReadString();
-  std::vector<ActiveTx> active;
-  const std::uint32_t active_count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < active_count && reader.ok(); ++i) {
-    ActiveTx tx;
-    tx.transmitter = reader.ReadI32();
-    tx.position.x = reader.ReadDouble();
-    tx.position.y = reader.ReadDouble();
-    active.push_back(tx);
-  }
-  reader.EndSection();
-  if (!reader.ok()) return;
-  time_auditor_.RestoreState(events_observed, time_violations, last_time);
-  digest_.RestoreValue(digest);
-  receiver_rng_ = rng;
-  report_ = std::move(report);
-  active_ = std::move(active);
+  Transfer(*this, reader);
+}
+
+template <class Self, class Ar>
+void InvariantAuditor::Transfer(Self& self, Ar& ar) {
+  if (!ar.BeginSection("audit")) return;
+  sim::EventTimeAuditor::Transfer(self.time_auditor_, ar);
+  sim::TraceDigest::Transfer(self.digest_, ar);
+  ar.Io(self.receiver_rng_);
+  auto& report = self.report_;
+  ar.Io(report.tx_starts);
+  ar.Io(report.separation_checks);
+  ar.Io(report.separation_violations);
+  ar.Io(report.receptions_checked);
+  ar.Io(report.su_sir_violations);
+  ar.Io(report.pu_checks);
+  ar.Io(report.pu_protection_violations);
+  ar.Io(report.routing_audits);
+  ar.Io(report.routing_violations);
+  ar.Seq(report.first_violations);
+  ar.Io(report.flight_trail);
+  ar.Seq(self.active_, [n = self.mac_->node_count()](auto& io, auto& tx) {
+    io.Id(tx.transmitter, n);
+    io.Io(tx.position.x);
+    io.Io(tx.position.y);
+  });
+  ar.EndSection();
 }
 
 const AuditReport& InvariantAuditor::Finalize() {

@@ -143,6 +143,9 @@ class InvariantAuditor {
   void LoadState(sim::StateReader& reader);
 
  private:
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar);
+
   struct ActiveTx {
     mac::NodeId transmitter = graph::kInvalidNode;
     geom::Vec2 position;

@@ -221,106 +221,68 @@ void FaultInjector::RunRepairPass(graph::NodeId trigger) {
 }
 
 void FaultInjector::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("faults");
-  sim::WriteRng(writer, rng_);
-  for (const std::int64_t count : report_.injected) writer.WriteI64(count);
-  writer.WriteI64(report_.repairs_attempted);
-  writer.WriteI64(report_.reattached_total);
-  writer.WriteI64(report_.cascade_escalations);
-  writer.WriteI64(report_.recoveries);
-  writer.WriteI64(report_.orphaned_now);
-  writer.WriteDouble(base_false_alarm_);
-  writer.WriteDouble(base_missed_detection_);
-  writer.WriteDouble(base_pu_activity_);
-  writer.WriteI32(active_bursts_);
-  writer.WriteI32(active_pu_perturbations_);
-  writer.WriteU32(static_cast<std::uint32_t>(broken_since_.size()));
-  for (const sim::TimeNs since : broken_since_) writer.WriteI64(since);
-  std::uint32_t pending_timeline = 0;
-  for (const sim::EventId seq : timeline_seqs_) {
-    if (seq != 0) ++pending_timeline;
-  }
-  writer.WriteU32(pending_timeline);
-  for (std::size_t i = 0; i < timeline_seqs_.size(); ++i) {
-    if (timeline_seqs_[i] == 0) continue;
-    writer.WriteU32(static_cast<std::uint32_t>(i));
-    writer.WriteU64(timeline_seqs_[i]);
-  }
-  writer.WriteU32(static_cast<std::uint32_t>(pending_repairs_.size()));
-  for (const auto& [node, seq] : pending_repairs_) {
-    writer.WriteI32(node);
-    writer.WriteU64(seq);
-  }
-  writer.EndSection();
+  Transfer(*this, writer);
 }
 
 void FaultInjector::LoadState(sim::StateReader& reader) {
-  if (!reader.OpenSection("faults")) return;
-  std::array<std::uint64_t, 4> rng_words{};
-  for (std::uint64_t& word : rng_words) word = reader.ReadU64();
-  FaultReport report;
-  for (std::int64_t& count : report.injected) count = reader.ReadI64();
-  report.repairs_attempted = reader.ReadI64();
-  report.reattached_total = reader.ReadI64();
-  report.cascade_escalations = reader.ReadI64();
-  report.recoveries = reader.ReadI64();
-  report.orphaned_now = reader.ReadI64();
-  const double base_false_alarm = reader.ReadDouble();
-  const double base_missed_detection = reader.ReadDouble();
-  const double base_pu_activity = reader.ReadDouble();
-  const std::int32_t active_bursts = reader.ReadI32();
-  const std::int32_t active_pu_perturbations = reader.ReadI32();
-  const std::uint32_t broken_count = reader.ReadU32();
-  if (reader.ok() && broken_count != broken_since_.size()) {
-    reader.EndSection();
-    return;
-  }
-  std::vector<sim::TimeNs> broken_since(broken_count, -1);
-  for (sim::TimeNs& since : broken_since) since = reader.ReadI64();
-  const std::uint32_t pending_timeline = reader.ReadU32();
-  std::vector<std::pair<std::uint32_t, sim::EventId>> timeline_pending(
-      pending_timeline);
-  for (std::uint32_t i = 0; i < pending_timeline && reader.ok(); ++i) {
-    timeline_pending[i].first = reader.ReadU32();
-    timeline_pending[i].second = reader.ReadU64();
-  }
-  const std::uint32_t repair_count = reader.ReadU32();
-  std::vector<std::pair<graph::NodeId, sim::EventId>> pending_repairs(
-      repair_count);
-  for (std::uint32_t i = 0; i < repair_count && reader.ok(); ++i) {
-    pending_repairs[i].first = reader.ReadI32();
-    pending_repairs[i].second = reader.ReadU64();
-  }
-  reader.EndSection();
-  if (!reader.ok()) return;
-  for (const auto& [index, seq] : timeline_pending) {
-    CRN_CHECK(index < timeline_.size())
-        << "checkpoint references fault-timeline event " << index
-        << " but the recompiled timeline has " << timeline_.size()
-        << " — the restored run used a different fault plan or seed";
-  }
+  Transfer(*this, reader);
+}
 
-  rng_.RestoreState(rng_words[0], rng_words[1], rng_words[2], rng_words[3]);
-  report_ = report;
-  base_false_alarm_ = base_false_alarm;
-  base_missed_detection_ = base_missed_detection;
-  base_pu_activity_ = base_pu_activity;
-  active_bursts_ = active_bursts;
-  active_pu_perturbations_ = active_pu_perturbations;
-  broken_since_ = std::move(broken_since);
-  for (const auto& [index, seq] : timeline_pending) {
-    timeline_seqs_[index] = seq;
-    const std::size_t i = index;
-    simulator_->RestoreOnce(seq, sim::EventPriority::kDefault,
-                            "faults.timeline", timeline_[i].node,
-                            sim::EventFn([this, i] { OnTimelineFire(i); }));
+template <class Self, class Ar>
+void FaultInjector::Transfer(Self& self, Ar& ar) {
+  if (!ar.BeginSection("faults")) return;
+  ar.Io(self.rng_);
+  auto& report = self.report_;
+  for (auto& count : report.injected) ar.Io(count);
+  ar.Io(report.repairs_attempted);
+  ar.Io(report.reattached_total);
+  ar.Io(report.cascade_escalations);
+  ar.Io(report.recoveries);
+  ar.Io(report.orphaned_now);
+  ar.Io(self.base_false_alarm_);
+  ar.Io(self.base_missed_detection_);
+  ar.Io(self.base_pu_activity_);
+  ar.Io(self.active_bursts_);
+  ar.Io(self.active_pu_perturbations_);
+  ar.FixedCount(self.broken_since_.size());
+  for (auto& since : self.broken_since_) ar.Io(since);
+  // Only the still-pending timeline events, as (timeline index, seq) pairs.
+  std::vector<std::pair<std::uint32_t, sim::EventId>> timeline_pending;
+  for (std::size_t i = 0; i < self.timeline_seqs_.size(); ++i) {
+    if (self.timeline_seqs_[i] != 0) {
+      timeline_pending.emplace_back(static_cast<std::uint32_t>(i), self.timeline_seqs_[i]);
+    }
   }
-  pending_repairs_ = std::move(pending_repairs);
-  for (const auto& [node, seq] : pending_repairs_) {
-    const graph::NodeId trigger = node;
-    simulator_->RestoreOnce(seq, sim::EventPriority::kDefault, "faults.repair",
-                            trigger,
-                            sim::EventFn([this, trigger] { OnRepairFire(trigger); }));
+  ar.Seq(timeline_pending, [](auto& io, auto& event) {
+    io.Io(event.first);
+    io.Io(event.second);
+  });
+  ar.Seq(self.pending_repairs_, [n = self.graph_->node_count()](auto& io, auto& repair) {
+    io.Id(repair.first, n);
+    io.Io(repair.second);
+  });
+  ar.EndSection();
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) return;
+    FaultInjector* injector = &self;
+    for (const auto& [index, seq] : timeline_pending) {
+      CRN_CHECK(index < injector->timeline_.size())
+          << "checkpoint references fault-timeline event " << index
+          << " but the recompiled timeline has " << injector->timeline_.size()
+          << " — the restored run used a different fault plan or seed";
+      injector->timeline_seqs_[index] = seq;
+      const std::size_t i = index;
+      injector->simulator_->RestoreOnce(
+          seq, sim::EventPriority::kDefault, "faults.timeline",
+          injector->timeline_[i].node,
+          sim::EventFn([injector, i] { injector->OnTimelineFire(i); }));
+    }
+    for (const auto& [node, seq] : injector->pending_repairs_) {
+      const graph::NodeId trigger = node;
+      injector->simulator_->RestoreOnce(
+          seq, sim::EventPriority::kDefault, "faults.repair", trigger,
+          sim::EventFn([injector, trigger] { injector->OnRepairFire(trigger); }));
+    }
   }
 }
 

@@ -81,6 +81,9 @@ class FaultInjector {
   void LoadState(sim::StateReader& reader);
 
  private:
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar);
+
   void Apply(const FaultEvent& event);
   void OnTimelineFire(std::size_t index);
   void OnRepairFire(graph::NodeId trigger);

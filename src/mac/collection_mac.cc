@@ -166,10 +166,8 @@ void CollectionMac::StartContinuousCollection(const std::vector<NodeId>& produce
   running_ = true;
   expected_packets_ =
       static_cast<std::int64_t>(producers.size()) * snapshot_count;
-  snapshot_created_.assign(snapshot_count, -1);
-  snapshot_finish_.assign(snapshot_count, -1);
-  snapshot_remaining_.assign(snapshot_count,
-                             static_cast<std::int64_t>(producers.size()));
+  snapshots_.assign(snapshot_count,
+                    {-1, -1, static_cast<std::int64_t>(producers.size())});
   const sim::TimeNs now = simulator_.now();
   // Slot boundary first (samples the initial PU state); snapshot seeding
   // events run at default priority, so producers always see a sampled slot.
@@ -203,7 +201,7 @@ void CollectionMac::OnSeedSnapshot(std::int32_t snapshot) {
 void CollectionMac::SeedSnapshot(const std::vector<NodeId>& producers,
                                  std::int32_t snapshot) {
   const sim::TimeNs now = simulator_.now();
-  snapshot_created_[snapshot] = now;
+  snapshots_[snapshot].created = now;
   for (NodeId v : producers) {
     ++stats_.packets_seeded;
     ++expected_per_origin_[v];
@@ -435,7 +433,7 @@ std::int32_t CollectionMac::ComputeSuBusyCount(NodeId node) const {
   // carrier grid holds every node with carrier_count_ > 0, maintained by
   // NotifySensorsTxStart/End; summing the integer counts over the PCR disk
   // is order-independent, so the result is bit-identical to a linear scan
-  // over active_tx_ and fading_tx_.
+  // over active_tx_ and fading_.
   std::int32_t count = 0;
   carrier_grid_.ForEachMemberInDisk(positions_[node], config_.pcr,
                                     [&](NodeId carrier) {
@@ -588,15 +586,15 @@ void CollectionMac::FinishTransmission(NodeId node, bool aborted) {
       NotifySensorsTxEnd(node);
     } else {
       // End of carrier is sensed sensing_latency later; until then new
-      // contenders must still count it (fading_tx_).
-      fading_tx_.push_back(node);
-      fading_seqs_.push_back(
+      // contenders must still count it (fading_).
+      const sim::EventId seq =
           simulator_.ScheduleOnceAfter(  // crn-lint-ok: per-transmission node
                                          // payload with dynamic multiplicity;
                                          // a bind-once Timer would drop a fade
                                          // re-armed while one is pending.
               config_.sensing_latency, sim::EventPriority::kDefault,
-              "mac.carrier_fade", node, [this, node] { OnCarrierFade(node); }));
+              "mac.carrier_fade", node, [this, node] { OnCarrierFade(node); });
+      fading_.push_back({node, seq});
     }
   }
   // else: the carrier vanished before anyone could sense it; the pending
@@ -648,11 +646,11 @@ void CollectionMac::FinishTransmission(NodeId node, bool aborted) {
 
 void CollectionMac::OnCarrierFade(NodeId node) {
   // FIFO per node: equal fade delays mean the first occurrence is always the
-  // earliest-scheduled fade, so the parallel seq entry shares its index.
-  const auto it = std::find(fading_tx_.begin(), fading_tx_.end(), node);
-  CRN_DCHECK(it != fading_tx_.end());
-  fading_seqs_.erase(fading_seqs_.begin() + (it - fading_tx_.begin()));
-  fading_tx_.erase(it);
+  // earliest-scheduled fade.
+  const auto it = std::find_if(fading_.begin(), fading_.end(),
+                               [node](const Fade& fade) { return fade.node == node; });
+  CRN_DCHECK(it != fading_.end());
+  fading_.erase(it);
   NotifySensorsTxEnd(node);
 }
 
@@ -878,10 +876,8 @@ void CollectionMac::AuditPrimaryReceptions() {
 void CollectionMac::LosePacket(NodeId node, const Packet& packet,
                                std::int64_t queue_left) {
   --expected_per_origin_[packet.origin];
-  if (--snapshot_remaining_[packet.snapshot] == 0 &&
-      snapshot_finish_[packet.snapshot] < 0) {
-    snapshot_finish_[packet.snapshot] = simulator_.now();
-  }
+  SnapshotTally& tally = snapshots_[packet.snapshot];
+  if (--tally.remaining == 0 && tally.finish < 0) tally.finish = simulator_.now();
   --expected_packets_;
   ++stats_.packets_lost;
   EmitLifecycle(LifecycleEvent::Kind::kPacketDropped, node, &packet, queue_left);
@@ -898,9 +894,8 @@ void CollectionMac::DeliverOrEnqueue(NodeId receiver, const Packet& packet) {
     if (delivery_time_[packet.origin] < 0) {
       delivery_time_[packet.origin] = simulator_.now();
     }
-    if (--snapshot_remaining_[packet.snapshot] == 0) {
-      snapshot_finish_[packet.snapshot] = simulator_.now();
-    }
+    SnapshotTally& tally = snapshots_[packet.snapshot];
+    if (--tally.remaining == 0) tally.finish = simulator_.now();
     EmitLifecycle(LifecycleEvent::Kind::kPacketDelivered, receiver, &packet,
                   packet.hops);
     CheckTermination();
@@ -948,429 +943,206 @@ void CollectionMac::CheckTermination() {
 // --- checkpointing ----------------------------------------------------------
 
 void CollectionMac::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("mac");
-  sim::WriteRng(writer, backoff_rng_);
+  Transfer(*this, writer);
+}
+
+void CollectionMac::LoadState(sim::StateReader& reader) {
+  Transfer(*this, reader);
+}
+
+template <class Self, class Ar>
+void CollectionMac::Transfer(Self& self, Ar& ar) {
+  if (!ar.BeginSection("mac")) return;
+  const std::int32_t n = self.node_count();
+  ar.Io(self.backoff_rng_);
   // The serial generator at the consumed position, not the lookahead: the
   // blob must not depend on how far the stream has drawn ahead.
-  sim::WriteRng(writer, activity_.State());
-  sim::WriteRng(writer, audit_rng_);
-  sim::WriteRng(writer, sensing_rng_);
+  Rng activity = self.activity_.State();
+  ar.Io(activity);
+  ar.Io(self.audit_rng_);
+  ar.Io(self.sensing_rng_);
   // The only config fields mutable mid-run (SetSensingErrorRates); the rest
   // is rebuilt from the scenario before LoadState.
-  writer.WriteDouble(config_.sensing_false_alarm);
-  writer.WriteDouble(config_.sensing_missed_detection);
-  writer.WriteBool(running_);
-  writer.WriteI64(expected_packets_);
-  writer.WriteI64(slot_index_);
-  writer.WriteI64(slot_start_time_);
+  ar.Io(self.config_.sensing_false_alarm);
+  ar.Io(self.config_.sensing_missed_detection);
+  ar.Io(self.running_);
+  ar.Io(self.expected_packets_);
+  ar.Io(self.slot_index_);
+  ar.Io(self.slot_start_time_);
 
-  writer.WriteI64(stats_.attempts);
-  for (const std::int64_t n : stats_.outcomes) writer.WriteI64(n);
-  writer.WriteI64(stats_.delivered);
-  writer.WriteI64(stats_.finish_time);
-  writer.WriteBool(stats_.timed_out);
-  writer.WriteI64(stats_.slot_checks_total);
-  writer.WriteI64(stats_.slot_checks_free);
-  writer.WriteI64(stats_.audited_pu_receptions);
-  writer.WriteI64(stats_.pu_only_failures);
-  writer.WriteI64(stats_.su_caused_violations);
-  writer.WriteI64(stats_.delivered_hops_total);
-  writer.WriteI64(stats_.packets_seeded);
-  writer.WriteI64(stats_.packets_lost);
+  auto& stats = self.stats_;
+  ar.Io(stats.attempts);
+  for (auto& outcome_count : stats.outcomes) ar.Io(outcome_count);
+  ar.Io(stats.delivered);
+  ar.Io(stats.finish_time);
+  ar.Io(stats.timed_out);
+  ar.Io(stats.slot_checks_total);
+  ar.Io(stats.slot_checks_free);
+  ar.Io(stats.audited_pu_receptions);
+  ar.Io(stats.pu_only_failures);
+  ar.Io(stats.su_caused_violations);
+  ar.Io(stats.delivered_hops_total);
+  ar.Io(stats.packets_seeded);
+  ar.Io(stats.packets_lost);
 
-  const std::int32_t n = node_count();
-  writer.WriteU32(static_cast<std::uint32_t>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    const Agent& agent = agents_[static_cast<std::size_t>(v)];
-    writer.WriteI32(next_hop_[static_cast<std::size_t>(v)]);
-    writer.WriteU8(static_cast<std::uint8_t>(failed_[static_cast<std::size_t>(v)]));
-    writer.WriteU8(static_cast<std::uint8_t>(agent_phase_[static_cast<std::size_t>(v)]));
-    writer.WriteU8(agent_frozen_[static_cast<std::size_t>(v)]);
-    writer.WriteU8(agent_pu_busy_[static_cast<std::size_t>(v)]);
-    writer.WriteI32(agent_su_busy_[static_cast<std::size_t>(v)]);
-    writer.WriteI32(carrier_count_[static_cast<std::size_t>(v)]);
-    writer.WriteI64(delivery_time_[static_cast<std::size_t>(v)]);
-    writer.WriteI64(expected_per_origin_[static_cast<std::size_t>(v)]);
-    writer.WriteI64(delivered_per_origin_[static_cast<std::size_t>(v)]);
-    writer.WriteI64(success_tx_count_[static_cast<std::size_t>(v)]);
-    writer.WriteI64(agent.backoff_drawn);
-    writer.WriteI64(agent.remaining);
-    writer.WriteI64(agent.resume_time);
-    writer.WriteI32(agent.dead_hop_failures);
-    writer.WriteU64(agent.expiry_timer.pending_seq());
-    writer.WriteU64(agent.wait_timer.pending_seq());
-    writer.WriteU32(static_cast<std::uint32_t>(agent.queue.size()));
-    for (const Packet& packet : agent.queue) {
-      writer.WriteI32(packet.origin);
-      writer.WriteI64(packet.created);
-      writer.WriteI32(packet.hops);
-      writer.WriteI32(packet.snapshot);
-    }
+  // Each timer travels as its pending fire's sequence number (0 = unarmed);
+  // a fresh MAC's timers read 0 here before the load overwrites them.
+  using TimerSeqs = std::array<sim::EventId, 2>;
+  ar.FixedCount(static_cast<std::size_t>(n));
+  std::vector<TimerSeqs> agent_timers(static_cast<std::size_t>(n));
+  for (std::size_t v = 0; v < agent_timers.size(); ++v) {
+    auto& agent = self.agents_[v];
+    ar.Id(self.next_hop_[v], n, graph::kInvalidNode);
+    ar.Io(self.failed_[v]);
+    ar.Io(self.agent_phase_[v]);
+    ar.Io(self.agent_frozen_[v]);
+    ar.Io(self.agent_pu_busy_[v]);
+    ar.Io(self.agent_su_busy_[v]);
+    ar.Io(self.carrier_count_[v]);
+    ar.Io(self.delivery_time_[v]);
+    ar.Io(self.expected_per_origin_[v]);
+    ar.Io(self.delivered_per_origin_[v]);
+    ar.Io(self.success_tx_count_[v]);
+    ar.Io(agent.backoff_drawn);
+    ar.Io(agent.remaining);
+    ar.Io(agent.resume_time);
+    ar.Io(agent.dead_hop_failures);
+    TimerSeqs& timers = agent_timers[v];
+    timers = {agent.expiry_timer.pending_seq(), agent.wait_timer.pending_seq()};
+    ar.Io(timers[0]);
+    ar.Io(timers[1]);
+    ar.Seq(agent.queue, [n](auto& io, auto& packet) {
+      io.Id(packet.origin, n);
+      io.Io(packet.created);
+      io.Io(packet.hops);
+      io.Io(packet.snapshot);
+    });
   }
 
-  writer.WriteU32(static_cast<std::uint32_t>(contending_list_.size()));
-  for (const NodeId v : contending_list_) writer.WriteI32(v);
+  const auto node_ids = [n](auto& io, auto& v) { io.Id(v, n); };
+  ar.Seq(self.contending_list_, node_ids);
   // Both dynamic grids in their exact iteration order: in-cell member order
   // decides the visit order of the sensing-notification loops, which decides
   // the sequence numbers their freeze/resume re-arms draw. Re-inserting in
   // this order reproduces the layout bit for bit (Insert appends).
-  const std::vector<std::int32_t> sensing_members =
-      sensing_grid_.MembersInIterationOrder();
-  writer.WriteU32(static_cast<std::uint32_t>(sensing_members.size()));
-  for (const std::int32_t v : sensing_members) writer.WriteI32(v);
-  const std::vector<std::int32_t> carrier_members =
-      carrier_grid_.MembersInIterationOrder();
-  writer.WriteU32(static_cast<std::uint32_t>(carrier_members.size()));
-  for (const std::int32_t v : carrier_members) writer.WriteI32(v);
+  std::vector<std::int32_t> sensing_members =
+      self.sensing_grid_.MembersInIterationOrder();
+  ar.Seq(sensing_members, node_ids);
+  std::vector<std::int32_t> carrier_members =
+      self.carrier_grid_.MembersInIterationOrder();
+  ar.Seq(carrier_members, node_ids);
 
   // Active transmissions in active_tx_ order — the append-incremental SIR
   // memos are defined relative to this exact order.
-  writer.WriteU32(static_cast<std::uint32_t>(active_tx_.size()));
-  for (const Transmission& tx : active_tx_) {
-    writer.WriteI32(tx.transmitter);
-    writer.WriteI32(tx.receiver);
-    writer.WriteI64(tx.start);
-    writer.WriteI64(tx.end);
-    writer.WriteDouble(tx.signal_power);
-    writer.WriteDouble(tx.min_sir);
-    writer.WriteBool(tx.receiver_ok);
-    writer.WriteBool(tx.announced);
-    writer.WriteU8(static_cast<std::uint8_t>(tx.forced_outcome));
-    writer.WriteI64(tx.last_eval_epoch);
-    writer.WriteDouble(tx.itf_sum);
-    writer.WriteI32(tx.itf_count);
-    writer.WriteI64(tx.itf_pu_epoch);
-    writer.WriteI64(tx.itf_shrink_epoch);
-    writer.WriteDouble(tx.itf_ub);
-    writer.WriteI64(tx.itf_ub_pu_epoch);
-    writer.WriteU64(tx.end_timer.pending_seq());
-    writer.WriteU64(tx.announce_timer.pending_seq());
-  }
+  std::vector<TimerSeqs> tx_timers;
+  ar.Seq(self.active_tx_, [n, &tx_timers](auto& io, auto& tx) {
+    io.Id(tx.transmitter, n);
+    io.Id(tx.receiver, n);
+    io.Io(tx.start);
+    io.Io(tx.end);
+    io.Io(tx.signal_power);
+    io.Io(tx.min_sir);
+    io.Io(tx.receiver_ok);
+    io.Io(tx.announced);
+    io.Io(tx.forced_outcome);
+    io.Io(tx.last_eval_epoch);
+    io.Io(tx.itf_sum);
+    io.Io(tx.itf_count);
+    io.Io(tx.itf_pu_epoch);
+    io.Io(tx.itf_shrink_epoch);
+    io.Io(tx.itf_ub);
+    io.Io(tx.itf_ub_pu_epoch);
+    TimerSeqs timers{tx.end_timer.pending_seq(), tx.announce_timer.pending_seq()};
+    io.Io(timers[0]);
+    io.Io(timers[1]);
+    // Kept for the re-arm below; Seq also sizes this list once with a
+    // non-loading probe, which must not add an entry.
+    if constexpr (std::remove_cvref_t<decltype(io)>::kLoading) {
+      tx_timers.push_back(timers);
+    }
+  });
 
-  writer.WriteU32(static_cast<std::uint32_t>(fading_tx_.size()));
-  for (std::size_t i = 0; i < fading_tx_.size(); ++i) {
-    writer.WriteI32(fading_tx_[i]);
-    writer.WriteU64(fading_seqs_[i]);
-  }
+  ar.Seq(self.fading_, [n](auto& io, auto& fade) {
+    io.Id(fade.node, n);
+    io.Io(fade.seq);
+  });
+  ar.Seq(self.seed_producers_, node_ids);
+  ar.Seq(self.pending_seeds_, [](auto& io, auto& seed) {
+    io.Io(seed.snapshot);
+    io.Io(seed.seq);
+  });
+  ar.Seq(self.snapshots_, [](auto& io, auto& tally) {
+    io.Io(tally.created);
+    io.Io(tally.finish);
+    io.Io(tally.remaining);
+  });
 
-  writer.WriteU32(static_cast<std::uint32_t>(seed_producers_.size()));
-  for (const NodeId v : seed_producers_) writer.WriteI32(v);
-  writer.WriteU32(static_cast<std::uint32_t>(pending_seeds_.size()));
-  for (const PendingSeed& seed : pending_seeds_) {
-    writer.WriteI32(seed.snapshot);
-    writer.WriteU64(seed.seq);
-  }
+  bool slot_running = self.slot_timer_.running();
+  sim::TimeNs slot_period = self.slot_timer_.period();
+  TimerSeqs slot_timers{self.slot_timer_.pending_seq(), self.audit_timer_.pending_seq()};
+  ar.Io(slot_running);
+  ar.Io(slot_period);
+  ar.Io(slot_timers[0]);
+  ar.Io(slot_timers[1]);
+  ar.EndSection();
 
-  writer.WriteU32(static_cast<std::uint32_t>(snapshot_created_.size()));
-  for (std::size_t k = 0; k < snapshot_created_.size(); ++k) {
-    writer.WriteI64(snapshot_created_[k]);
-    writer.WriteI64(snapshot_finish_[k]);
-    writer.WriteI64(snapshot_remaining_[k]);
-  }
-
-  writer.WriteBool(slot_timer_.running());
-  writer.WriteI64(slot_timer_.period());
-  writer.WriteU64(slot_timer_.pending_seq());
-  writer.WriteU64(audit_timer_.pending_seq());
-  writer.EndSection();
-
-  field_.SaveState(writer);
-}
-
-void CollectionMac::LoadState(sim::StateReader& reader) {
-  if (!reader.OpenSection("mac")) return;
-  std::array<std::array<std::uint64_t, 4>, 4> rng_words{};
-  for (auto& stream : rng_words) {
-    for (std::uint64_t& word : stream) word = reader.ReadU64();
-  }
-  const double sensing_false_alarm = reader.ReadDouble();
-  const double sensing_missed_detection = reader.ReadDouble();
-  const bool running = reader.ReadBool();
-  const std::int64_t expected_packets = reader.ReadI64();
-  const std::int64_t slot_index = reader.ReadI64();
-  const sim::TimeNs slot_start_time = reader.ReadI64();
-
-  MacStats stats;
-  stats.attempts = reader.ReadI64();
-  for (std::int64_t& n : stats.outcomes) n = reader.ReadI64();
-  stats.delivered = reader.ReadI64();
-  stats.finish_time = reader.ReadI64();
-  stats.timed_out = reader.ReadBool();
-  stats.slot_checks_total = reader.ReadI64();
-  stats.slot_checks_free = reader.ReadI64();
-  stats.audited_pu_receptions = reader.ReadI64();
-  stats.pu_only_failures = reader.ReadI64();
-  stats.su_caused_violations = reader.ReadI64();
-  stats.delivered_hops_total = reader.ReadI64();
-  stats.packets_seeded = reader.ReadI64();
-  stats.packets_lost = reader.ReadI64();
-
-  const std::uint32_t saved_nodes = reader.ReadU32();
-  if (reader.ok() && saved_nodes != static_cast<std::uint32_t>(node_count())) {
-    // Different scenario size: EndSection's unread-bytes check produces the
-    // actionable layout-mismatch error.
-    reader.EndSection();
-    return;
-  }
-  struct SavedAgent {
-    NodeId next_hop = graph::kInvalidNode;
-    std::uint8_t failed = 0;
-    std::uint8_t phase = 0;
-    std::uint8_t frozen = 0;
-    std::uint8_t pu_busy = 0;
-    std::int32_t su_busy = 0;
-    std::int32_t carrier_count = 0;
-    sim::TimeNs delivery_time = -1;
-    std::int64_t expected_per_origin = 0;
-    std::int64_t delivered_per_origin = 0;
-    std::int64_t success_tx_count = 0;
-    sim::TimeNs backoff_drawn = 0;
-    sim::TimeNs remaining = 0;
-    sim::TimeNs resume_time = 0;
-    std::int32_t dead_hop_failures = 0;
-    sim::EventId expiry_seq = 0;
-    sim::EventId wait_seq = 0;
-    std::deque<Packet> queue;
-  };
-  std::vector<SavedAgent> saved_agents(saved_nodes);
-  for (std::uint32_t v = 0; v < saved_nodes && reader.ok(); ++v) {
-    SavedAgent& a = saved_agents[v];
-    a.next_hop = reader.ReadI32();
-    a.failed = reader.ReadU8();
-    a.phase = reader.ReadU8();
-    a.frozen = reader.ReadU8();
-    a.pu_busy = reader.ReadU8();
-    a.su_busy = reader.ReadI32();
-    a.carrier_count = reader.ReadI32();
-    a.delivery_time = reader.ReadI64();
-    a.expected_per_origin = reader.ReadI64();
-    a.delivered_per_origin = reader.ReadI64();
-    a.success_tx_count = reader.ReadI64();
-    a.backoff_drawn = reader.ReadI64();
-    a.remaining = reader.ReadI64();
-    a.resume_time = reader.ReadI64();
-    a.dead_hop_failures = reader.ReadI32();
-    a.expiry_seq = reader.ReadU64();
-    a.wait_seq = reader.ReadU64();
-    const std::uint32_t queue_size = reader.ReadU32();
-    for (std::uint32_t i = 0; i < queue_size && reader.ok(); ++i) {
-      Packet packet;
-      packet.origin = reader.ReadI32();
-      packet.created = reader.ReadI64();
-      packet.hops = reader.ReadI32();
-      packet.snapshot = reader.ReadI32();
-      a.queue.push_back(packet);
+  if constexpr (Ar::kLoading) {
+    // Rebuild what the section stores only as data — the activity stream,
+    // the index maps, both grids — and re-claim every pending event under
+    // its saved sequence number.
+    if (!ar.ok()) return;
+    CollectionMac* mac = &self;
+    mac->activity_.Restore(activity);
+    for (std::size_t v = 0; v < agent_timers.size(); ++v) {
+      Agent& agent = mac->agents_[v];
+      if (agent_timers[v][0] != 0) agent.expiry_timer.RestoreArm(agent_timers[v][0]);
+      if (agent_timers[v][1] != 0) agent.wait_timer.RestoreArm(agent_timers[v][1]);
+    }
+    for (std::size_t i = 0; i < mac->contending_list_.size(); ++i) {
+      mac->contending_slot_[static_cast<std::size_t>(mac->contending_list_[i])] =
+          static_cast<std::int32_t>(i);
+    }
+    for (const std::int32_t v : sensing_members) mac->sensing_grid_.Insert(v);
+    for (const std::int32_t v : carrier_members) mac->carrier_grid_.Insert(v);
+    for (std::size_t i = 0; i < mac->active_tx_.size(); ++i) {
+      Transmission& tx = mac->active_tx_[i];
+      const NodeId node = tx.transmitter;
+      tx.end_timer.Bind(mac->simulator_, sim::EventPriority::kTransmissionEnd,
+                        "mac.tx_end", node,
+                        [mac, node] { mac->FinishTransmission(node, false); });
+      tx.end_timer.RestoreArm(tx_timers[i][0]);
+      if (tx_timers[i][1] != 0) {
+        tx.announce_timer.Bind(mac->simulator_, sim::EventPriority::kDefault,
+                               "mac.tx_announce", node,
+                               [mac, node] { mac->AnnounceTxStart(node); });
+        tx.announce_timer.RestoreArm(tx_timers[i][1]);
+      }
+      mac->active_tx_slot_[static_cast<std::size_t>(node)] = static_cast<std::int32_t>(i);
+    }
+    for (const Fade& fade : mac->fading_) {
+      const NodeId node = fade.node;
+      mac->simulator_.RestoreOnce(fade.seq, sim::EventPriority::kDefault,
+                                  "mac.carrier_fade", node,
+                                  sim::EventFn([mac, node] { mac->OnCarrierFade(node); }));
+    }
+    for (const PendingSeed& seed : mac->pending_seeds_) {
+      const std::int32_t k = seed.snapshot;
+      mac->simulator_.RestoreOnce(seed.seq, sim::EventPriority::kDefault,
+                                  "mac.seed_snapshot", mac->sink_,
+                                  sim::EventFn([mac, k] { mac->OnSeedSnapshot(k); }));
+    }
+    if (mac->running_) {
+      mac->slot_timer_.Bind(mac->simulator_, sim::EventPriority::kSlotBoundary,
+                            "mac.slot_boundary", mac->sink_,
+                            [mac] { mac->OnSlotBoundary(); });
+      if (slot_running) mac->slot_timer_.RestoreRunning(slot_period, slot_timers[0]);
+      mac->audit_timer_.Bind(mac->simulator_, sim::EventPriority::kDefault,
+                             "mac.pu_audit", mac->sink_,
+                             [mac] { mac->AuditPrimaryReceptions(); });
+      if (slot_timers[1] != 0) mac->audit_timer_.RestoreArm(slot_timers[1]);
     }
   }
-
-  const std::uint32_t contender_count = reader.ReadU32();
-  std::vector<NodeId> contending_list(contender_count);
-  for (NodeId& v : contending_list) v = reader.ReadI32();
-  const std::uint32_t sensing_count = reader.ReadU32();
-  std::vector<std::int32_t> sensing_members(sensing_count);
-  for (std::int32_t& v : sensing_members) v = reader.ReadI32();
-  const std::uint32_t carrier_member_count = reader.ReadU32();
-  std::vector<std::int32_t> carrier_members(carrier_member_count);
-  for (std::int32_t& v : carrier_members) v = reader.ReadI32();
-
-  struct SavedTx {
-    NodeId transmitter = graph::kInvalidNode;
-    NodeId receiver = graph::kInvalidNode;
-    sim::TimeNs start = 0;
-    sim::TimeNs end = 0;
-    double signal_power = 0.0;
-    double min_sir = 0.0;
-    bool receiver_ok = true;
-    bool announced = false;
-    std::uint8_t forced_outcome = 0;
-    std::int64_t last_eval_epoch = -1;
-    double itf_sum = 0.0;
-    std::int32_t itf_count = -1;
-    std::int64_t itf_pu_epoch = -1;
-    std::int64_t itf_shrink_epoch = -1;
-    double itf_ub = 0.0;
-    std::int64_t itf_ub_pu_epoch = -1;
-    sim::EventId end_seq = 0;
-    sim::EventId announce_seq = 0;
-  };
-  const std::uint32_t tx_count = reader.ReadU32();
-  std::vector<SavedTx> saved_txs(tx_count);
-  for (std::uint32_t i = 0; i < tx_count && reader.ok(); ++i) {
-    SavedTx& t = saved_txs[i];
-    t.transmitter = reader.ReadI32();
-    t.receiver = reader.ReadI32();
-    t.start = reader.ReadI64();
-    t.end = reader.ReadI64();
-    t.signal_power = reader.ReadDouble();
-    t.min_sir = reader.ReadDouble();
-    t.receiver_ok = reader.ReadBool();
-    t.announced = reader.ReadBool();
-    t.forced_outcome = reader.ReadU8();
-    t.last_eval_epoch = reader.ReadI64();
-    t.itf_sum = reader.ReadDouble();
-    t.itf_count = reader.ReadI32();
-    t.itf_pu_epoch = reader.ReadI64();
-    t.itf_shrink_epoch = reader.ReadI64();
-    t.itf_ub = reader.ReadDouble();
-    t.itf_ub_pu_epoch = reader.ReadI64();
-    t.end_seq = reader.ReadU64();
-    t.announce_seq = reader.ReadU64();
-  }
-
-  const std::uint32_t fading_count = reader.ReadU32();
-  std::vector<NodeId> fading_tx(fading_count);
-  std::vector<sim::EventId> fading_seqs(fading_count);
-  for (std::uint32_t i = 0; i < fading_count && reader.ok(); ++i) {
-    fading_tx[i] = reader.ReadI32();
-    fading_seqs[i] = reader.ReadU64();
-  }
-
-  const std::uint32_t producer_count = reader.ReadU32();
-  std::vector<NodeId> seed_producers(producer_count);
-  for (NodeId& v : seed_producers) v = reader.ReadI32();
-  const std::uint32_t pending_seed_count = reader.ReadU32();
-  std::vector<PendingSeed> pending_seeds(pending_seed_count);
-  for (std::uint32_t i = 0; i < pending_seed_count && reader.ok(); ++i) {
-    pending_seeds[i].snapshot = reader.ReadI32();
-    pending_seeds[i].seq = reader.ReadU64();
-  }
-
-  const std::uint32_t snapshot_count = reader.ReadU32();
-  std::vector<sim::TimeNs> snapshot_created(snapshot_count);
-  std::vector<sim::TimeNs> snapshot_finish(snapshot_count);
-  std::vector<std::int64_t> snapshot_remaining(snapshot_count);
-  for (std::uint32_t k = 0; k < snapshot_count && reader.ok(); ++k) {
-    snapshot_created[k] = reader.ReadI64();
-    snapshot_finish[k] = reader.ReadI64();
-    snapshot_remaining[k] = reader.ReadI64();
-  }
-
-  const bool slot_timer_running = reader.ReadBool();
-  const sim::TimeNs slot_timer_period = reader.ReadI64();
-  const sim::EventId slot_timer_seq = reader.ReadU64();
-  const sim::EventId audit_seq = reader.ReadU64();
-  reader.EndSection();
-  if (!reader.ok()) return;
-
-  backoff_rng_.RestoreState(rng_words[0][0], rng_words[0][1], rng_words[0][2],
-                            rng_words[0][3]);
-  Rng activity;
-  activity.RestoreState(rng_words[1][0], rng_words[1][1], rng_words[1][2],
-                        rng_words[1][3]);
-  activity_.Restore(activity);
-  audit_rng_.RestoreState(rng_words[2][0], rng_words[2][1], rng_words[2][2],
-                          rng_words[2][3]);
-  sensing_rng_.RestoreState(rng_words[3][0], rng_words[3][1], rng_words[3][2],
-                            rng_words[3][3]);
-  config_.sensing_false_alarm = sensing_false_alarm;
-  config_.sensing_missed_detection = sensing_missed_detection;
-  running_ = running;
-  expected_packets_ = expected_packets;
-  slot_index_ = slot_index;
-  slot_start_time_ = slot_start_time;
-  stats_ = stats;
-
-  for (std::uint32_t v = 0; v < saved_nodes; ++v) {
-    SavedAgent& a = saved_agents[v];
-    Agent& agent = agents_[v];
-    next_hop_[v] = a.next_hop;
-    failed_[v] = static_cast<char>(a.failed);
-    agent_phase_[v] = static_cast<Phase>(a.phase);
-    agent_frozen_[v] = a.frozen;
-    agent_pu_busy_[v] = a.pu_busy;
-    agent_su_busy_[v] = a.su_busy;
-    carrier_count_[v] = a.carrier_count;
-    delivery_time_[v] = a.delivery_time;
-    expected_per_origin_[v] = a.expected_per_origin;
-    delivered_per_origin_[v] = a.delivered_per_origin;
-    success_tx_count_[v] = a.success_tx_count;
-    agent.backoff_drawn = a.backoff_drawn;
-    agent.remaining = a.remaining;
-    agent.resume_time = a.resume_time;
-    agent.dead_hop_failures = a.dead_hop_failures;
-    agent.queue = std::move(a.queue);
-    if (a.expiry_seq != 0) agent.expiry_timer.RestoreArm(a.expiry_seq);
-    if (a.wait_seq != 0) agent.wait_timer.RestoreArm(a.wait_seq);
-  }
-
-  contending_list_ = std::move(contending_list);
-  for (std::size_t i = 0; i < contending_list_.size(); ++i) {
-    contending_slot_[static_cast<std::size_t>(contending_list_[i])] =
-        static_cast<std::int32_t>(i);
-  }
-  for (const std::int32_t v : sensing_members) sensing_grid_.Insert(v);
-  for (const std::int32_t v : carrier_members) carrier_grid_.Insert(v);
-
-  active_tx_.clear();
-  active_tx_.reserve(saved_txs.size());
-  for (const SavedTx& t : saved_txs) {
-    Transmission tx;
-    tx.transmitter = t.transmitter;
-    tx.receiver = t.receiver;
-    tx.start = t.start;
-    tx.end = t.end;
-    tx.signal_power = t.signal_power;
-    tx.min_sir = t.min_sir;
-    tx.receiver_ok = t.receiver_ok;
-    tx.announced = t.announced;
-    tx.forced_outcome = static_cast<TxOutcome>(t.forced_outcome);
-    tx.last_eval_epoch = t.last_eval_epoch;
-    tx.itf_sum = t.itf_sum;
-    tx.itf_count = t.itf_count;
-    tx.itf_pu_epoch = t.itf_pu_epoch;
-    tx.itf_shrink_epoch = t.itf_shrink_epoch;
-    tx.itf_ub = t.itf_ub;
-    tx.itf_ub_pu_epoch = t.itf_ub_pu_epoch;
-    const NodeId node = t.transmitter;
-    tx.end_timer.Bind(simulator_, sim::EventPriority::kTransmissionEnd,
-                      "mac.tx_end", node,
-                      [this, node] { FinishTransmission(node, false); });
-    tx.end_timer.RestoreArm(t.end_seq);
-    if (t.announce_seq != 0) {
-      tx.announce_timer.Bind(simulator_, sim::EventPriority::kDefault,
-                             "mac.tx_announce", node,
-                             [this, node] { AnnounceTxStart(node); });
-      tx.announce_timer.RestoreArm(t.announce_seq);
-    }
-    active_tx_slot_[static_cast<std::size_t>(node)] =
-        static_cast<std::int32_t>(active_tx_.size());
-    active_tx_.push_back(std::move(tx));
-  }
-
-  fading_tx_ = std::move(fading_tx);
-  fading_seqs_ = std::move(fading_seqs);
-  for (std::size_t i = 0; i < fading_tx_.size(); ++i) {
-    const NodeId node = fading_tx_[i];
-    simulator_.RestoreOnce(fading_seqs_[i], sim::EventPriority::kDefault,
-                           "mac.carrier_fade", node,
-                           sim::EventFn([this, node] { OnCarrierFade(node); }));
-  }
-
-  seed_producers_ = std::move(seed_producers);
-  pending_seeds_ = std::move(pending_seeds);
-  for (const PendingSeed& seed : pending_seeds_) {
-    const std::int32_t k = seed.snapshot;
-    simulator_.RestoreOnce(seed.seq, sim::EventPriority::kDefault,
-                           "mac.seed_snapshot", sink_,
-                           sim::EventFn([this, k] { OnSeedSnapshot(k); }));
-  }
-
-  snapshot_created_ = std::move(snapshot_created);
-  snapshot_finish_ = std::move(snapshot_finish);
-  snapshot_remaining_ = std::move(snapshot_remaining);
-
-  if (running_) {
-    slot_timer_.Bind(simulator_, sim::EventPriority::kSlotBoundary,
-                     "mac.slot_boundary", sink_, [this] { OnSlotBoundary(); });
-    if (slot_timer_running) {
-      slot_timer_.RestoreRunning(slot_timer_period, slot_timer_seq);
-    }
-    audit_timer_.Bind(simulator_, sim::EventPriority::kDefault, "mac.pu_audit",
-                      sink_, [this] { AuditPrimaryReceptions(); });
-    if (audit_seq != 0) audit_timer_.RestoreArm(audit_seq);
-  }
-
-  field_.LoadState(reader);
+  spectrum::InterferenceField::Transfer(self.field_, ar);
 }
 
 }  // namespace crn::mac

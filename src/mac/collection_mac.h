@@ -178,13 +178,15 @@ class CollectionMac {
   void StartContinuousCollection(const std::vector<NodeId>& producers,
                                  sim::TimeNs interval, std::int32_t snapshot_count);
 
-  // Completion time of each snapshot (-1 while incomplete) and its
-  // creation time.
-  [[nodiscard]] const std::vector<sim::TimeNs>& snapshot_finish_time() const {
-    return snapshot_finish_;
-  }
-  [[nodiscard]] const std::vector<sim::TimeNs>& snapshot_created_time() const {
-    return snapshot_created_;
+  // Per-snapshot accounting, indexed by snapshot (single-snapshot runs use
+  // index 0).
+  struct SnapshotTally {
+    sim::TimeNs created = -1;  // -1 until the snapshot is seeded
+    sim::TimeNs finish = -1;   // -1 while incomplete
+    std::int64_t remaining = 0;  // packets not yet delivered or lost
+  };
+  [[nodiscard]] const std::vector<SnapshotTally>& snapshots() const {
+    return snapshots_;
   }
 
   [[nodiscard]] const MacStats& stats() const { return stats_; }
@@ -283,6 +285,10 @@ class CollectionMac {
   void LoadState(sim::StateReader& reader);
 
  private:
+  // The "mac" section's one field list (sim/checkpoint.h), then the field's.
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar);
+
   enum class Phase : std::uint8_t { kIdle, kContending, kTransmitting, kPostTxWait };
 
   // Rejects out-of-domain MacConfig values with a CRN_CHECK naming the field
@@ -347,7 +353,7 @@ class CollectionMac {
   // --- agent lifecycle -------------------------------------------------
   void SeedSnapshot(const std::vector<NodeId>& producers, std::int32_t snapshot);
   // One-shot entry points that also maintain the checkpoint bookkeeping
-  // (pending_seeds_ / fading_seqs_) before running the original handler.
+  // (pending_seeds_ / fading_) before running the original handler.
   void OnSeedSnapshot(std::int32_t snapshot);
   void OnCarrierFade(NodeId node);
   void ActivateIfIdle(NodeId node);           // node gained a packet
@@ -443,11 +449,13 @@ class CollectionMac {
   std::vector<std::int32_t> active_tx_slot_;  // node -> index in active_tx_, -1
   // Announced transmissions that ended but whose end-of-carrier has not yet
   // been sensed (sensing_latency > 0). Counted as busy by new contenders so
-  // the deferred decrement never underflows. fading_seqs_ holds each fade
-  // event's sequence number, parallel to fading_tx_, so a checkpoint can
-  // re-claim the pending fades.
-  std::vector<NodeId> fading_tx_;
-  std::vector<sim::EventId> fading_seqs_;
+  // the deferred decrement never underflows. Each entry keeps its fade
+  // event's sequence number so a checkpoint can re-claim the pending fades.
+  struct Fade {
+    NodeId node = graph::kInvalidNode;
+    sim::EventId seq = 0;
+  };
+  std::vector<Fade> fading_;
   // Sensable carriers (announced active + fading), as a spatial grid for
   // O(disk) ComputeSuBusyCount queries. A node can carry more than one
   // sensable emission at once (a fresh announced transmission while an old
@@ -460,10 +468,7 @@ class CollectionMac {
   std::vector<std::int64_t> expected_per_origin_;
   std::vector<std::int64_t> delivered_per_origin_;
   std::vector<std::int64_t> success_tx_count_;
-  // Continuous-mode accounting (single-snapshot runs use index 0).
-  std::vector<sim::TimeNs> snapshot_created_;
-  std::vector<sim::TimeNs> snapshot_finish_;
-  std::vector<std::int64_t> snapshot_remaining_;
+  std::vector<SnapshotTally> snapshots_;
   // Seed-snapshot bookkeeping for checkpointing: the producers list the
   // one-shots read and each not-yet-fired seeding event's sequence number.
   struct PendingSeed {

@@ -47,27 +47,20 @@ void MacMetricsCollector::Attach(mac::CollectionMac& mac) {
 }
 
 void MacMetricsCollector::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("mac_metrics");
-  writer.WriteI64(slots_seen_);
-  writer.WriteU32(static_cast<std::uint32_t>(freeze_begin_.size()));
-  for (const sim::TimeNs begin : freeze_begin_) writer.WriteI64(begin);
-  writer.EndSection();
+  Transfer(*this, writer);
 }
 
 void MacMetricsCollector::LoadState(sim::StateReader& reader) {
-  if (!reader.OpenSection("mac_metrics")) return;
-  const std::int64_t slots_seen = reader.ReadI64();
-  const std::uint32_t node_count = reader.ReadU32();
-  if (reader.ok() && node_count != freeze_begin_.size()) {
-    reader.EndSection();
-    return;
-  }
-  std::vector<sim::TimeNs> freeze_begin(freeze_begin_.size(), -1);
-  for (sim::TimeNs& begin : freeze_begin) begin = reader.ReadI64();
-  reader.EndSection();
-  if (!reader.ok()) return;
-  slots_seen_ = slots_seen;
-  freeze_begin_ = std::move(freeze_begin);
+  Transfer(*this, reader);
+}
+
+template <class Self, class Ar>
+void MacMetricsCollector::Transfer(Self& self, Ar& ar) {
+  if (!ar.BeginSection("mac_metrics")) return;
+  ar.Io(self.slots_seen_);
+  ar.FixedCount(self.freeze_begin_.size());
+  for (auto& begin : self.freeze_begin_) ar.Io(begin);
+  ar.EndSection();
 }
 
 void MacMetricsCollector::OnLifecycle(const mac::LifecycleEvent& event) {

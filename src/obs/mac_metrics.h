@@ -47,6 +47,8 @@ class MacMetricsCollector {
   void LoadState(sim::StateReader& reader);
 
  private:
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar);
   void OnLifecycle(const mac::LifecycleEvent& event);
   void OnTxEvent(const mac::TxEvent& event);
 

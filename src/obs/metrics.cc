@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
+#include <utility>
 
 #include "common/check.h"
 #include "sim/audit.h"
@@ -177,122 +179,76 @@ std::uint64_t SnapshotDigest(const Snapshot& snapshot) {
 
 namespace {
 
-void WriteSnapshot(sim::StateWriter& writer, const Snapshot& snapshot) {
-  writer.WriteI64(snapshot.at);
-  writer.WriteU32(static_cast<std::uint32_t>(snapshot.entries.size()));
-  for (const SnapshotEntry& entry : snapshot.entries) {
-    writer.WriteString(entry.key);
-    writer.WriteU8(static_cast<std::uint8_t>(entry.kind));
-    writer.WriteI64(entry.value);
-    writer.WriteI64(entry.count);
-    writer.WriteI64(entry.sum);
-    writer.WriteI64(entry.min);
-    writer.WriteI64(entry.max);
-    writer.WriteU32(static_cast<std::uint32_t>(entry.buckets.size()));
-    for (const auto& [bucket, n] : entry.buckets) {
-      writer.WriteI32(bucket);
-      writer.WriteI64(n);
-    }
-  }
-}
-
-Snapshot ReadSnapshot(sim::StateReader& reader) {
-  Snapshot snapshot;
-  snapshot.at = reader.ReadI64();
-  const std::uint32_t entry_count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < entry_count && reader.ok(); ++i) {
-    SnapshotEntry entry;
-    entry.key = reader.ReadString();
-    entry.kind = static_cast<MetricKind>(reader.ReadU8());
-    entry.value = reader.ReadI64();
-    entry.count = reader.ReadI64();
-    entry.sum = reader.ReadI64();
-    entry.min = reader.ReadI64();
-    entry.max = reader.ReadI64();
-    const std::uint32_t bucket_count = reader.ReadU32();
-    for (std::uint32_t b = 0; b < bucket_count && reader.ok(); ++b) {
-      const std::int32_t bucket = reader.ReadI32();
-      const std::int64_t n = reader.ReadI64();
-      entry.buckets.emplace_back(bucket, n);
-    }
-    snapshot.entries.push_back(std::move(entry));
-  }
-  return snapshot;
+template <class Self, class Ar>
+void TransferSnapshot(Self& snapshot, Ar& ar) {
+  ar.Io(snapshot.at);
+  ar.Seq(snapshot.entries, [](auto& io, auto& entry) {
+    io.Io(entry.key);
+    io.Io(entry.kind);
+    io.Io(entry.value);
+    io.Io(entry.count);
+    io.Io(entry.sum);
+    io.Io(entry.min);
+    io.Io(entry.max);
+    io.Seq(entry.buckets, [](auto& bucket_io, auto& bucket) {
+      bucket_io.Io(bucket.first);
+      bucket_io.Io(bucket.second);
+    });
+  });
 }
 
 }  // namespace
 
-void MetricsRegistry::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("metrics");
-  writer.WriteU32(static_cast<std::uint32_t>(instruments_.size()));
-  for (const auto& [key, instrument] : instruments_) {
-    writer.WriteString(key);
-    writer.WriteU8(static_cast<std::uint8_t>(instrument->kind));
-    switch (instrument->kind) {
+template <class Instruments, class Series, class Ar>
+void MetricsRegistry::Transfer(Instruments& instruments, Series& series, Ar& ar) {
+  if (!ar.BeginSection("metrics")) return;
+  ar.Seq(instruments, [](auto& io, auto& entry) {
+    io.Io(entry.first);
+    auto& instrument = entry.second;
+    io.Io(instrument.kind);
+    switch (instrument.kind) {
       case MetricKind::kCounter:
-        writer.WriteI64(instrument->counter.value());
+        Counter::Transfer(instrument.counter, io);
         break;
       case MetricKind::kGauge:
-        writer.WriteI64(instrument->gauge.value());
+        Gauge::Transfer(instrument.gauge, io);
         break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = instrument->histogram;
-        writer.WriteI64(h.count());
-        writer.WriteI64(h.sum());
-        writer.WriteI64(h.min());
-        writer.WriteI64(h.max());
-        for (const std::int64_t n : h.buckets()) writer.WriteI64(n);
+      case MetricKind::kHistogram:
+        Histogram::Transfer(instrument.histogram, io);
         break;
-      }
     }
+  });
+  ar.Seq(series, [](auto& io, auto& point) { TransferSnapshot(point, io); });
+  ar.EndSection();
+}
+
+void MetricsRegistry::SaveState(sim::StateWriter& writer) const {
+  std::vector<std::pair<std::string, Instrument>> instruments;
+  instruments.reserve(instruments_.size());
+  for (const auto& [key, instrument] : instruments_) {
+    instruments.emplace_back(key, *instrument);
   }
-  writer.WriteU32(static_cast<std::uint32_t>(series_.size()));
-  for (const Snapshot& point : series_) WriteSnapshot(writer, point);
-  writer.EndSection();
+  Transfer(instruments, series_, writer);
 }
 
 void MetricsRegistry::LoadState(sim::StateReader& reader) {
-  if (!reader.OpenSection("metrics")) return;
-  const std::uint32_t instrument_count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < instrument_count && reader.ok(); ++i) {
-    const std::string key = reader.ReadString();
-    const auto kind = static_cast<MetricKind>(reader.ReadU8());
-    if (!reader.ok()) break;
+  std::vector<std::pair<std::string, Instrument>> instruments;
+  std::vector<Snapshot> series;
+  Transfer(instruments, series, reader);
+  if (!reader.ok()) return;
+  // Existing instruments keep their address: components may already hold
+  // handles to them.
+  for (auto& [key, loaded] : instruments) {
     auto it = instruments_.find(key);
     if (it == instruments_.end()) {
-      auto instrument = std::make_unique<Instrument>();
-      instrument->kind = kind;
-      it = instruments_.emplace(key, std::move(instrument)).first;
+      it = instruments_.emplace(key, std::make_unique<Instrument>(loaded)).first;
     }
-    Instrument& instrument = *it->second;
-    CRN_CHECK(instrument.kind == kind)
+    CRN_CHECK(it->second->kind == loaded.kind)
         << "metric '" << key << "' kind mismatch on checkpoint restore";
-    switch (kind) {
-      case MetricKind::kCounter: {
-        const std::int64_t value = reader.ReadI64();
-        instrument.counter.Add(value - instrument.counter.value());
-        break;
-      }
-      case MetricKind::kGauge:
-        instrument.gauge.Set(reader.ReadI64());
-        break;
-      case MetricKind::kHistogram: {
-        const std::int64_t count = reader.ReadI64();
-        const std::int64_t sum = reader.ReadI64();
-        const std::int64_t min = reader.ReadI64();
-        const std::int64_t max = reader.ReadI64();
-        std::array<std::int64_t, Histogram::kBucketCount> buckets{};
-        for (std::int64_t& n : buckets) n = reader.ReadI64();
-        instrument.histogram.RestoreState(count, sum, min, max, buckets);
-        break;
-      }
-    }
+    *it->second = loaded;
   }
-  const std::uint32_t series_count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < series_count && reader.ok(); ++i) {
-    series_.push_back(ReadSnapshot(reader));
-  }
-  reader.EndSection();
+  series_.insert(series_.end(), std::make_move_iterator(series.begin()),
+                 std::make_move_iterator(series.end()));
 }
 
 std::uint64_t MetricsRegistry::Digest() const {

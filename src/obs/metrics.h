@@ -49,6 +49,12 @@ class Counter {
   void Add(std::int64_t delta = 1) { value_ += delta; }
   [[nodiscard]] std::int64_t value() const { return value_; }
 
+  // Checkpoint field list (sim/checkpoint.h).
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.Io(self.value_);
+  }
+
  private:
   std::int64_t value_ = 0;
 };
@@ -58,6 +64,12 @@ class Gauge {
  public:
   void Set(std::int64_t value) { value_ = value; }
   [[nodiscard]] std::int64_t value() const { return value_; }
+
+  // Checkpoint field list (sim/checkpoint.h).
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.Io(self.value_);
+  }
 
  private:
   std::int64_t value_ = 0;
@@ -88,15 +100,14 @@ class Histogram {
 
   void MergeFrom(const Histogram& other);
 
-  // Checkpoint restore: reload the exact saved state.
-  void RestoreState(std::int64_t count, std::int64_t sum, std::int64_t min,
-                    std::int64_t max,
-                    const std::array<std::int64_t, kBucketCount>& buckets) {
-    count_ = count;
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
-    buckets_ = buckets;
+  // Checkpoint field list (sim/checkpoint.h).
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.Io(self.count_);
+    ar.Io(self.sum_);
+    ar.Io(self.min_);
+    ar.Io(self.max_);
+    for (auto& n : self.buckets_) ar.Io(n);
   }
 
  private:
@@ -183,6 +194,12 @@ class MetricsRegistry {
 
   Instrument& GetOrCreate(const std::string& name, const Labels& labels,
                           MetricKind kind);
+
+  // The "metrics" section's field list: (key, instrument) pairs in key
+  // order, then the series. The load side reads into fresh containers and
+  // adopts them only when the whole section read cleanly.
+  template <class Instruments, class Series, class Ar>
+  static void Transfer(Instruments& instruments, Series& series, Ar& ar);
 
   // Sorted by rendered key: deterministic iteration everywhere.
   std::map<std::string, std::unique_ptr<Instrument>> instruments_;

@@ -206,51 +206,41 @@ void PrimaryNetwork::OverrideActivity(double activity) {
 }
 
 void PrimaryNetwork::SaveState(sim::StateWriter& writer) const {
-  writer.BeginSection("pu");
-  // config_.activity may carry a fault-injection override at checkpoint
-  // time; the restored network must resample with the same target.
-  writer.WriteDouble(config_.activity);
-  writer.WriteI64(slots_sampled_);
-  writer.WriteI64(activations_total_);
-  writer.WriteU32(static_cast<std::uint32_t>(count()));
-  for (PuId id = 0; id < count(); ++id) writer.WriteU8(IsActive(id) ? 1 : 0);
-  // Receiver draws are lazy (audit-only), but the audit stride may span the
-  // checkpoint boundary, so the positions must ride along bit-exactly.
-  for (const geom::Vec2& receiver : receiver_) {
-    writer.WriteDouble(receiver.x);
-    writer.WriteDouble(receiver.y);
-  }
-  writer.EndSection();
+  Transfer(*this, writer);
 }
 
 void PrimaryNetwork::LoadState(sim::StateReader& reader) {
-  if (!reader.OpenSection("pu")) return;
-  const double activity = reader.ReadDouble();
-  const std::int64_t slots_sampled = reader.ReadI64();
-  const std::int64_t activations_total = reader.ReadI64();
-  const std::uint32_t pu_count = reader.ReadU32();
-  if (reader.ok() && pu_count != static_cast<std::uint32_t>(count())) {
-    // Consume nothing further; EndSection will flag the layout mismatch.
-    reader.EndSection();
-    return;
+  Transfer(*this, reader);
+}
+
+template <class Self, class Ar>
+void PrimaryNetwork::Transfer(Self& self, Ar& ar) {
+  if (!ar.BeginSection("pu")) return;
+  // config_.activity may carry a fault-injection override at checkpoint
+  // time; the restored network must resample with the same target.
+  ar.Io(self.config_.activity);
+  ar.Io(self.slots_sampled_);
+  ar.Io(self.activations_total_);
+  // Activity travels as one byte per PU.
+  ar.FixedCount(static_cast<std::size_t>(self.count()));
+  std::vector<std::uint64_t> mask(self.activity_mask_.size(), 0);
+  for (PuId id = 0; id < self.count(); ++id) {
+    std::uint8_t active = self.IsActive(id) ? 1 : 0;
+    ar.Io(active);
+    if (active != 0) mask[id >> 6] |= std::uint64_t{1} << (id & 63);
   }
-  std::vector<std::uint64_t> mask(activity_mask_.size(), 0);
-  for (PuId id = 0; id < count(); ++id) {
-    if (reader.ReadU8() != 0) mask[id >> 6] |= std::uint64_t{1} << (id & 63);
+  // Receiver draws are lazy (audit-only), but the audit stride may span the
+  // checkpoint boundary, so the positions must ride along bit-exactly.
+  for (auto& receiver : self.receiver_) {
+    ar.Io(receiver.x);
+    ar.Io(receiver.y);
   }
-  std::vector<geom::Vec2> receivers(receiver_.size());
-  for (geom::Vec2& receiver : receivers) {
-    receiver.x = reader.ReadDouble();
-    receiver.y = reader.ReadDouble();
+  ar.EndSection();
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) return;
+    self.activity_mask_ = std::move(mask);
+    self.NoteMaskChanged();
   }
-  reader.EndSection();
-  if (!reader.ok()) return;
-  config_.activity = activity;
-  slots_sampled_ = slots_sampled;
-  activations_total_ = activations_total;
-  activity_mask_ = std::move(mask);
-  receiver_ = std::move(receivers);
-  NoteMaskChanged();
 }
 
 void PrimaryNetwork::SampleReceiverPositions(Rng& rng) {

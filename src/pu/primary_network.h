@@ -130,6 +130,9 @@ class PrimaryNetwork {
   void LoadState(sim::StateReader& reader);
 
  private:
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar);
+
   // One slot of the activity process, drawing through `draws` (the serial
   // generator or the lookahead stream; see primary_network.cc).
   template <typename Draws>

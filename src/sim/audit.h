@@ -55,10 +55,13 @@ class TraceDigest {
 
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
-  // Checkpoint restore: resumes accumulation from a saved hash value. The
-  // digest is a pure fold over the mixed sequence, so restoring the
-  // accumulator and replaying the suffix equals digesting the whole run.
-  void RestoreValue(std::uint64_t hash) { hash_ = hash; }
+  // Checkpoint field list (sim/checkpoint.h). The digest is a pure fold
+  // over the mixed sequence, so restoring the accumulator and replaying the
+  // suffix equals digesting the whole run.
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.Io(self.hash_);
+  }
 
  private:
   std::uint64_t hash_ = kOffsetBasis;
@@ -79,13 +82,13 @@ class EventTimeAuditor {
   [[nodiscard]] TimeNs last_time() const { return last_time_; }
   [[nodiscard]] bool ok() const { return violations_ == 0; }
 
-  // Checkpoint restore: reloads the counters saved at checkpoint time
-  // (Attach() must still be called on the fresh simulator).
-  void RestoreState(std::uint64_t events_observed, std::uint64_t violations,
-                    TimeNs last_time) {
-    events_observed_ = events_observed;
-    violations_ = violations;
-    last_time_ = last_time;
+  // Checkpoint field list (sim/checkpoint.h); Attach() must still be
+  // called on the fresh simulator.
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.Io(self.events_observed_);
+    ar.Io(self.violations_);
+    ar.Io(self.last_time_);
   }
 
  private:

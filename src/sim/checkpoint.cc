@@ -1,5 +1,6 @@
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -59,13 +60,14 @@ std::uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFU;
 }
 
-void StateWriter::BeginSection(std::string_view name) {
+bool StateWriter::BeginSection(std::string_view name) {
   CRN_CHECK(!in_section_) << "BeginSection(" << name
                           << ") with section '" << current_name_ << "' open";
   CRN_CHECK(!name.empty() && name.size() <= kMaxSectionName);
   current_name_ = std::string(name);
   current_payload_.clear();
   in_section_ = true;
+  return true;
 }
 
 void StateWriter::EndSection() {
@@ -239,9 +241,9 @@ bool StateReader::HasSection(std::string_view name) const {
   return false;
 }
 
-bool StateReader::OpenSection(std::string_view name) {
+bool StateReader::BeginSection(std::string_view name) {
   if (!ok()) return false;
-  CRN_CHECK(open_ < 0) << "OpenSection(" << name << ") with '"
+  CRN_CHECK(open_ < 0) << "BeginSection(" << name << ") with '"
                        << sections_[static_cast<std::size_t>(open_)].name
                        << "' open";
   for (std::size_t i = 0; i < sections_.size(); ++i) {
@@ -346,6 +348,56 @@ std::string StateReader::ReadString() {
 std::size_t StateReader::SectionBytesLeft() const {
   if (open_ < 0) return 0;
   return sections_[static_cast<std::size_t>(open_)].payload.size() - cursor_;
+}
+
+std::string_view StateReader::SectionName() const {
+  return open_ < 0 ? std::string_view("(none)")
+                   : sections_[static_cast<std::size_t>(open_)].name;
+}
+
+void StateReader::Io(crn::Rng& rng) {
+  std::uint64_t words[4] = {};
+  for (std::uint64_t& word : words) word = ReadU64();
+  rng.RestoreState(words[0], words[1], words[2], words[3]);
+}
+
+void StateReader::Id(std::int32_t& id, std::int32_t limit, std::int32_t lowest) {
+  id = ReadI32();
+  if (ok() && (id < lowest || id >= limit)) {
+    std::ostringstream message;
+    message << "checkpoint section '" << SectionName() << "' holds id " << id
+            << " outside [" << lowest << ", " << limit
+            << ") — the checkpoint is corrupt or from a different scenario";
+    Fail(message.str());
+    id = lowest;
+  }
+}
+
+void StateReader::FixedCount(std::size_t count) {
+  const std::uint32_t saved = ReadU32();
+  if (ok() && saved != count) {
+    std::ostringstream message;
+    message << "checkpoint section '" << SectionName() << "' holds " << saved
+            << " entries where this run has " << count
+            << " — it was written by a different scenario";
+    Fail(message.str());
+  }
+}
+
+std::size_t StateReader::BoundedCount(std::uint64_t count,
+                                      std::size_t min_item_bytes) {
+  if (!ok()) return 0;
+  const std::size_t left = SectionBytesLeft();
+  if (count > left / std::max<std::size_t>(min_item_bytes, 1)) {
+    std::ostringstream message;
+    message << "corrupt checkpoint: section '" << SectionName()
+            << "' declares " << count << " entries of at least "
+            << min_item_bytes << " bytes but only " << left
+            << " bytes remain";
+    Fail(message.str());
+    return 0;
+  }
+  return static_cast<std::size_t>(count);
 }
 
 }  // namespace crn::sim

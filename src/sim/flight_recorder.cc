@@ -266,79 +266,54 @@ bool FlightRecorder::ReadDump(std::istream& in, Dump* out,
   return true;
 }
 
+template <class Self, class Ar>
+void FlightRecorder::Transfer(Self& dump, Ar& ar) {
+  if (!ar.BeginSection("flight")) return;
+  ar.Io(dump.depth);
+  ar.Io(dump.total_recorded);
+  ar.Seq(dump.kind_names);
+  ar.Seq(dump.counters, [](auto& io, auto& counts) {
+    io.Io(counts.arms);
+    io.Io(counts.reschedules);
+    io.Io(counts.disarms);
+    io.Io(counts.fires);
+  });
+  ar.template Seq<std::uint64_t>(dump.records, [](auto& io, auto& record) {
+    io.Io(record.seq);
+    io.Io(record.time);
+    io.Io(record.parent_seq);
+    io.Io(record.owner);
+    io.Io(record.kind);
+    io.Io(record.action);
+  });
+  ar.EndSection();
+}
+
 void FlightRecorder::SaveState(StateWriter& writer) const {
-  writer.BeginSection("flight");
-  writer.WriteU64(ring_.size());
-  writer.WriteU64(total_);
-  writer.WriteU32(static_cast<std::uint32_t>(kind_names_.size()));
-  for (const std::string& name : kind_names_) writer.WriteString(name);
-  writer.WriteU32(static_cast<std::uint32_t>(counters_.size()));
-  for (const KindCounters& counts : counters_) {
-    writer.WriteI64(counts.arms);
-    writer.WriteI64(counts.reschedules);
-    writer.WriteI64(counts.disarms);
-    writer.WriteI64(counts.fires);
-  }
-  writer.WriteU64(count_);
-  for (std::size_t i = 0; i < count_; ++i) {
-    const FlightRecord& record = At(i);
-    writer.WriteU64(record.seq);
-    writer.WriteI64(record.time);
-    writer.WriteU64(record.parent_seq);
-    writer.WriteI32(record.owner);
-    writer.WriteU16(record.kind);
-    writer.WriteU8(static_cast<std::uint8_t>(record.action));
-  }
-  writer.EndSection();
+  Dump dump{ring_.size(), total_, kind_names_, counters_, {}};
+  dump.records.reserve(count_);
+  for (std::size_t i = 0; i < count_; ++i) dump.records.push_back(At(i));
+  Transfer(dump, writer);
 }
 
 void FlightRecorder::LoadState(StateReader& reader) {
-  if (!reader.OpenSection("flight")) return;
-  const std::uint64_t depth = reader.ReadU64();
-  const std::uint64_t total = reader.ReadU64();
-  const std::uint32_t kind_count = reader.ReadU32();
-  std::vector<std::string> names;
-  for (std::uint32_t i = 0; i < kind_count && reader.ok(); ++i) {
-    names.push_back(reader.ReadString());
-  }
-  const std::uint32_t counter_count = reader.ReadU32();
-  std::vector<KindCounters> counters;
-  for (std::uint32_t i = 0; i < counter_count && reader.ok(); ++i) {
-    KindCounters counts;
-    counts.arms = reader.ReadI64();
-    counts.reschedules = reader.ReadI64();
-    counts.disarms = reader.ReadI64();
-    counts.fires = reader.ReadI64();
-    counters.push_back(counts);
-  }
-  const std::uint64_t record_count = reader.ReadU64();
-  std::vector<FlightRecord> records;
-  for (std::uint64_t i = 0; i < record_count && reader.ok(); ++i) {
-    FlightRecord record;
-    record.seq = reader.ReadU64();
-    record.time = reader.ReadI64();
-    record.parent_seq = reader.ReadU64();
-    record.owner = reader.ReadI32();
-    record.kind = reader.ReadU16();
-    record.action = static_cast<SchedAction>(reader.ReadU8());
-    records.push_back(record);
-  }
-  reader.EndSection();
+  Dump dump;
+  Transfer(dump, reader);
   if (!reader.ok()) return;
-  CRN_CHECK(depth >= 1 && records.size() <= depth)
-      << "corrupt flight checkpoint: " << records.size()
-      << " records exceed declared depth " << depth;
+  CRN_CHECK(dump.depth >= 1 && dump.records.size() <= dump.depth)
+      << "corrupt flight checkpoint: " << dump.records.size()
+      << " records exceed declared depth " << dump.depth;
   // Adopt the saved geometry: records land oldest-first at the ring base,
   // so subsequent Record() calls continue the rotation seamlessly (the dump
   // walks records through At(), which is rotation-invariant).
-  ring_.assign(static_cast<std::size_t>(depth), FlightRecord{});
-  for (std::size_t i = 0; i < records.size(); ++i) ring_[i] = records[i];
-  count_ = records.size();
+  ring_.assign(static_cast<std::size_t>(dump.depth), FlightRecord{});
+  std::copy(dump.records.begin(), dump.records.end(), ring_.begin());
+  count_ = dump.records.size();
   next_ = count_ % ring_.size();
-  total_ = total;
-  kind_names_ = std::move(names);
+  total_ = dump.total_recorded;
+  kind_names_ = std::move(dump.kind_names);
   if (kind_names_.empty()) kind_names_.emplace_back("unnamed");
-  counters_ = std::move(counters);
+  counters_ = std::move(dump.counters);
 }
 
 std::string FlightRecorder::FormatRecord(

@@ -168,6 +168,12 @@ class FlightRecorder {
                                   const std::vector<std::string>& kind_names);
 
  private:
+  // The "flight" section's field list, over a Dump: the save side fills one
+  // from the ring, the load side adopts it only when the whole section read
+  // cleanly.
+  template <class Self, class Ar>
+  static void Transfer(Self& dump, Ar& ar);
+
   std::vector<FlightRecord> ring_;
   std::size_t next_ = 0;   // ring slot the next record lands in
   std::size_t count_ = 0;  // stored records (saturates at ring_.size())

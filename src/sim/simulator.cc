@@ -284,140 +284,115 @@ RunStatus Simulator::RunUntilEvents(std::uint64_t event_target) {
   return RunStatus::kStopped;
 }
 
+template <class Names, class Ar>
+void Simulator::TransferRegistry(Names& kind_names, Ar& ar) {
+  if (!ar.BeginSection("sim.registry")) return;
+  ar.Seq(kind_names);
+  ar.EndSection();
+}
+
+template <class Self, class Ar, class Entries>
+void Simulator::TransferCore(Self& self, Ar& ar, Entries& entries) {
+  if (!ar.BeginSection("sim.core")) return;
+  // Queue-backend byte, kept so the CRNCKPT1 layout is unchanged: always 0
+  // (the calendar queue). A load rejects anything else.
+  std::uint8_t backend = 0;
+  ar.Io(backend);
+  ar.Io(self.now_);
+  ar.Io(self.next_seq_);
+  ar.Io(self.events_executed_);
+  ar.Io(self.stats_.pushes);
+  ar.Io(self.stats_.pops);
+  ar.Io(self.stats_.cancels);
+  ar.Io(self.stats_.stale_skips);
+  ar.Io(self.stats_.bucket_resizes);
+  ar.Io(self.cal_shift_);
+  // Reinstated by FinishRestore after the staged entries are re-inserted.
+  ar.Io(self.cal_tick_);
+  std::uint64_t bucket_count = self.cal_buckets_.size();
+  ar.Io(bucket_count);
+  ar.template Seq<std::uint64_t>(entries, [](auto& io, auto& entry) {
+    io.Io(entry.time);
+    io.Io(entry.seq);
+    io.Io(entry.armed_parent);
+    io.Io(entry.priority);
+    io.Io(entry.live);
+  });
+  ar.EndSection();
+  if constexpr (Ar::kLoading) {
+    if (!ar.ok()) return;  // caller surfaces the reader's error
+    CRN_CHECK(backend == 0)
+        << "checkpoint was written by the removed reference-heap scheduler; "
+           "re-run it without --scheduler";
+    CRN_CHECK(bucket_count >= kMinCalendarBuckets &&
+              (bucket_count & (bucket_count - 1)) == 0)
+        << "checkpoint calendar geometry is invalid (" << bucket_count
+        << " buckets)";
+    // Geometry must be restored exactly: the resize schedule (a CI-gated
+    // work counter) depends on the (size, bucket-count) trajectory.
+    self.cal_buckets_.assign(static_cast<std::size_t>(bucket_count), {});
+    self.cal_mask_ = bucket_count - 1;
+    self.cal_size_ = 0;
+    // The sentinel slot stale entries are re-pushed against: bound (kind 0,
+    // never armed, never fired) so its generation stays fixed and any entry
+    // carrying generation+1 is permanently stale.
+    self.sentinel_slot_ = self.BindSlot(EventPriority::kDefault, EventFn([] {}));
+    self.restoring_ = true;
+  }
+}
+
 void Simulator::SaveState(StateWriter& writer) const {
   CRN_CHECK(current_fire_seq_ == 0)
       << "SaveState from inside an event callback";
+  TransferRegistry(kind_names_, writer);
 
-  writer.BeginSection("sim.registry");
-  writer.WriteU32(static_cast<std::uint32_t>(kind_names_.size()));
-  for (const std::string& name : kind_names_) writer.WriteString(name);
-  writer.EndSection();
-
-  // Collect every queue entry — live and stale — in seq order (the save-side
-  // mirror of FinishRestore). Stale entries ride along so the resumed run's
+  // Every queue entry — live and stale — in seq order (the save-side mirror
+  // of FinishRestore). Stale entries ride along so the resumed run's
   // stale-skip count and calendar occupancy match the uninterrupted run.
-  std::vector<QEntry> entries;
+  std::vector<SavedEntry> entries;
   entries.reserve(cal_size_);
+  std::size_t live = 0;
   for (const std::vector<QEntry>& bucket : cal_buckets_) {
-    entries.insert(entries.end(), bucket.begin(), bucket.end());
+    for (const QEntry& entry : bucket) {
+      const bool is_live = EntryLive(entry);
+      if (is_live) ++live;
+      entries.push_back({entry.time, entry.seq,
+                         is_live ? slots_[entry.slot].armed_parent : 0,
+                         entry.priority, is_live});
+    }
   }
   std::sort(entries.begin(), entries.end(),
-            [](const QEntry& a, const QEntry& b) { return a.seq < b.seq; });
-
-  std::size_t live = 0;
-  for (const QEntry& entry : entries) {
-    if (EntryLive(entry)) ++live;
-  }
+            [](const SavedEntry& a, const SavedEntry& b) { return a.seq < b.seq; });
   CRN_CHECK(live == pending_)
       << "live queue entries (" << live << ") disagree with pending ("
       << pending_ << ") at checkpoint";
-
-  writer.BeginSection("sim.core");
-  // Queue-backend byte, kept so the CRNCKPT1 layout is unchanged: always 0
-  // (the calendar queue). BeginRestore rejects anything else.
-  writer.WriteU8(0);
-  writer.WriteI64(now_);
-  writer.WriteU64(next_seq_);
-  writer.WriteU64(events_executed_);
-  writer.WriteI64(stats_.pushes);
-  writer.WriteI64(stats_.pops);
-  writer.WriteI64(stats_.cancels);
-  writer.WriteI64(stats_.stale_skips);
-  writer.WriteI64(stats_.bucket_resizes);
-  writer.WriteI32(cal_shift_);
-  writer.WriteU64(cal_tick_);
-  writer.WriteU64(static_cast<std::uint64_t>(cal_buckets_.size()));
-  writer.WriteU64(static_cast<std::uint64_t>(entries.size()));
-  for (const QEntry& entry : entries) {
-    const bool is_live = EntryLive(entry);
-    writer.WriteI64(entry.time);
-    writer.WriteU64(entry.seq);
-    writer.WriteU64(is_live ? slots_[entry.slot].armed_parent : 0);
-    writer.WriteU8(static_cast<std::uint8_t>(entry.priority));
-    writer.WriteBool(is_live);
-  }
-  writer.EndSection();
+  TransferCore(*this, writer, entries);
 }
 
 void Simulator::LoadRegistry(StateReader& reader) {
   CRN_CHECK(kind_names_.size() == 1 && next_seq_ == 1)
       << "LoadRegistry requires a fresh simulator";
-  if (!reader.OpenSection("sim.registry")) return;
-  const std::uint32_t count = reader.ReadU32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::string name = reader.ReadString();
-    if (!reader.ok()) break;
+  std::vector<std::string> names;
+  TransferRegistry(names, reader);
+  if (!reader.ok()) return;
+  for (std::size_t i = 0; i < names.size(); ++i) {
     if (i == 0) {
-      CRN_CHECK(name == "unnamed") << "corrupt kind registry";
+      CRN_CHECK(names[0] == "unnamed") << "corrupt kind registry";
       continue;
     }
     // Pre-populating in saved order means components re-binding in the
     // original construction order get their original kind ids back.
-    const std::uint16_t id = RegisterEventKind(name);
+    const std::uint16_t id = RegisterEventKind(names[i]);
     CRN_CHECK(id == i) << "kind registry restore produced id " << id
-                       << " for '" << name << "' (expected " << i << ")";
+                       << " for '" << names[i] << "' (expected " << i << ")";
   }
-  reader.EndSection();
 }
 
 void Simulator::BeginRestore(StateReader& reader) {
   CRN_CHECK(!restoring_) << "BeginRestore called twice";
   CRN_CHECK(events_executed_ == 0 && pending_ == 0 && next_seq_ == 1)
       << "BeginRestore requires a fresh simulator";
-  if (!reader.OpenSection("sim.core")) return;
-
-  const std::uint8_t saved_backend = reader.ReadU8();
-  const TimeNs saved_now = reader.ReadI64();
-  const EventId saved_next_seq = reader.ReadU64();
-  const std::uint64_t saved_events = reader.ReadU64();
-  SchedStats saved_stats;
-  saved_stats.pushes = reader.ReadI64();
-  saved_stats.pops = reader.ReadI64();
-  saved_stats.cancels = reader.ReadI64();
-  saved_stats.stale_skips = reader.ReadI64();
-  saved_stats.bucket_resizes = reader.ReadI64();
-  const std::int32_t saved_shift = reader.ReadI32();
-  const std::uint64_t saved_tick = reader.ReadU64();
-  const std::uint64_t bucket_count = reader.ReadU64();
-  const std::uint64_t entry_count = reader.ReadU64();
-  staged_entries_.clear();
-  for (std::uint64_t i = 0; i < entry_count && reader.ok(); ++i) {
-    SavedEntry entry;
-    entry.time = reader.ReadI64();
-    entry.seq = reader.ReadU64();
-    entry.armed_parent = reader.ReadU64();
-    entry.priority = static_cast<EventPriority>(reader.ReadU8());
-    entry.live = reader.ReadBool();
-    staged_entries_.push_back(entry);
-  }
-  reader.EndSection();
-  if (!reader.ok()) return;  // caller surfaces reader.error()
-
-  CRN_CHECK(saved_backend == 0)
-      << "checkpoint was written by the removed reference-heap scheduler; "
-         "re-run it without --scheduler";
-  CRN_CHECK(bucket_count >= kMinCalendarBuckets &&
-            (bucket_count & (bucket_count - 1)) == 0)
-      << "checkpoint calendar geometry is invalid (" << bucket_count
-      << " buckets)";
-  // Geometry must be restored exactly: the resize schedule (a CI-gated work
-  // counter) depends on the (size, bucket-count) trajectory.
-  cal_buckets_.assign(static_cast<std::size_t>(bucket_count), {});
-  cal_mask_ = bucket_count - 1;
-  cal_shift_ = saved_shift;
-  cal_size_ = 0;
-  now_ = saved_now;
-  next_seq_ = saved_next_seq;
-  events_executed_ = saved_events;
-  saved_stats_ = saved_stats;
-  saved_cal_tick_ = saved_tick;
-  saved_cal_size_ = staged_entries_.size();
-
-  // The sentinel slot stale entries are re-pushed against: bound (kind 0,
-  // never armed, never fired) so its generation stays fixed and any entry
-  // carrying generation+1 is permanently stale.
-  sentinel_slot_ = BindSlot(EventPriority::kDefault, EventFn([] {}));
-  restoring_ = true;
+  TransferCore(*this, reader, staged_entries_);
 }
 
 void Simulator::RestoreArmSlot(std::uint32_t slot, EventId seq) {
@@ -446,6 +421,7 @@ void Simulator::RestoreOnce(EventId seq, EventPriority priority,
 
 void Simulator::FinishRestore() {
   CRN_CHECK(restoring_) << "FinishRestore without BeginRestore";
+  const std::uint64_t saved_tick = cal_tick_;
   const std::uint32_t stale_gen = slots_[sentinel_slot_].generation + 1;
   std::size_t live_count = 0;
   for (const SavedEntry& saved : staged_entries_) {
@@ -475,10 +451,9 @@ void Simulator::FinishRestore() {
   CRN_CHECK(restore_claims_.empty())
       << restore_claims_.size()
       << " RestoreArm claims matched no checkpoint queue entry";
-  CRN_CHECK(cal_size_ == saved_cal_size_);
-  cal_tick_ = saved_cal_tick_;
+  CRN_CHECK(cal_size_ == staged_entries_.size());
+  cal_tick_ = saved_tick;
   pending_ = live_count;
-  stats_ = saved_stats_;
   staged_entries_.clear();
   restoring_ = false;
 }

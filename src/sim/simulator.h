@@ -326,9 +326,13 @@ class Simulator {
   std::vector<SavedEntry> staged_entries_;
   std::map<EventId, std::uint32_t> restore_claims_;  // seq -> armed slot
   std::uint32_t sentinel_slot_ = kNoSlot;
-  SchedStats saved_stats_;
-  std::uint64_t saved_cal_tick_ = 0;
-  std::size_t saved_cal_size_ = 0;
+
+  // Checkpoint field lists (sim/checkpoint.h): the kind registry, and the
+  // clock/counter/calendar header plus the seq-sorted queue dump.
+  template <class Names, class Ar>
+  static void TransferRegistry(Names& kind_names, Ar& ar);
+  template <class Self, class Ar, class Entries>
+  static void TransferCore(Self& self, Ar& ar, Entries& entries);
 };
 
 // Move-only handle to one arena slot. Bind() allocates the slot and stores

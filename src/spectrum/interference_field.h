@@ -38,6 +38,7 @@
 #ifndef CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 #define CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -128,58 +129,41 @@ class PairGainCache {
     return rows;
   }
 
-  // Checkpoint support (writes into the caller's open section). Gains are
-  // pure functions of the static positions, so only the materialization
-  // pattern is serialized — which rows exist and which entries are present —
-  // plus an FNV digest of the cached values. LoadFrom re-derives every
-  // present entry through Direct() (never Gain(): the rebuild must not
-  // perturb the FieldWork counters) and verifies the digest, proving the
-  // rebuilt cache is bit-identical to the checkpointed one.
-  void SaveTo(sim::StateWriter& writer) const {
-    writer.WriteU32(static_cast<std::uint32_t>(rows_.size()));
-    writer.WriteU32(static_cast<std::uint32_t>(tx_.size()));
+  // Checkpoint support (inside the caller's open section). Gains are pure
+  // functions of the static positions, so only the materialization pattern
+  // is serialized — which rows exist and which entries are present — plus an
+  // FNV digest of the cached values. A load re-derives every present entry
+  // through Direct() (never Gain(): the rebuild must not perturb the
+  // FieldWork counters) and verifies the digest, proving the rebuilt cache
+  // is bit-identical to the checkpointed one.
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    ar.FixedCount(self.rows_.size());
+    ar.FixedCount(self.tx_.size());
     std::uint64_t digest = 0xCBF29CE484222325ULL;
-    for (const std::vector<double>& row : rows_) {
-      writer.WriteBool(!row.empty());
-      if (row.empty()) continue;
-      for (const double value : row) {
-        writer.WriteBool(!std::isnan(value));
-        if (std::isnan(value)) continue;
+    for (std::size_t rx = 0; rx < self.rows_.size() && ar.ok(); ++rx) {
+      auto& row = self.rows_[rx];
+      bool present = !row.empty();
+      ar.Io(present);
+      if (!present) continue;
+      for (std::size_t tx = 0; tx < self.tx_.size(); ++tx) {
+        bool cached = !row.empty() && !std::isnan(row[tx]);
+        ar.Io(cached);
+        if (!cached) continue;
+        if constexpr (Ar::kLoading) {
+          if (row.empty()) row.assign(self.tx_.size(), std::numeric_limits<double>::quiet_NaN());
+          row[tx] = self.Direct(static_cast<std::int32_t>(tx), static_cast<std::int32_t>(rx));
+        }
         std::uint64_t bits = 0;
-        __builtin_memcpy(&bits, &value, sizeof bits);
+        __builtin_memcpy(&bits, &row[tx], sizeof bits);
         digest = (digest ^ bits) * 0x100000001B3ULL;
       }
     }
-    writer.WriteU64(digest);
-  }
-
-  void LoadFrom(sim::StateReader& reader) {
-    const std::uint32_t rx_count = reader.ReadU32();
-    const std::uint32_t tx_count = reader.ReadU32();
-    if (reader.ok() && (rx_count != rows_.size() || tx_count != tx_.size())) {
-      return;  // scenario mismatch; EndSection flags the misalignment
-    }
-    std::uint64_t digest = 0xCBF29CE484222325ULL;
-    for (std::size_t rx = 0; rx < rows_.size() && reader.ok(); ++rx) {
-      std::vector<double>& row = rows_[rx];
-      row.clear();
-      if (!reader.ReadBool()) continue;
-      row.assign(tx_.size(), std::numeric_limits<double>::quiet_NaN());
-      for (std::size_t tx = 0; tx < tx_.size(); ++tx) {
-        if (!reader.ReadBool()) continue;
-        const double value = Direct(static_cast<std::int32_t>(tx),
-                                    static_cast<std::int32_t>(rx));
-        row[tx] = value;
-        std::uint64_t bits = 0;
-        __builtin_memcpy(&bits, &value, sizeof bits);
-        digest = (digest ^ bits) * 0x100000001B3ULL;
-      }
-    }
-    const std::uint64_t saved_digest = reader.ReadU64();
-    if (!reader.ok()) return;
-    CRN_CHECK(digest == saved_digest)
-        << "rebuilt gain cache diverges from the checkpoint (digest "
-        << digest << " vs saved " << saved_digest
+    std::uint64_t saved_digest = digest;
+    ar.Io(saved_digest);
+    CRN_CHECK(!ar.ok() || saved_digest == digest)
+        << "rebuilt gain cache diverges from the checkpoint (digest " << digest
+        << " vs saved " << saved_digest
         << ") — the restored scenario's positions differ from the "
            "checkpointed run's";
   }
@@ -293,85 +277,51 @@ class InterferenceField {
   // the three epochs, the previous slot's active PUs (an ascending id list
   // read off the mask), the per-receiver PU-sum memos, and both gain caches'
   // materialization patterns (values are recomputed and digest-verified,
-  // see PairGainCache::SaveTo).
-  void SaveState(sim::StateWriter& writer) const {
-    writer.BeginSection("field");
-    writer.WriteI64(work_.sir_evaluations);
-    writer.WriteI64(work_.sir_terms_evaluated);
-    writer.WriteI64(work_.gain_cache_hits);
-    writer.WriteI64(work_.gain_cache_misses);
-    writer.WriteI64(work_.reeval_skipped);
-    writer.WriteI64(work_.pu_partials_reused);
-    writer.WriteI64(work_.su_resumes);
-    writer.WriteI64(work_.bound_skips);
-    writer.WriteI64(change_epoch_);
-    writer.WriteI64(pu_epoch_);
-    writer.WriteI64(shrink_epoch_);
-    std::uint32_t previous_count = 0;
-    for (const std::uint64_t word : previous_pu_mask_) {
-      previous_count += static_cast<std::uint32_t>(__builtin_popcountll(word));
-    }
-    writer.WriteU32(previous_count);
-    for (std::size_t w = 0; w < previous_pu_mask_.size(); ++w) {
-      for (std::uint64_t bits = previous_pu_mask_[w]; bits != 0; bits &= bits - 1) {
-        writer.WriteI32(static_cast<std::int32_t>(w * 64) + __builtin_ctzll(bits));
+  // see PairGainCache::Transfer).
+  void SaveState(sim::StateWriter& writer) const { Transfer(*this, writer); }
+  void LoadState(sim::StateReader& reader) { Transfer(*this, reader); }
+
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    if (!ar.BeginSection("field")) return;
+    auto& work = self.work_;
+    ar.Io(work.sir_evaluations);
+    ar.Io(work.sir_terms_evaluated);
+    ar.Io(work.gain_cache_hits);
+    ar.Io(work.gain_cache_misses);
+    ar.Io(work.reeval_skipped);
+    ar.Io(work.pu_partials_reused);
+    ar.Io(work.su_resumes);
+    ar.Io(work.bound_skips);
+    ar.Io(self.change_epoch_);
+    ar.Io(self.pu_epoch_);
+    ar.Io(self.shrink_epoch_);
+    std::vector<std::int32_t> previous;
+    for (std::size_t w = 0; w < self.previous_pu_mask_.size(); ++w) {
+      for (std::uint64_t bits = self.previous_pu_mask_[w]; bits != 0; bits &= bits - 1) {
+        previous.push_back(static_cast<std::int32_t>(w * 64) + __builtin_ctzll(bits));
       }
     }
-    writer.WriteU32(static_cast<std::uint32_t>(pu_sum_.size()));
-    for (std::size_t i = 0; i < pu_sum_.size(); ++i) {
-      writer.WriteDouble(pu_sum_[i]);
-      writer.WriteI64(pu_sum_epoch_[i]);
+    ar.Seq(previous);
+    ar.FixedCount(self.pu_sum_.size());
+    for (std::size_t i = 0; i < self.pu_sum_.size(); ++i) {
+      ar.Io(self.pu_sum_[i]);
+      ar.Io(self.pu_sum_epoch_[i]);
     }
-    su_gains_.SaveTo(writer);
-    pu_gains_.SaveTo(writer);
-    writer.EndSection();
-  }
-
-  void LoadState(sim::StateReader& reader) {
-    if (!reader.OpenSection("field")) return;
-    FieldWork work;
-    work.sir_evaluations = reader.ReadI64();
-    work.sir_terms_evaluated = reader.ReadI64();
-    work.gain_cache_hits = reader.ReadI64();
-    work.gain_cache_misses = reader.ReadI64();
-    work.reeval_skipped = reader.ReadI64();
-    work.pu_partials_reused = reader.ReadI64();
-    work.su_resumes = reader.ReadI64();
-    work.bound_skips = reader.ReadI64();
-    const std::int64_t change_epoch = reader.ReadI64();
-    const std::int64_t pu_epoch = reader.ReadI64();
-    const std::int64_t shrink_epoch = reader.ReadI64();
-    std::vector<std::int32_t> previous(reader.ReadU32());
-    for (std::int32_t& pu : previous) pu = reader.ReadI32();
-    const std::uint32_t sum_count = reader.ReadU32();
-    if (reader.ok() && sum_count != pu_sum_.size()) {
-      reader.EndSection();
-      return;
+    PairGainCache::Transfer(self.su_gains_, ar);
+    PairGainCache::Transfer(self.pu_gains_, ar);
+    ar.EndSection();
+    if constexpr (Ar::kLoading) {
+      if (!ar.ok()) return;
+      std::fill(self.previous_pu_mask_.begin(), self.previous_pu_mask_.end(), 0);
+      for (const std::int32_t pu : previous) {
+        CRN_CHECK(pu >= 0 && static_cast<std::size_t>(pu) < self.pu_count_)
+            << "checkpointed active PU " << pu << " is outside this scenario's "
+            << self.pu_count_ << " PUs";
+        self.previous_pu_mask_[static_cast<std::size_t>(pu) >> 6] |=
+            std::uint64_t{1} << (pu & 63);
+      }
     }
-    std::vector<double> sums(pu_sum_.size(), 0.0);
-    std::vector<std::int64_t> sum_epochs(pu_sum_epoch_.size(), -1);
-    for (std::size_t i = 0; i < sums.size(); ++i) {
-      sums[i] = reader.ReadDouble();
-      sum_epochs[i] = reader.ReadI64();
-    }
-    su_gains_.LoadFrom(reader);
-    pu_gains_.LoadFrom(reader);
-    reader.EndSection();
-    if (!reader.ok()) return;
-    std::vector<std::uint64_t> previous_mask(previous_pu_mask_.size(), 0);
-    for (const std::int32_t pu : previous) {
-      CRN_CHECK(pu >= 0 && static_cast<std::size_t>(pu) < pu_count_)
-          << "checkpointed active PU " << pu << " is outside this scenario's "
-          << pu_count_ << " PUs";
-      previous_mask[static_cast<std::size_t>(pu) >> 6] |= std::uint64_t{1} << (pu & 63);
-    }
-    work_ = work;
-    change_epoch_ = change_epoch;
-    pu_epoch_ = pu_epoch;
-    shrink_epoch_ = shrink_epoch;
-    previous_pu_mask_ = std::move(previous_mask);
-    pu_sum_ = std::move(sums);
-    pu_sum_epoch_ = std::move(sum_epochs);
   }
 
  private:

@@ -59,12 +59,11 @@ TEST(ContinuousCollectionTest, SnapshotTimesAreOrderedAndComplete) {
   rig.mac.StartContinuousCollection({1, 2}, interval, 4);
   rig.simulator.Run();
   ASSERT_TRUE(rig.mac.finished());
-  const auto& created = rig.mac.snapshot_created_time();
-  const auto& finished = rig.mac.snapshot_finish_time();
-  ASSERT_EQ(created.size(), 4u);
+  const auto& snapshots = rig.mac.snapshots();
+  ASSERT_EQ(snapshots.size(), 4u);
   for (std::size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(created[k], static_cast<sim::TimeNs>(k) * interval);
-    EXPECT_GT(finished[k], created[k]) << "snapshot " << k;
+    EXPECT_EQ(snapshots[k].created, static_cast<sim::TimeNs>(k) * interval);
+    EXPECT_GT(snapshots[k].finish, snapshots[k].created) << "snapshot " << k;
   }
 }
 
