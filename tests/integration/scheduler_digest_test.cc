@@ -14,6 +14,8 @@
 #include "core/collection.h"
 #include "core/invariant_auditor.h"
 #include "core/scenario.h"
+#include "obs/metrics.h"
+#include "obs/span_tracer.h"
 
 namespace crn::core {
 namespace {
@@ -36,6 +38,30 @@ TEST(SchedulerDigestTest, CalendarAndReferenceRunsAreBitIdentical) {
   EXPECT_EQ(result.capacity_fraction, 0x1.62646b189ed46p-7);
   EXPECT_EQ(result.avg_hops, 5.25);
   EXPECT_EQ(result.mac.delivered, 200);
+}
+
+// The same run with every MAC-event sink attached. The three digests fold
+// everything the auditor, the metrics collector and the span tracer record,
+// so a change to how the MAC hands its events to its sinks (order, fields,
+// which instants are reported) cannot pass unnoticed.
+TEST(SchedulerDigestTest, SinkDigestsArePinned) {
+  ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.1);
+  config.seed = 41;
+  AuditReport report;
+  obs::MetricsRegistry metrics;
+  obs::PacketSpanTracer spans;
+  RunOptions options;
+  options.audit_report = &report;
+  options.metrics = &metrics;
+  options.spans = &spans;
+  const CollectionResult result = RunAddc(Scenario(config, 0), options);
+
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(report.trace_digest, 0x15e77b663606aaddULL);
+  EXPECT_EQ(metrics.Digest(), 0x5c8382e04d421edeULL);
+  EXPECT_EQ(spans.Digest(), 0x0e31bf52ff759a34ULL);
+  EXPECT_EQ(spans.attempts().size(), 1135U);
+  EXPECT_EQ(spans.freezes().size(), 4348U);
 }
 
 }  // namespace
