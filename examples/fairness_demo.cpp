@@ -45,10 +45,11 @@ DemoResult RunDuel(bool fairness_wait, std::int32_t packets_each) {
 
   DemoResult result;
   std::vector<double> completion(2, 0.0);
-  mac.AddTxObserver([&](const mac::TxEvent& event) {
-    if (event.outcome == mac::TxOutcome::kSuccess) {
-      result.success_order.push_back(event.transmitter);
-      completion[event.transmitter - 1] = sim::ToMilliseconds(event.end);
+  mac.AddObserver([&](const mac::MacEvent& event) {
+    if (event.kind == mac::MacEvent::Kind::kTxEnd &&
+        event.outcome == mac::TxOutcome::kSuccess) {
+      result.success_order.push_back(event.node);
+      completion[event.node - 1] = sim::ToMilliseconds(event.end);
     }
   });
   std::vector<NodeId> producers;

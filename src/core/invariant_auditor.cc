@@ -33,10 +33,18 @@ void InvariantAuditor::Attach(sim::Simulator& simulator, mac::CollectionMac& mac
   if (config_.check_event_time) {
     time_auditor_.Attach(simulator);
   }
-  mac.AddTxStartObserver(
-      [this](mac::NodeId transmitter, mac::NodeId receiver, sim::TimeNs start,
-             sim::TimeNs end) { OnTxStart(transmitter, receiver, start, end); });
-  mac.AddTxObserver([this](const mac::TxEvent& event) { OnTxEnd(event); });
+  mac.AddObserver([this](const mac::MacEvent& event) {
+    switch (event.kind) {
+      case mac::MacEvent::Kind::kTxStart:
+        OnTxStart(event.node);
+        break;
+      case mac::MacEvent::Kind::kTxEnd:
+        OnTxEnd(event);
+        break;
+      default:
+        break;
+    }
+  });
 }
 
 void InvariantAuditor::BindMetrics(obs::MetricsRegistry& registry) {
@@ -52,11 +60,7 @@ void InvariantAuditor::BindMetrics(obs::MetricsRegistry& registry) {
       &registry.GetCounter("audit.violations_total", {{"invariant", "routing"}});
 }
 
-void InvariantAuditor::OnTxStart(mac::NodeId transmitter, mac::NodeId receiver,
-                                 sim::TimeNs start, sim::TimeNs end) {
-  (void)receiver;
-  (void)start;
-  (void)end;
+void InvariantAuditor::OnTxStart(mac::NodeId transmitter) {
   ++report_.tx_starts;
   const geom::Vec2 position = mac_->position(transmitter);
   if (config_.check_min_separation) {
@@ -130,11 +134,11 @@ void InvariantAuditor::CheckPuProtection() {
   }
 }
 
-void InvariantAuditor::OnTxEnd(const mac::TxEvent& event) {
+void InvariantAuditor::OnTxEnd(const mac::MacEvent& event) {
   // The trace digest folds in every field a regression could silently skew;
   // a single reordered, re-timed, or re-scored attempt changes it.
-  digest_.MixSigned(event.transmitter);
-  digest_.MixSigned(event.receiver);
+  digest_.MixSigned(event.node);
+  digest_.MixSigned(event.peer);
   digest_.MixSigned(event.start);
   digest_.MixSigned(event.end);
   digest_.Mix(static_cast<std::uint64_t>(event.outcome));
@@ -145,7 +149,7 @@ void InvariantAuditor::OnTxEnd(const mac::TxEvent& event) {
   digest_.MixDouble(event.min_sir);
 
   for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (active_[i].transmitter == event.transmitter) {
+    if (active_[i].transmitter == event.node) {
       active_[i] = active_.back();
       active_.pop_back();
       break;
@@ -164,8 +168,8 @@ void InvariantAuditor::OnTxEnd(const mac::TxEvent& event) {
       ++report_.su_sir_violations;
       if (viol_su_sir_ != nullptr) viol_su_sir_->Add();
       std::ostringstream out;
-      out << "t=" << simulator_->now() << ": reception " << event.transmitter
-          << "->" << event.receiver << " SIR floor " << event.min_sir
+      out << "t=" << simulator_->now() << ": reception " << event.node
+          << "->" << event.peer << " SIR floor " << event.min_sir
           << " below eta_s " << mac_->config().eta_s.linear();
       RecordViolation(out.str());
     }

@@ -81,7 +81,7 @@ struct AuditReport {
   std::int64_t pu_protection_violations = 0;
   std::int64_t routing_audits = 0;
   std::int64_t routing_violations = 0;
-  // FNV-1a digest of the TxEvent trace (same seed ⇒ same digest).
+  // FNV-1a digest of the kTxEnd events (same seed ⇒ same digest).
   std::uint64_t trace_digest = 0;
   std::vector<std::string> first_violations;
   // Decoded flight-recorder trail captured at the *first* violation — the
@@ -104,7 +104,7 @@ class InvariantAuditor {
   InvariantAuditor(const InvariantAuditor&) = delete;
   InvariantAuditor& operator=(const InvariantAuditor&) = delete;
 
-  // Registers the audit hooks; call once, before the run starts. `primary`
+  // Subscribes to the MAC's events; call once, before the run starts. `primary`
   // may be null, which disables the PU-protection check (it needs mutable
   // access for receiver sampling). The auditor must outlive the run.
   void Attach(sim::Simulator& simulator, mac::CollectionMac& mac,
@@ -151,9 +151,8 @@ class InvariantAuditor {
     geom::Vec2 position;
   };
 
-  void OnTxStart(mac::NodeId transmitter, mac::NodeId receiver, sim::TimeNs start,
-                 sim::TimeNs end);
-  void OnTxEnd(const mac::TxEvent& event);
+  void OnTxStart(mac::NodeId transmitter);
+  void OnTxEnd(const mac::MacEvent& event);
   void CheckPuProtection();
   void RecordViolation(std::string message);
 

@@ -210,14 +210,13 @@ void CollectionMac::SeedSnapshot(const std::vector<NodeId>& producers,
       // on the spot — otherwise the run would wait forever for a packet no
       // one holds (continuous collection under churn).
       const Packet packet{v, now, 0, snapshot};
-      EmitLifecycle(LifecycleEvent::Kind::kPacketCreated, v, &packet, 0);
+      Emit(MacEvent::Kind::kPacketCreated, v, &packet, 0);
       LosePacket(v, packet, 0);
       continue;
     }
     agents_[v].queue.push_back(Packet{v, now, 0, snapshot});
-    EmitLifecycle(LifecycleEvent::Kind::kPacketCreated, v,
-                  &agents_[v].queue.back(),
-                  static_cast<std::int64_t>(agents_[v].queue.size()));
+    Emit(MacEvent::Kind::kPacketCreated, v, &agents_[v].queue.back(),
+         static_cast<std::int64_t>(agents_[v].queue.size()));
   }
   for (NodeId v : producers) {
     if (!failed_[v]) ActivateIfIdle(v);
@@ -333,10 +332,10 @@ void CollectionMac::BeginContention(NodeId node) {
   }
   agent.remaining = agent.backoff_drawn;
   agent_frozen_[node] = 1;
-  // Emitted before UpdateFreezeState below so lifecycle consumers see
+  // Emitted before UpdateFreezeState below so observers see
   // contention-started strictly before any same-instant resume.
-  EmitLifecycle(LifecycleEvent::Kind::kContentionStarted, node,
-                &agent.queue.front(), agent.backoff_drawn);
+  Emit(MacEvent::Kind::kContentionStarted, node, &agent.queue.front(),
+       agent.backoff_drawn);
 
   // Join the sensing set.
   CRN_DCHECK(contending_slot_[node] < 0);
@@ -348,9 +347,6 @@ void CollectionMac::BeginContention(NodeId node) {
   agent_pu_busy_[node] = SensePuBusy(node) ? 1 : 0;
   agent_su_busy_[node] = ComputeSuBusyCount(node);
   UpdateFreezeState(node);
-  for (const auto& observer : contention_observers_) {
-    observer(node, simulator_.now());
-  }
 }
 
 void CollectionMac::LeaveContention(NodeId node) {
@@ -372,7 +368,7 @@ void CollectionMac::FreezeTimer(NodeId node) {
   CRN_DCHECK(agent.remaining >= 0);
   agent_frozen_[node] = 1;
   agent.expiry_timer.Disarm();
-  EmitLifecycle(LifecycleEvent::Kind::kFrozen, node, nullptr, agent.remaining);
+  Emit(MacEvent::Kind::kFrozen, node, nullptr, agent.remaining);
 }
 
 void CollectionMac::ResumeTimer(NodeId node) {
@@ -381,7 +377,7 @@ void CollectionMac::ResumeTimer(NodeId node) {
   agent_frozen_[node] = 0;
   agent.resume_time = simulator_.now();
   agent.expiry_timer.ArmAfter(agent.remaining);
-  EmitLifecycle(LifecycleEvent::Kind::kResumed, node, nullptr, agent.remaining);
+  Emit(MacEvent::Kind::kResumed, node, nullptr, agent.remaining);
 }
 
 void CollectionMac::UpdateFreezeState(NodeId node) {
@@ -470,7 +466,7 @@ void CollectionMac::OnBackoffExpired(NodeId node) {
     agent.resume_time = simulator_.now();
     agent.remaining = slot_end - simulator_.now();
     agent.expiry_timer.ArmAfter(agent.remaining);
-    EmitLifecycle(LifecycleEvent::Kind::kDeferred, node, nullptr, agent.remaining);
+    Emit(MacEvent::Kind::kDeferred, node, nullptr, agent.remaining);
     return;
   }
   // The timer is fully consumed: record it as frozen-at-zero so
@@ -540,14 +536,10 @@ void CollectionMac::StartTransmission(NodeId node) {
   }
 
   const bool announced_now = tx.announced;
-  const sim::TimeNs tx_start = tx.start;
-  const sim::TimeNs tx_end = tx.end;
   active_tx_slot_[node] = static_cast<std::int32_t>(active_tx_.size());
   active_tx_.push_back(std::move(tx));
   ++stats_.attempts;
-  for (const auto& observer : tx_start_observers_) {
-    observer(node, receiver, tx_start, tx_end);
-  }
+  Emit(MacEvent::Kind::kTxStart, node, nullptr, 0, &active_tx_.back());
 
   if (announced_now) NotifySensorsTxStart(node);
   // A new interferer appeared: refresh the SIR floor of every ongoing
@@ -632,7 +624,7 @@ void CollectionMac::FinishTransmission(NodeId node, bool aborted) {
     CheckTermination();
   }
   tx.end = simulator_.now();
-  EmitTxEvent(tx, outcome, attempted);
+  Emit(MacEvent::Kind::kTxEnd, node, &attempted, 0, &tx, outcome);
 
   // Fairness rule (Algorithm 1, line 12): wait out the remainder of the
   // contention window before the next attempt.
@@ -786,8 +778,8 @@ void CollectionMac::OnSlotBoundary() {
   field_.NotePuSample(primary_.activity_mask());
   ++slot_index_;
   slot_start_time_ = now;
-  EmitLifecycle(LifecycleEvent::Kind::kSlotBoundary, graph::kInvalidNode, nullptr,
-                primary_.active_count());
+  Emit(MacEvent::Kind::kSlotBoundary, graph::kInvalidNode, nullptr,
+       primary_.active_count());
 
   // Spectrum handoff: transmitters sense the PU comeback and abort at once
   // (a missed detection lets the transmission ride on, harming the PU —
@@ -880,7 +872,7 @@ void CollectionMac::LosePacket(NodeId node, const Packet& packet,
   if (--tally.remaining == 0 && tally.finish < 0) tally.finish = simulator_.now();
   --expected_packets_;
   ++stats_.packets_lost;
-  EmitLifecycle(LifecycleEvent::Kind::kPacketDropped, node, &packet, queue_left);
+  Emit(MacEvent::Kind::kPacketDropped, node, &packet, queue_left);
 }
 
 void CollectionMac::DeliverOrEnqueue(NodeId receiver, const Packet& packet) {
@@ -896,41 +888,34 @@ void CollectionMac::DeliverOrEnqueue(NodeId receiver, const Packet& packet) {
     }
     SnapshotTally& tally = snapshots_[packet.snapshot];
     if (--tally.remaining == 0) tally.finish = simulator_.now();
-    EmitLifecycle(LifecycleEvent::Kind::kPacketDelivered, receiver, &packet,
-                  packet.hops);
+    Emit(MacEvent::Kind::kPacketDelivered, receiver, &packet, packet.hops);
     CheckTermination();
     return;
   }
   agents_[receiver].queue.push_back(packet);
-  EmitLifecycle(LifecycleEvent::Kind::kPacketEnqueued, receiver, &packet,
-                static_cast<std::int64_t>(agents_[receiver].queue.size()));
+  Emit(MacEvent::Kind::kPacketEnqueued, receiver, &packet,
+       static_cast<std::int64_t>(agents_[receiver].queue.size()));
   ActivateIfIdle(receiver);
 }
 
-void CollectionMac::EmitTxEvent(const Transmission& tx, TxOutcome outcome,
-                                const Packet& packet) {
+void CollectionMac::Emit(MacEvent::Kind kind, NodeId node, const Packet* packet,
+                         std::int64_t value, const Transmission* tx,
+                         TxOutcome outcome) {
   if (observers_.empty()) return;
-  TxEvent event;
-  event.transmitter = tx.transmitter;
-  event.receiver = tx.receiver;
-  event.start = tx.start;
-  event.end = tx.end;
-  event.outcome = outcome;
-  event.packet = packet;
-  event.min_sir = tx.min_sir;
-  for (const auto& observer : observers_) observer(event);
-}
-
-void CollectionMac::EmitLifecycle(LifecycleEvent::Kind kind, NodeId node,
-                                  const Packet* packet, std::int64_t value) {
-  if (lifecycle_observers_.empty()) return;
-  LifecycleEvent event;
+  MacEvent event;
   event.kind = kind;
   event.node = node;
   event.time = simulator_.now();
   if (packet != nullptr) event.packet = *packet;
   event.value = value;
-  for (const auto& observer : lifecycle_observers_) observer(event);
+  if (tx != nullptr) {
+    event.peer = tx->receiver;
+    event.start = tx->start;
+    event.end = tx->end;
+    event.outcome = outcome;
+    event.min_sir = tx->min_sir;
+  }
+  for (const auto& observer : observers_) observer(event);
 }
 
 void CollectionMac::CheckTermination() {

@@ -202,35 +202,12 @@ class CollectionMac {
     return success_tx_count_;
   }
 
-  // Observers fire when a transmission attempt terminates (any outcome) —
-  // used by tests (Theorem 1 fairness property) and detailed metrics.
-  void AddTxObserver(std::function<void(const TxEvent&)> observer) {
+  // Observers receive every MacEvent (packet.h) in emission order — the
+  // auditor, the metrics collector, the span tracer and the fairness tests
+  // all watch the MAC through this one feed. Zero-cost when none is
+  // attached: Emit returns before building the event.
+  void AddObserver(std::function<void(const MacEvent&)> observer) {
     observers_.push_back(std::move(observer));
-  }
-
-  // Fires when a node sets a fresh backoff timer (Algorithm 1 line 3) —
-  // the reference instant of Theorem 1's property 𝔓.
-  void AddContentionObserver(std::function<void(NodeId, sim::TimeNs)> observer) {
-    contention_observers_.push_back(std::move(observer));
-  }
-
-  // Fires the instant a transmission goes on the air, before any outcome is
-  // known; paired with the TxEvent observer above this brackets every
-  // attempt. The invariant auditor (core/invariant_auditor.h) uses the pair
-  // to track the concurrently active transmitter set.
-  void AddTxStartObserver(
-      std::function<void(NodeId transmitter, NodeId receiver, sim::TimeNs start,
-                         sim::TimeNs end)>
-          observer) {
-    tx_start_observers_.push_back(std::move(observer));
-  }
-
-  // Fires on every packet/contention lifecycle transition (packet.h's
-  // LifecycleEvent) — the observability layer's feed. Zero-cost when no
-  // observer is attached: the emit helper bails out before building the
-  // event, exactly like EmitTxEvent.
-  void AddLifecycleObserver(std::function<void(const LifecycleEvent&)> observer) {
-    lifecycle_observers_.push_back(std::move(observer));
   }
 
   // --- network dynamics (§I: SUs may leave at any time) -----------------
@@ -392,10 +369,11 @@ class CollectionMac {
   // kPacketDropped with `queue_left` as the event value. Callers follow up
   // with CheckTermination().
   void LosePacket(NodeId node, const Packet& packet, std::int64_t queue_left);
-  void EmitTxEvent(const Transmission& tx, TxOutcome outcome, const Packet& packet);
-  // `packet` may be null for non-packet kinds (frozen/resumed/defer/slot).
-  void EmitLifecycle(LifecycleEvent::Kind kind, NodeId node, const Packet* packet,
-                     std::int64_t value);
+  // `packet` may be null for non-packet kinds (frozen/resumed/defer/slot);
+  // `tx` supplies peer, airtime and SIR floor for the two tx kinds.
+  void Emit(MacEvent::Kind kind, NodeId node, const Packet* packet,
+            std::int64_t value, const Transmission* tx = nullptr,
+            TxOutcome outcome = TxOutcome::kSuccess);
   void CheckTermination();
 
   sim::Simulator& simulator_;
@@ -477,11 +455,7 @@ class CollectionMac {
   };
   std::vector<NodeId> seed_producers_;
   std::vector<PendingSeed> pending_seeds_;
-  std::vector<std::function<void(const TxEvent&)>> observers_;
-  std::vector<std::function<void(NodeId, sim::TimeNs)>> contention_observers_;
-  std::vector<std::function<void(NodeId, NodeId, sim::TimeNs, sim::TimeNs)>>
-      tx_start_observers_;
-  std::vector<std::function<void(const LifecycleEvent&)>> lifecycle_observers_;
+  std::vector<std::function<void(const MacEvent&)>> observers_;
 
   MacStats stats_;
   std::int64_t expected_packets_ = 0;

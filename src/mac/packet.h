@@ -1,5 +1,5 @@
-// Packet and transmission-event types shared by the MAC and the metric
-// observers.
+// Packet, transmission-outcome and MAC-event types shared by the MAC and
+// the sinks that observe it.
 #ifndef CRN_MAC_PACKET_H_
 #define CRN_MAC_PACKET_H_
 
@@ -34,45 +34,41 @@ inline constexpr std::int32_t kTxOutcomeCount = 5;
 
 const char* ToString(TxOutcome outcome);
 
-// Observer record emitted when a transmission attempt terminates.
-struct TxEvent {
-  NodeId transmitter = graph::kInvalidNode;
-  NodeId receiver = graph::kInvalidNode;
-  sim::TimeNs start = 0;
-  sim::TimeNs end = 0;
-  TxOutcome outcome = TxOutcome::kSuccess;
-  Packet packet;
-  double min_sir = 0.0;  // +inf when unopposed
-};
-
-// Observer record for the packet/contention lifecycle — the feed the
-// observability layer (obs::PacketSpanTracer, obs::MacMetricsCollector)
-// consumes. Together with TxEvent/tx-start observers it covers a packet's
-// whole life: created → enqueued per hop → contention (backoff, freeze,
-// resume, defer) → transmit → delivered or dropped.
-struct LifecycleEvent {
+// The one record CollectionMac hands its observers (AddObserver): every
+// instant of a packet's life and of the MAC around it — created → enqueued
+// per hop → contention (backoff, freeze, resume, defer) → on the air →
+// attempt ended → delivered or dropped — plus the PU slot boundaries.
+// Sinks (the invariant auditor, obs::MacMetricsCollector,
+// obs::PacketSpanTracer, tests) switch on `kind` and read the fields it
+// names; the others keep their defaults.
+struct MacEvent {
   enum class Kind : std::uint8_t {
     kPacketCreated,      // seeded at its origin; value = queue depth after
     kPacketEnqueued,     // arrived at a relay; value = queue depth after
     kPacketDelivered,    // reached the base station; value = hop count
     kPacketDropped,      // lost with a failed node; value = queue depth left
-    kContentionStarted,  // backoff drawn (Alg. 1 line 3); value = t_i in ns
+    kContentionStarted,  // backoff drawn (Alg. 1 line 3, Theorem 1's
+                         // reference instant); value = t_i in ns
     kFrozen,             // countdown paused (busy spectrum); value = remaining ns
     kResumed,            // countdown resumed (free spectrum); value = remaining ns
     kDeferred,           // slot-aware hold until the boundary; value = hold ns
     kSlotBoundary,       // PU re-sample; node = -1, value = active PU count
+    kTxStart,            // on the air, outcome unknown; start/end = airtime
+    kTxEnd,              // attempt terminated; outcome and min_sir are set
   };
 
   Kind kind = Kind::kSlotBoundary;
-  NodeId node = graph::kInvalidNode;
+  NodeId node = graph::kInvalidNode;  // the transmitter for the tx kinds
+  NodeId peer = graph::kInvalidNode;  // the receiver (tx kinds only)
   sim::TimeNs time = 0;
-  // Valid for the four packet kinds and kContentionStarted (queue head).
+  sim::TimeNs start = 0;  // tx kinds: airtime start
+  sim::TimeNs end = 0;    // kTxStart: scheduled end; kTxEnd: actual end
+  // The four packet kinds, kContentionStarted and kTxEnd (queue head).
   Packet packet;
   std::int64_t value = 0;  // kind-specific, see above
+  TxOutcome outcome = TxOutcome::kSuccess;  // kTxEnd only
+  double min_sir = 0.0;  // kTxEnd: reception SIR floor, +inf when unopposed
 };
-
-const char* ToString(LifecycleEvent::Kind kind);
-inline constexpr std::int32_t kLifecycleKindCount = 9;
 
 }  // namespace crn::mac
 

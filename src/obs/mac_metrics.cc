@@ -41,9 +41,7 @@ void MacMetricsCollector::Attach(mac::CollectionMac& mac) {
   }
   freeze_begin_.assign(static_cast<std::size_t>(mac.node_count()), -1);
 
-  mac.AddLifecycleObserver(
-      [this](const mac::LifecycleEvent& event) { OnLifecycle(event); });
-  mac.AddTxObserver([this](const mac::TxEvent& event) { OnTxEvent(event); });
+  mac.AddObserver([this](const mac::MacEvent& event) { OnEvent(event); });
 }
 
 void MacMetricsCollector::SaveState(sim::StateWriter& writer) const {
@@ -63,8 +61,8 @@ void MacMetricsCollector::Transfer(Self& self, Ar& ar) {
   ar.EndSection();
 }
 
-void MacMetricsCollector::OnLifecycle(const mac::LifecycleEvent& event) {
-  using Kind = mac::LifecycleEvent::Kind;
+void MacMetricsCollector::OnEvent(const mac::MacEvent& event) {
+  using Kind = mac::MacEvent::Kind;
   switch (event.kind) {
     case Kind::kPacketCreated:
       packets_created_->Add();
@@ -111,11 +109,12 @@ void MacMetricsCollector::OnLifecycle(const mac::LifecycleEvent& event) {
         registry_.RecordSeriesPoint(event.time);
       }
       break;
+    case Kind::kTxStart:
+      break;
+    case Kind::kTxEnd:
+      tx_attempts_[static_cast<std::size_t>(event.outcome)]->Add();
+      break;
   }
-}
-
-void MacMetricsCollector::OnTxEvent(const mac::TxEvent& event) {
-  tx_attempts_[static_cast<std::size_t>(event.outcome)]->Add();
 }
 
 }  // namespace crn::obs

@@ -1,7 +1,7 @@
-// MacMetricsCollector — bridges the MAC's lifecycle/TxEvent feeds into a
-// MetricsRegistry. Instrument handles are resolved once at Attach, so the
+// MacMetricsCollector — bridges the MAC's event stream (mac::MacEvent) into
+// a MetricsRegistry. Instrument handles are resolved once at Attach, so the
 // per-event cost is a few integer bumps; with no collector attached the MAC
-// pays nothing at all (collection_mac.h's empty-observer early-out).
+// pays nothing at all (CollectionMac::Emit's empty-observer early-out).
 //
 // Registry naming scheme (DESIGN.md §"Observability"):
 //   <subsystem>.<measure>[_<unit>][{label=value,...}]
@@ -35,7 +35,7 @@ class MacMetricsCollector {
   explicit MacMetricsCollector(MetricsRegistry& registry,
                                std::int32_t series_stride = 64);
 
-  // Resolves instrument handles and registers observers on `mac`; call
+  // Resolves instrument handles and subscribes to `mac`'s events; call
   // before the run. Both the registry and the collector must outlive it.
   void Attach(mac::CollectionMac& mac);
 
@@ -49,8 +49,7 @@ class MacMetricsCollector {
  private:
   template <class Self, class Ar>
   static void Transfer(Self& self, Ar& ar);
-  void OnLifecycle(const mac::LifecycleEvent& event);
-  void OnTxEvent(const mac::TxEvent& event);
+  void OnEvent(const mac::MacEvent& event);
 
   MetricsRegistry& registry_;
   std::int32_t series_stride_;

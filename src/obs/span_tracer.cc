@@ -1,5 +1,6 @@
 #include "obs/span_tracer.h"
 
+#include <cmath>
 #include <string>
 
 #include "sim/audit.h"
@@ -13,13 +14,11 @@ double ToMicros(sim::TimeNs t) { return static_cast<double>(t) / 1000.0; }
 
 void PacketSpanTracer::Attach(mac::CollectionMac& mac) {
   freeze_begin_.assign(static_cast<std::size_t>(mac.node_count()), -1);
-  mac.AddLifecycleObserver(
-      [this](const mac::LifecycleEvent& event) { OnLifecycle(event); });
-  mac.AddTxObserver([this](const mac::TxEvent& event) { OnTxEvent(event); });
+  mac.AddObserver([this](const mac::MacEvent& event) { Record(event); });
 }
 
-void PacketSpanTracer::OnLifecycle(const mac::LifecycleEvent& event) {
-  using Kind = mac::LifecycleEvent::Kind;
+void PacketSpanTracer::Record(const mac::MacEvent& event) {
+  using Kind = mac::MacEvent::Kind;
   switch (event.kind) {
     case Kind::kPacketCreated: {
       PacketSpan& span =
@@ -67,22 +66,17 @@ void PacketSpanTracer::OnLifecycle(const mac::LifecycleEvent& event) {
       }
       break;
     }
+    case Kind::kTxEnd:
+      attempts_.push_back(Attempt{event.node, event.peer, event.start, event.end,
+                                  event.outcome, event.packet.origin,
+                                  event.packet.snapshot, event.packet.hops,
+                                  event.min_sir});
+      break;
     case Kind::kDeferred:
     case Kind::kSlotBoundary:
+    case Kind::kTxStart:
       break;
   }
-}
-
-void PacketSpanTracer::OnTxEvent(const mac::TxEvent& event) {
-  Attempt attempt;
-  attempt.transmitter = event.transmitter;
-  attempt.receiver = event.receiver;
-  attempt.start = event.start;
-  attempt.end = event.end;
-  attempt.outcome = event.outcome;
-  attempt.packet_origin = event.packet.origin;
-  attempt.packet_snapshot = event.packet.snapshot;
-  attempts_.push_back(attempt);
 }
 
 std::uint64_t PacketSpanTracer::Digest() const {
@@ -186,6 +180,56 @@ std::vector<ChromeTraceEvent> PacketSpanTracer::ToChromeEvents() const {
 
 void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
   obs::WriteChromeTrace(ToChromeEvents(), out);
+}
+
+void PacketSpanTracer::WriteAttemptCsv(std::ostream& out) const {
+  out << "start_ms,end_ms,transmitter,receiver,outcome,origin,snapshot,hops,min_sir\n";
+  for (const Attempt& attempt : attempts_) {
+    out << sim::ToMilliseconds(attempt.start) << ","
+        << sim::ToMilliseconds(attempt.end) << "," << attempt.transmitter << ","
+        << attempt.receiver << "," << mac::ToString(attempt.outcome) << ","
+        << attempt.packet_origin << "," << attempt.packet_snapshot << ","
+        << attempt.packet_hops << ",";
+    if (std::isinf(attempt.min_sir)) {
+      out << "inf";
+    } else {
+      out << attempt.min_sir;
+    }
+    out << "\n";
+  }
+}
+
+PacketSpanTracer::AttemptSummary PacketSpanTracer::SummarizeAttempts() const {
+  AttemptSummary summary;
+  summary.attempts = static_cast<std::int64_t>(attempts_.size());
+  sim::TimeNs airtime = 0;
+  sim::TimeNs useful = 0;
+  bool first = true;
+  for (const Attempt& attempt : attempts_) {
+    ++summary.per_outcome[static_cast<std::int32_t>(attempt.outcome)];
+    const sim::TimeNs duration = attempt.end - attempt.start;
+    airtime += duration;
+    if (attempt.outcome == mac::TxOutcome::kSuccess) useful += duration;
+    if (first || attempt.start < summary.first_start) {
+      summary.first_start = attempt.start;
+    }
+    if (attempt.end > summary.last_end) summary.last_end = attempt.end;
+    first = false;
+  }
+  // airtime can legitimately be zero with attempts recorded (every attempt
+  // sharing one instant); the guard keeps the fraction 0 instead of NaN.
+  if (airtime > 0) {
+    summary.useful_airtime_fraction =
+        static_cast<double>(useful) / static_cast<double>(airtime);
+  }
+  if (summary.attempts > 0) {
+    for (std::int32_t outcome = 0; outcome < mac::kTxOutcomeCount; ++outcome) {
+      summary.per_outcome_fraction[outcome] =
+          static_cast<double>(summary.per_outcome[outcome]) /
+          static_cast<double>(summary.attempts);
+    }
+  }
+  return summary;
 }
 
 }  // namespace crn::obs

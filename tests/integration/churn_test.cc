@@ -74,9 +74,9 @@ TEST(ChurnTest, MidFlightFailureCutsTransmission) {
   ChurnRig rig;
   rig.mac.StartCollection({2});
   bool failed_midflight = false;
-  rig.mac.AddTxObserver([&](const mac::TxEvent& event) {
-    if (event.transmitter == 2 && !failed_midflight &&
-        event.outcome == mac::TxOutcome::kAbortedPuReturn) {
+  rig.mac.AddObserver([&](const mac::MacEvent& event) {
+    if (event.kind == mac::MacEvent::Kind::kTxEnd && event.node == 2 &&
+        !failed_midflight && event.outcome == mac::TxOutcome::kAbortedPuReturn) {
       failed_midflight = true;
     }
   });

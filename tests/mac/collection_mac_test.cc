@@ -95,8 +95,10 @@ TEST(CollectionMacTest, NeighborsNeverTransmitConcurrently) {
   std::vector<Vec2> sus{{50, 50}, {52, 50}, {54, 50}, {50, 52}, {52, 52}, {54, 52}};
   Harness h(sus, {0, 0, 0, 0, 0, 0}, {}, 0.0, BasicConfig());
   std::vector<std::pair<sim::TimeNs, sim::TimeNs>> intervals;
-  h.mac.AddTxObserver([&](const TxEvent& event) {
-    intervals.emplace_back(event.start, event.end);
+  h.mac.AddObserver([&](const MacEvent& event) {
+    if (event.kind == MacEvent::Kind::kTxEnd) {
+      intervals.emplace_back(event.start, event.end);
+    }
   });
   h.mac.StartSnapshotCollection();
   h.simulator.Run();
@@ -299,8 +301,9 @@ TEST(CollectionMacTest, PacketHopCountsAccumulate) {
   Harness h({{10, 50}, {18, 50}, {26, 50}, {34, 50}}, {0, 0, 1, 2}, {}, 0.0,
             BasicConfig());
   std::vector<std::int32_t> delivered_hops;
-  h.mac.AddTxObserver([&](const TxEvent& event) {
-    if (event.outcome == TxOutcome::kSuccess && event.receiver == 0) {
+  h.mac.AddObserver([&](const MacEvent& event) {
+    if (event.kind == MacEvent::Kind::kTxEnd &&
+        event.outcome == TxOutcome::kSuccess && event.peer == 0) {
       delivered_hops.push_back(event.packet.hops);
     }
   });
@@ -323,7 +326,8 @@ TEST(CollectionMacTest, FarApartCellsTransmitConcurrently) {
   // ~113 apart: they can air simultaneously.
   bool overlap_seen = false;
   std::vector<std::pair<sim::TimeNs, sim::TimeNs>> open;
-  h.mac.AddTxObserver([&](const TxEvent& event) {
+  h.mac.AddObserver([&](const MacEvent& event) {
+    if (event.kind != MacEvent::Kind::kTxEnd) return;
     for (const auto& other : open) {
       if (event.start < other.second && other.first < event.end) overlap_seen = true;
     }

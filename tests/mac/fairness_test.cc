@@ -53,13 +53,19 @@ Trace RunHeadToHead(bool fairness_wait, std::int32_t packets, std::uint64_t seed
 
   Trace trace;
   trace.contention_starts.resize(positions.size());
-  mac.AddTxObserver([&](const TxEvent& event) {
-    if (event.outcome == TxOutcome::kSuccess) {
-      trace.successes.push_back({event.transmitter, event.start});
+  mac.AddObserver([&](const MacEvent& event) {
+    switch (event.kind) {
+      case MacEvent::Kind::kTxEnd:
+        if (event.outcome == TxOutcome::kSuccess) {
+          trace.successes.push_back({event.node, event.start});
+        }
+        break;
+      case MacEvent::Kind::kContentionStarted:
+        trace.contention_starts[event.node].push_back(event.time);
+        break;
+      default:
+        break;
     }
-  });
-  mac.AddContentionObserver([&](NodeId node, sim::TimeNs when) {
-    trace.contention_starts[node].push_back(when);
   });
   std::vector<NodeId> producers;
   for (std::int32_t i = 0; i < packets; ++i) {

@@ -19,7 +19,7 @@ using geom::Aabb;
 using geom::Vec2;
 
 // Three SUs in a chain delivering to sink 0 over a quiet spectrum — the
-// same rig the TraceRecorder tests use.
+// same rig attempt_trace_test.cc uses.
 struct Rig {
   Rig()
       : area(Aabb::Square(100.0)),

@@ -31,7 +31,6 @@
 #include "harness/svg_export.h"
 #include "harness/sweep_journal.h"
 #include "harness/table.h"
-#include "mac/trace.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
 
@@ -78,7 +77,8 @@ Execution:
                                   ADDC run (prints the report; also dual-runs
                                   rep 0 to verify trace-digest determinism);
                                   exits nonzero on any violation
-  --trace=FILE                    write per-transmission CSV (single rep, ADDC)
+  --trace=FILE                    write per-transmission CSV (rep 0, ADDC; the
+                                  same run as without the flag)
   --trace-out=FILE                write packet-lifecycle spans (rep 0, ADDC) as
                                   Chrome trace-event JSON — load the file in
                                   Perfetto / chrome://tracing; forces serial
@@ -639,46 +639,6 @@ int main(int argc, char** argv) {
       continue;
     }
     if (algorithm == "addc" || algorithm == "both") {
-      if (!trace_path.empty()) {
-        // Trace requested: re-run through the lower-level API with a
-        // recorder attached (first repetition only).
-        const graph::CdsTree& tree = scenario.collection_tree();
-        std::vector<graph::NodeId> next_hop(tree.node_count(), scenario.sink());
-        for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
-          next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
-        }
-        sim::Simulator simulator;
-        pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
-        mac::MacConfig mac_config;
-        mac_config.pcr = scenario.pcr();
-        mac_config.su_power = config.su_power;
-        mac_config.eta_s = SirThreshold::FromDb(config.eta_s_db);
-        mac_config.eta_p = SirThreshold::FromDb(config.eta_p_db);
-        mac_config.alpha = config.alpha;
-        mac_config.slot = config.slot;
-        mac_config.contention_window = config.contention_window;
-        mac_config.tx_duration = config.slot - config.contention_window;
-        mac::CollectionMac mac(simulator, primary, scenario.su_positions(),
-                               scenario.area(), scenario.sink(), next_hop,
-                               mac_config, scenario.MakeRunRng().Stream("mac"));
-        mac::TraceRecorder recorder;
-        recorder.Attach(mac);
-        if (!trace_out.empty() && rep == 0) span_tracer.Attach(mac);
-        if (!flight_out.empty() && rep == 0) {
-          simulator.AttachFlightRecorder(&flight_recorder);
-        }
-        mac.StartSnapshotCollection();
-        simulator.Run();
-        std::ostringstream out;
-        recorder.WriteCsv(out);
-        if (!WriteArtifactOrComplain(trace_path, out.str())) return 2;
-        const auto summary = recorder.Summarize();
-        std::cout << "ADDC trace: " << summary.attempts << " attempts, useful airtime "
-                  << harness::FormatDouble(summary.useful_airtime_fraction, 3)
-                  << ", written to " << trace_path << "\n";
-        all_completed &= mac.finished();
-        continue;
-      }
       core::RunOptions options;
       core::AuditReport audit_report;
       faults::FaultReport fault_report;
@@ -694,7 +654,9 @@ int main(int argc, char** argv) {
         // reps, but a merged series would interleave rep-local timelines.
         options.metrics_series_stride = rep == 0 ? metrics_stride : 0;
       }
-      if (!trace_out.empty() && rep == 0) options.spans = &span_tracer;
+      if ((!trace_path.empty() || !trace_out.empty()) && rep == 0) {
+        options.spans = &span_tracer;
+      }
       if (!flight_out.empty() && rep == 0) {
         options.flight_recorder = &flight_recorder;
       }
@@ -747,6 +709,15 @@ int main(int argc, char** argv) {
       all_completed &= result.completed;
       PrintResultRow(result, csv);
     }
+  }
+  if (!trace_path.empty()) {
+    std::ostringstream out;
+    span_tracer.WriteAttemptCsv(out);
+    if (!WriteArtifactOrComplain(trace_path, out.str())) return 2;
+    const auto summary = span_tracer.SummarizeAttempts();
+    std::cout << "ADDC trace: " << summary.attempts << " attempts, useful airtime "
+              << harness::FormatDouble(summary.useful_airtime_fraction, 3)
+              << ", written to " << trace_path << "\n";
   }
   if (!trace_out.empty()) {
     std::ostringstream out;
