@@ -205,8 +205,10 @@ bool FlightRecorder::ReadDump(std::istream& in, Dump* out,
   }
   std::uint32_t kind_count = 0;
   if (!ReadU32(in, &kind_count)) return DecodeFail(error, "truncated header");
+  // No reserve from the header's counts: a corrupt dump may declare 2^62
+  // records in 36 bytes. The vectors grow only as entries actually decode,
+  // so a lying count ends in a truncation error.
   out->kind_names.clear();
-  out->kind_names.reserve(kind_count);
   for (std::uint32_t id = 0; id < kind_count; ++id) {
     std::uint32_t length = 0;
     if (!ReadU32(in, &length) || length > (1U << 20U)) {
@@ -219,7 +221,6 @@ bool FlightRecorder::ReadDump(std::istream& in, Dump* out,
     out->kind_names.push_back(std::move(name));
   }
   out->counters.clear();
-  out->counters.reserve(kind_count);
   for (std::uint32_t id = 0; id < kind_count; ++id) {
     std::uint64_t values[4];
     for (std::uint64_t& value : values) {
@@ -239,7 +240,6 @@ bool FlightRecorder::ReadDump(std::istream& in, Dump* out,
     return DecodeFail(error, "record count exceeds declared depth");
   }
   out->records.clear();
-  out->records.reserve(record_count);
   for (std::uint64_t i = 0; i < record_count; ++i) {
     FlightRecord record;
     std::uint64_t time = 0;
@@ -300,13 +300,18 @@ void FlightRecorder::LoadState(StateReader& reader) {
   Dump dump;
   Transfer(dump, reader);
   if (!reader.ok()) return;
-  CRN_CHECK(dump.depth >= 1 && dump.records.size() <= dump.depth)
+  // RunOptions restores into a recorder of the saved run's depth; the blob
+  // never sizes the ring.
+  CRN_CHECK(dump.depth == ring_.size())
+      << "cannot restore: the checkpoint's flight recorder has depth "
+      << dump.depth << " but the attached recorder has depth " << ring_.size();
+  CRN_CHECK(dump.records.size() <= dump.depth)
       << "corrupt flight checkpoint: " << dump.records.size()
       << " records exceed declared depth " << dump.depth;
-  // Adopt the saved geometry: records land oldest-first at the ring base,
-  // so subsequent Record() calls continue the rotation seamlessly (the dump
-  // walks records through At(), which is rotation-invariant).
-  ring_.assign(static_cast<std::size_t>(dump.depth), FlightRecord{});
+  // Records land oldest-first at the ring base, so subsequent Record()
+  // calls continue the rotation seamlessly (the dump walks records through
+  // At(), which is rotation-invariant).
+  std::fill(ring_.begin(), ring_.end(), FlightRecord{});
   std::copy(dump.records.begin(), dump.records.end(), ring_.begin());
   count_ = dump.records.size();
   next_ = count_ % ring_.size();

@@ -154,6 +154,7 @@ class FlightRecorder {
 
   // Checkpoint protocol (sim/checkpoint.h, section "flight"): ring contents
   // (oldest first), totals, per-kind counters, and the kind-name mirror.
+  // LoadState rejects a blob saved from a recorder of another depth.
   // Wall attribution (fire_wall_/wall_probe_) is deliberately excluded —
   // wall readings are nondeterministic and must not survive into a resumed
   // run's comparisons.

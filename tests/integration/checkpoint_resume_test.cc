@@ -22,6 +22,7 @@
 #include "pu/activity_stream.h"
 #include "pu/primary_network.h"
 #include "sim/checkpoint.h"
+#include "sim/flight_recorder.h"
 
 #include "checkpoint_harness.h"
 
@@ -277,9 +278,10 @@ std::string PatchU32(std::string blob, const SectionAt& section, std::size_t off
   return blob;
 }
 
-void ExpectRestoreRejected(const std::string& blob, const std::string& message) {
+void ExpectRestoreRejected(const std::string& blob, const std::string& message,
+                           const Variant& variant = {}) {
   try {
-    RunVariant(41, {}, 0, &blob);
+    RunVariant(41, variant, 0, &blob);
     ADD_FAILURE() << "restore accepted a blob that should fail with: " << message;
   } catch (const ContractViolation& error) {
     const std::string what = error.what();
@@ -300,6 +302,30 @@ TEST(CheckpointResumeTest, CorruptCountIsRejectedBeforeAllocating) {
   ExpectRestoreRejected(PatchU32(blob, field, previous_count_at, 0xFFFFFFFFU),
                         "corrupt checkpoint: section 'field' declares 4294967295 "
                         "entries of at least 4 bytes");
+}
+
+TEST(CheckpointResumeTest, FlightDepthMustMatchTheAttachedRecorder) {
+  const Variant flight{/*faults=*/false, /*flight=*/true};
+  const Captured base = RunVariant(41, flight, 2000, nullptr);
+  ASSERT_FALSE(base.checkpoints.empty());
+  const std::string& blob = base.checkpoints[0].second;
+  // The "flight" section opens with the saved ring depth (u64).
+  const SectionAt section = FindSection(blob, "flight");
+  const std::uint64_t depth = LoadLe(blob, section.payload, 8);
+  ASSERT_EQ(depth, sim::FlightRecorder().depth());
+  const std::string attached = " but the attached recorder has depth " +
+                               std::to_string(depth);
+  ExpectRestoreRejected(
+      PatchU32(blob, section, 0, static_cast<std::uint32_t>(depth + 1)),
+      "the checkpoint's flight recorder has depth " + std::to_string(depth + 1) +
+          attached,
+      flight);
+  // A 32 TiB ring: restore must fail on the mismatch, not on the allocation.
+  ExpectRestoreRejected(PatchU32(blob, section, 4, 0x100U),
+                        "the checkpoint's flight recorder has depth " +
+                            std::to_string((std::uint64_t{0x100} << 32) + depth) +
+                            attached,
+                        flight);
 }
 
 // A "mac" payload's node count and the offset of its contending-node list:

@@ -192,6 +192,43 @@ TEST(FlightRecorderTest, ReadDumpRejectsBadMagicAndTruncation) {
   EXPECT_FALSE(error.empty());
 }
 
+// A header whose counts promise more entries than the stream holds — the
+// counts of a 36-byte dump must not size an allocation.
+std::string CorruptHeader(std::uint64_t depth, std::uint32_t kind_count,
+                          std::uint64_t record_count) {
+  std::string bytes = "CRNFREC1";
+  const auto put = [&bytes](std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>((value >> (8 * i)) & 0xFFU));
+    }
+  };
+  put(depth, 8);
+  put(depth, 8);  // total recorded
+  put(kind_count, 4);
+  if (kind_count == 0) put(record_count, 8);
+  return bytes;
+}
+
+TEST(FlightRecorderTest, ReadDumpRejectsCountsTheStreamCannotHold) {
+  struct Case {
+    std::string bytes;
+    const char* error;
+  };
+  const Case cases[] = {
+      {CorruptHeader(1ULL << 40, 0, 1ULL << 40), "truncated record stream"},
+      {CorruptHeader(1ULL << 62, 0, 1ULL << 62), "truncated record stream"},
+      {CorruptHeader(4, 0xFFFFFFFFU, 0), "truncated or oversized kind name"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error);
+    std::stringstream stream(c.bytes);
+    FlightRecorder::Dump dump;
+    std::string error;
+    EXPECT_FALSE(FlightRecorder::ReadDump(stream, &dump, &error));
+    EXPECT_EQ(error, c.error);
+  }
+}
+
 TEST(FlightRecorderTest, WallProbeAttributesFireTimePerKind) {
   Simulator simulator;
   FlightRecorder recorder(16);
