@@ -14,11 +14,6 @@ namespace {
 // Grid cell size for the sensing grid: the PCR is the only query radius.
 double SensingCellSize(double pcr) { return std::max(pcr, 1.0); }
 
-// Dense PU-sensing masks are built while a per-agent row spans at most this
-// many 64-bit words (≤ 1024 PUs, two cache lines per agent). Beyond that the
-// rows outgrow cache and the sparse id scan wins back.
-constexpr std::size_t kDensePuSenseWordsMax = 16;
-
 }  // namespace
 
 const MacConfig& CollectionMac::ValidatedConfig(const MacConfig& config) {
@@ -116,20 +111,12 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
   // Precompute each node's static "PUs within my PCR" list (carrier sensing
   // targets, Lemma 7's disk of radius κ·r), and bind each agent's two
   // timers once — arming/cancelling them later is O(1) and allocation-free.
-  const std::size_t pu_words = (primary_.positions().size() + 63) / 64;
-  if (pu_words <= kDensePuSenseWordsMax) {
-    pu_mask_words_ = pu_words;
-    agent_pu_mask_.assign(static_cast<std::size_t>(n) * pu_words, 0);
-  }
+  nearby_pu_begin_.reserve(static_cast<std::size_t>(n) + 1);
+  pu_sense_.assign(n, PuSense{});
   for (NodeId v = 0; v < n; ++v) {
-    primary_.grid().ForEachInDisk(positions_[v], config_.pcr, [&](pu::PuId p) {
-      agents_[v].nearby_pus.push_back(p);
-      if (pu_mask_words_ > 0) {
-        agent_pu_mask_[static_cast<std::size_t>(v) * pu_mask_words_ +
-                       (static_cast<std::size_t>(p) >> 6)] |=
-            std::uint64_t{1} << (p & 63);
-      }
-    });
+    nearby_pu_begin_.push_back(static_cast<std::int32_t>(nearby_pus_.size()));
+    primary_.grid().ForEachInDisk(positions_[v], config_.pcr,
+                                  [&](pu::PuId p) { nearby_pus_.push_back(p); });
     agents_[v].expiry_timer.Bind(simulator_, sim::EventPriority::kTimerExpiry,
                                  "mac.backoff_expiry", v,
                                  [this, v] { OnBackoffExpired(v); });
@@ -137,6 +124,7 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
                                "mac.post_tx_wait", v,
                                [this, v] { OnPostTxWaitDone(v); });
   }
+  nearby_pu_begin_.push_back(static_cast<std::int32_t>(nearby_pus_.size()));
 }
 
 void CollectionMac::StartCollection(const std::vector<NodeId>& producers) {
@@ -390,23 +378,16 @@ void CollectionMac::UpdateFreezeState(NodeId node) {
   }
 }
 
-bool CollectionMac::ComputePuBusy(NodeId node) const {
-  if (pu_mask_words_ > 0) {
-    // Dense path: intersect this node's static "PUs near me" mask row with
-    // the slot's activity mask. A handful of unconditional word ops beats
-    // the early-exit id scan, whose data-dependent branch mispredicts ~every
-    // slot at moderate p_t. Same truth value, so behavior is bit-identical.
-    const std::uint64_t* row = agent_pu_mask_.data() +
-                               static_cast<std::size_t>(node) * pu_mask_words_;
-    const std::uint64_t* act = primary_.activity_mask().data();
-    std::uint64_t hit = 0;
-    for (std::size_t w = 0; w < pu_mask_words_; ++w) hit |= row[w] & act[w];
-    return hit != 0;
+bool CollectionMac::ComputePuBusy(NodeId node) {
+  PuSense& sense = pu_sense_[node];
+  if (sense.epoch != primary_.window_epoch()) {
+    std::uint64_t word = 0;
+    for (std::int32_t i = nearby_pu_begin_[node]; i < nearby_pu_begin_[node + 1]; ++i) {
+      word |= primary_.window_word(nearby_pus_[static_cast<std::size_t>(i)]);
+    }
+    sense = {word, primary_.window_epoch()};
   }
-  for (pu::PuId p : agents_[node].nearby_pus) {
-    if (primary_.IsActive(p)) return true;
-  }
-  return false;
+  return ((sense.word >> primary_.window_slot()) & 1) != 0;
 }
 
 bool CollectionMac::SensePuBusy(NodeId node) {
@@ -774,7 +755,13 @@ void CollectionMac::OnSlotBoundary() {
     simulator_.Stop();
     return;
   }
-  primary_.ResampleSlot(activity_);
+  // The window draws no slot past the horizon: boundaries at or past
+  // max_sim_time stop the run above. Far from it, skip the division.
+  const sim::TimeNs left = config_.max_sim_time - now;
+  primary_.ResampleSlot(activity_,
+                        left / pu::PrimaryNetwork::kWindowSlots >= config_.slot
+                            ? pu::PrimaryNetwork::kWindowSlots
+                            : (left - 1) / config_.slot + 1);
   field_.NotePuSample(primary_.activity_mask());
   ++slot_index_;
   slot_start_time_ = now;
@@ -940,9 +927,9 @@ void CollectionMac::Transfer(Self& self, Ar& ar) {
   if (!ar.BeginSection("mac")) return;
   const std::int32_t n = self.node_count();
   ar.Io(self.backoff_rng_);
-  // The serial generator at the consumed position, not the lookahead: the
-  // blob must not depend on how far the stream has drawn ahead.
-  Rng activity = self.activity_.State();
+  // The serial generator after the current slot, not the lookahead: the
+  // blob must not depend on how far the window and the stream drew ahead.
+  Rng activity = self.primary_.ConsumedState(self.activity_);
   ar.Io(activity);
   ar.Io(self.audit_rng_);
   ar.Io(self.sensing_rng_);

@@ -229,6 +229,11 @@ class CollectionMac {
   // hop must be live and must not create a routing cycle.
   void UpdateNextHop(NodeId node, NodeId next_hop);
 
+  // Ground truth: whether any PU inside the node's PCR transmits in the
+  // current slot. One shift of the OR of its nearby PUs' activity-window
+  // words (pu/primary_network.h), which it caches for the window.
+  [[nodiscard]] bool ComputePuBusy(NodeId node);
+
   // Swaps the detector error rates mid-run (sensing-error burst faults).
   // Takes effect from the next sensing decision; both must be in [0, 1].
   void SetSensingErrorRates(double false_alarm, double missed_detection);
@@ -286,7 +291,6 @@ class CollectionMac {
     sim::TimeNs resume_time = 0;
     sim::Timer expiry_timer;  // fires OnBackoffExpired(node)
     sim::Timer wait_timer;    // fires OnPostTxWaitDone(node)
-    std::vector<pu::PuId> nearby_pus;  // PUs within the PCR (static)
     // Consecutive failed attempts while the next hop was failed; reset by
     // any success or route repair (dead_hop_retx_budget).
     std::int32_t dead_hop_failures = 0;
@@ -341,8 +345,6 @@ class CollectionMac {
   void UpdateFreezeState(NodeId node);        // after busy flags changed
   void OnBackoffExpired(NodeId node);
   void OnPostTxWaitDone(NodeId node);
-  // Ground truth: any PU inside the PCR currently transmitting.
-  [[nodiscard]] bool ComputePuBusy(NodeId node) const;
   // What the detector reports: ground truth filtered through the
   // false-alarm / missed-detection probabilities.
   [[nodiscard]] bool SensePuBusy(NodeId node);
@@ -403,14 +405,16 @@ class CollectionMac {
   std::vector<std::uint8_t> agent_frozen_;
   std::vector<std::uint8_t> agent_pu_busy_;
   std::vector<std::int32_t> agent_su_busy_;
-  // Per-agent "PUs within my PCR" as bitmasks over PU ids, flattened
-  // (pu_mask_words_ words per agent). ComputePuBusy intersects an agent's
-  // row with PrimaryNetwork::activity_mask() — branch-free, no early-exit
-  // mispredicts — instead of walking Agent::nearby_pus. Built only while
-  // the PU population is small enough (kDensePuSenseWordsMax) that a row
-  // stays a few cache lines; empty otherwise, falling back to the id scan.
-  std::size_t pu_mask_words_ = 0;
-  std::vector<std::uint64_t> agent_pu_mask_;
+  // The PUs within each agent's PCR (static; agent v's run is
+  // nearby_pus_[nearby_pu_begin_[v], nearby_pu_begin_[v + 1])), and the OR
+  // of their activity-window words, cached for the window it was built in.
+  std::vector<std::int32_t> nearby_pu_begin_;
+  std::vector<pu::PuId> nearby_pus_;
+  struct PuSense {
+    std::uint64_t word = 0;
+    std::uint64_t epoch = ~std::uint64_t{0};  // PrimaryNetwork::window_epoch()
+  };
+  std::vector<PuSense> pu_sense_;
   std::vector<char> failed_;
   // Sensing set: nodes currently in kContending, as both an iterable list
   // (slot-boundary PU refresh) and a spatial grid (tx start/stop

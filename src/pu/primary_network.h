@@ -11,12 +11,14 @@
 #ifndef CRN_PU_PRIMARY_NETWORK_H_
 #define CRN_PU_PRIMARY_NETWORK_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "geom/spatial_grid.h"
 #include "geom/vec2.h"
+#include "pu/activity_stream.h"
 #include "sim/time.h"
 
 namespace crn::sim {
@@ -25,8 +27,6 @@ class StateWriter;
 }  // namespace crn::sim
 
 namespace crn::pu {
-
-class ActivityStream;
 
 using PuId = std::int32_t;
 
@@ -80,18 +80,47 @@ class PrimaryNetwork {
 
   // Re-samples every PU's activity for the slot starting now. Activity
   // randomness comes from `rng` (a dedicated stream owned by the caller),
-  // one serial draw at a time.
+  // one serial draw at a time. The window (below) becomes this one slot.
   void ResampleSlot(Rng& rng);
-  // The same slot drawn from a lookahead stream (pu/activity_stream.h): the
-  // same draws in the same order, so the activity and the stream's State()
-  // match ResampleSlot(Rng&) bit for bit.
-  void ResampleSlot(ActivityStream& stream);
+  // The same slot read from the activity window, which draws from the
+  // lookahead stream (pu/activity_stream.h) up to kWindowSlots slots at a
+  // time: the same draws in the same order, so every slot's activity
+  // matches ResampleSlot(Rng&) bit for bit, and ConsumedState(stream) is
+  // the serial generator after this slot. `slots_left` counts the slots the
+  // caller can still sample, this one included; the window draws no slot
+  // beyond them. A network reads one stream for its whole life.
+  void ResampleSlot(ActivityStream& stream, std::int64_t slots_left = kWindowSlots);
 
   // Fault-injection hook (PU activity perturbation): replaces the per-slot
   // activity p_t from the next ResampleSlot() on. Pass the original value
   // back to end the perturbation window. Markov burst lengths are kept; only
-  // the stationary target moves.
+  // the stationary target moves. Window slots drawn ahead with the old
+  // target are dropped: the next ResampleSlot rewinds the stream to them
+  // and redraws.
   void OverrideActivity(double activity);
+
+  // --- the activity window ---------------------------------------------
+  // ResampleSlot(ActivityStream&) draws up to kWindowSlots slots at once and
+  // hands them out one per call. The window is kept in two layouts: one
+  // activity mask per slot (copied into activity_mask() when its slot
+  // starts) and one word per PU, bit s of window_word(p) saying whether p is
+  // active in window slot s, built with 64×64 bit transposes. Carrier
+  // sensing reads the PU-major words: an SU ORs its nearby PUs' words once
+  // per window (window_epoch() changes whenever the words do) and shifts
+  // the result by window_slot() in every slot of it.
+  // A window of one slot (after ResampleSlot(Rng&), a load, or before the
+  // first slot) reads its words off the activity mask.
+  static constexpr std::int32_t kWindowSlots = 64;
+  [[nodiscard]] std::uint64_t window_word(PuId id) const {
+    return window_from_stream_ ? pu_words_[id] : (IsActive(id) ? 1 : 0);
+  }
+  // The current slot's bit in the window words.
+  [[nodiscard]] std::int32_t window_slot() const { return window_pos_ - 1; }
+  [[nodiscard]] std::uint64_t window_epoch() const { return window_epoch_; }
+  // The serial generator after the current slot: what `stream` (the one
+  // ResampleSlot reads) would hold had it drawn no slot ahead. Checkpoints
+  // record this, so a blob does not depend on the window.
+  [[nodiscard]] Rng ConsumedState(const ActivityStream& stream) const;
 
   [[nodiscard]] bool IsActive(PuId id) const {
     return ((activity_mask_[static_cast<std::size_t>(id) >> 6] >> (id & 63)) & 1) != 0;
@@ -100,10 +129,7 @@ class PrimaryNetwork {
   // Active PU ids in ascending order. Built on the first call in a slot:
   // the slot boundary itself only needs the mask and the count.
   [[nodiscard]] const std::vector<PuId>& active_transmitters() const;
-  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words;
-  // the only record of which PUs are active. Carrier-sensing hot loops
-  // intersect it with precomputed "PUs near me" masks instead of walking id
-  // lists (collection_mac.cc).
+  // Per-slot activity as a bitmask (bit id = IsActive(id)), ⌈N/64⌉ words.
   [[nodiscard]] const std::vector<std::uint64_t>& activity_mask() const {
     return activity_mask_;
   }
@@ -125,7 +151,9 @@ class PrimaryNetwork {
   // state, receiver draws, cumulative counters, and the (possibly
   // fault-overridden) activity target. Positions and the spatial grid are
   // not serialized — the restore path reconstructs the network from the
-  // scenario first, then loads this state on top.
+  // scenario first, then loads this state on top. The window is not saved
+  // either: a load leaves the loaded slot as a one-slot window, and the
+  // next ResampleSlot draws from the restored stream.
   void SaveState(sim::StateWriter& writer) const;
   void LoadState(sim::StateReader& reader);
 
@@ -133,17 +161,36 @@ class PrimaryNetwork {
   template <class Self, class Ar>
   static void Transfer(Self& self, Ar& ar);
 
-  // One slot of the activity process, drawing through `draws` (the serial
-  // generator or the lookahead stream; see primary_network.cc).
-  template <typename Draws>
-  void Resample(Draws& draws);
+  // Draws the next `slots` slots into the window and transposes them.
+  void DrawWindow(ActivityStream& stream, std::int32_t slots);
+  // The stream position after the current slot of a window drawn from it.
+  [[nodiscard]] ActivityStream::Cursor ConsumedCursor() const;
+  // Makes the current mask a one-slot window (serial draws and loads),
+  // whose words window_word() reads off the mask.
+  void SetSingleSlotWindow();
   // Recounts the mask and invalidates the active list.
   void NoteMaskChanged();
+  // Books the slot now in activity_mask_.
+  void CountSlot();
 
   PrimaryConfig config_;
   std::vector<geom::Vec2> positions_;
   geom::SpatialGrid grid_;
   std::vector<std::uint64_t> activity_mask_;
+  // The window: window_len_ slots drawn, window_pos_ of them handed out.
+  // For windows drawn from a stream (allocated by the first): rows_ holds
+  // kWindowSlots masks of ⌈N/64⌉ words and pu_words_ the PU-major words.
+  // Window slot s starts window_draws_[s] draws past the stream position
+  // window_start_ (window_draws_[window_len_]: after the last slot).
+  std::vector<std::uint64_t> rows_;
+  std::vector<std::uint64_t> pu_words_;
+  ActivityStream::Cursor window_start_;
+  std::array<std::int64_t, kWindowSlots + 1> window_draws_{};
+  std::int32_t window_len_ = 1;
+  std::int32_t window_pos_ = 1;
+  std::uint64_t window_epoch_ = 0;
+  bool window_from_stream_ = false;
+  bool redraw_ = false;  // OverrideActivity since the window was drawn
   std::int32_t active_count_ = 0;
   mutable std::vector<PuId> active_list_;
   mutable bool active_list_valid_ = true;

@@ -1,20 +1,26 @@
-// The lookahead activity stream against its oracle, the serial
-// PrimaryNetwork::ResampleSlot(Rng&): after every slot both networks must
-// hold the same activity mask, and the stream's State() must equal the
-// serial generator, across block boundaries, activity extremes, the Markov
-// chain, mid-block overrides and every kernel width this host can run.
+// The lookahead activity stream and the activity window against their
+// oracle, the serial PrimaryNetwork::ResampleSlot(Rng&): after every slot
+// both networks must hold the same activity mask, the window's PU-major
+// words must carry the same bits, and the consumed generator state must
+// equal the serial generator, across block and window boundaries, activity
+// extremes, the Markov chain, overrides at every window offset, checkpoints
+// at every window offset, the horizon, and every kernel width this host
+// can run.
 #include "pu/activity_stream.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "pu/primary_network.h"
+#include "sim/checkpoint.h"
 
 namespace crn::pu {
 namespace {
@@ -38,12 +44,16 @@ PrimaryConfig MarkovConfig(std::int32_t count, double activity, double burst) {
   return config;
 }
 
+constexpr std::int64_t kWindow = PrimaryNetwork::kWindowSlots;
+
 // Enough slots at about `draws_per_slot` draws to cross three block
-// boundaries, with a block to spare for estimated draw counts.
+// boundaries, with a block to spare for estimated draw counts, and three
+// window boundaries.
 std::int64_t SlotsForThreeBlocks(double draws_per_slot) {
-  return static_cast<std::int64_t>(
-             std::ceil(4.0 * ActivityStream::kBlockDraws / draws_per_slot)) +
-         1;
+  return std::max<std::int64_t>(
+      static_cast<std::int64_t>(
+          std::ceil(4.0 * ActivityStream::kBlockDraws / draws_per_slot)) + 1,
+      3 * kWindow + 1);
 }
 
 ::testing::AssertionResult SameState(const Rng& serial, const Rng& streamed) {
@@ -57,9 +67,46 @@ std::int64_t SlotsForThreeBlocks(double draws_per_slot) {
   return ::testing::AssertionSuccess();
 }
 
+// The current slot as the window's PU-major words carry it, against the
+// oracle's activity.
+::testing::AssertionResult SameWindowBits(const PrimaryNetwork& oracle,
+                                          const PrimaryNetwork& windowed) {
+  const std::int32_t bit = windowed.window_slot();
+  if (bit < 0 || bit >= kWindow) {
+    return ::testing::AssertionFailure() << "window slot " << bit;
+  }
+  for (PuId id = 0; id < oracle.count(); ++id) {
+    const bool active = ((windowed.window_word(id) >> bit) & 1) != 0;
+    if (active != oracle.IsActive(id)) {
+      return ::testing::AssertionFailure()
+             << "PU " << id << " at window slot " << bit << ": word says " << active;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Expects `windowed` to hold the slot `serial` (drawn through `rng`) holds.
+::testing::AssertionResult SameSlot(const PrimaryNetwork& serial, const Rng& rng,
+                                    const PrimaryNetwork& windowed,
+                                    const ActivityStream& stream) {
+  if (serial.activity_mask() != windowed.activity_mask()) {
+    return ::testing::AssertionFailure() << "activity masks differ";
+  }
+  if (serial.active_count() != windowed.active_count()) {
+    return ::testing::AssertionFailure() << "active counts differ";
+  }
+  if (serial.slots_sampled() != windowed.slots_sampled() ||
+      serial.activations_total() != windowed.activations_total()) {
+    return ::testing::AssertionFailure() << "slot counters differ";
+  }
+  const ::testing::AssertionResult words = SameWindowBits(serial, windowed);
+  if (!words) return words;
+  return SameState(rng, windowed.ConsumedState(stream));
+}
+
 // Runs `slots` slots through the serial oracle and a stream of kernel width
 // `width`, calling `before_slot` (if any) ahead of each, and expects equal
-// masks, counts and generator states after every slot.
+// masks, counts, window bits and generator states after every slot.
 void ExpectMatchesSerial(const PrimaryConfig& config, std::int64_t slots,
                          int width = ActivityStream::BestWidth(),
                          const BeforeSlot& before_slot = nullptr) {
@@ -72,9 +119,11 @@ void ExpectMatchesSerial(const PrimaryConfig& config, std::int64_t slots,
     if (before_slot) before_slot(slot, serial, streamed);
     serial.ResampleSlot(rng);
     streamed.ResampleSlot(stream);
-    ASSERT_EQ(serial.activity_mask(), streamed.activity_mask()) << "slot " << slot;
-    ASSERT_EQ(serial.active_count(), streamed.active_count()) << "slot " << slot;
-    ASSERT_TRUE(SameState(rng, stream.State())) << "slot " << slot;
+    ASSERT_TRUE(SameSlot(serial, rng, streamed, stream)) << "slot " << slot;
+    // Without overrides the windows tile the run.
+    if (!before_slot) {
+      ASSERT_EQ(streamed.window_slot(), slot % kWindow);
+    }
   }
   EXPECT_EQ(serial.activations_total(), streamed.activations_total());
   EXPECT_EQ(serial.active_transmitters(), streamed.active_transmitters());
@@ -197,6 +246,143 @@ TEST(ActivityStreamTest, RestoreMidBlockContinuesTheSequence) {
     ASSERT_EQ(expected, got) << "slot " << i;
     for (int draw = 0; draw < 100; ++draw) serial();
     ASSERT_TRUE(SameState(serial, resumed.State())) << "slot " << i;
+  }
+}
+
+TEST(ActivityStreamTest, SeekReplaysTheDrawsAfterTheCursor) {
+  const std::uint64_t low = Rng::BernoulliThreshold(0.3);
+  const std::uint64_t high = Rng::BernoulliThreshold(0.6);
+  ActivityStream stream(Rng(11));
+  stream.SetThresholds(low, low);
+  std::vector<std::uint64_t> first(2);
+  std::vector<std::uint64_t> again(2);
+  // Cursors mid-block, on a block's first draw and before the first block.
+  for (const std::int32_t skip : {0, 1, 37, ActivityStream::kBlockDraws / 100}) {
+    SCOPED_TRACE(::testing::Message() << "skip " << skip);
+    for (std::int32_t i = 0; i < skip; ++i) stream.Take(100, first.data());
+    const ActivityStream::Cursor cursor = stream.Tell();
+    const Rng at = stream.State();
+    EXPECT_TRUE(SameState(at, ActivityStream::StateAt(cursor)));
+    std::vector<std::vector<std::uint64_t>> taken;
+    for (int i = 0; i < 300; ++i) {
+      stream.Take(100, first.data());
+      taken.push_back(first);
+    }
+    stream.Seek(cursor);
+    EXPECT_TRUE(SameState(at, stream.State()));
+    for (int i = 0; i < 300; ++i) {
+      stream.Take(100, again.data());
+      ASSERT_EQ(again, taken[static_cast<std::size_t>(i)]) << "slot " << i;
+    }
+    // A new threshold after the seek applies to every replayed draw.
+    stream.Seek(cursor);
+    stream.SetThresholds(high, high);
+    Rng serial = at;
+    for (int i = 0; i < 300; ++i) {
+      stream.Take(100, again.data());
+      for (std::int32_t bit = 0; bit < 100; ++bit) {
+        const bool expected = (serial() >> 11) < high;
+        ASSERT_EQ(((again[bit >> 6] >> (bit & 63)) & 1) != 0, expected)
+            << "slot " << i << " bit " << bit;
+      }
+    }
+    stream.SetThresholds(low, low);
+  }
+}
+
+TEST(ActivityWindowTest, LargePopulationsCrossThreeWindows) {
+  // N = 1,100 and 2,000: eighteen and thirty-two transposed words per slot.
+  for (const std::int32_t count : {1100, 2000}) {
+    SCOPED_TRACE(::testing::Message() << "N=" << count);
+    ExpectMatchesSerial(Config(count, 0.3), 3 * kWindow + 5);
+    ExpectMatchesSerial(MarkovConfig(count, 0.3, 4.0), 3 * kWindow + 5);
+  }
+}
+
+TEST(ActivityWindowTest, OverrideAtEveryWindowOffsetRedraws) {
+  // The override lands before the slot at offset k of the third window, so
+  // the 64 − k slots drawn ahead with the old target are redrawn (k = 0:
+  // none are drawn yet); the second override, four slots later, lands
+  // inside the window drawn after the first.
+  for (std::int64_t k = 0; k < kWindow; ++k) {
+    SCOPED_TRACE(::testing::Message() << "offset " << k);
+    const std::int64_t at = 2 * kWindow + k;
+    const BeforeSlot overrides = [at](std::int64_t slot, PrimaryNetwork& serial,
+                                      PrimaryNetwork& streamed) {
+      double activity = -1.0;
+      if (slot == at) activity = 0.45;
+      if (slot == at + 4) activity = 0.2;
+      if (activity < 0.0) return;
+      serial.OverrideActivity(activity);
+      streamed.OverrideActivity(activity);
+    };
+    ExpectMatchesSerial(Config(100, 0.3), 4 * kWindow, ActivityStream::BestWidth(),
+                        overrides);
+    ExpectMatchesSerial(MarkovConfig(100, 0.3, 1.0), 4 * kWindow,
+                        ActivityStream::BestWidth(), overrides);
+  }
+}
+
+TEST(ActivityWindowTest, CheckpointAtEveryWindowOffsetResumes) {
+  // At each offset of the second window: save the network, load it into a
+  // fresh one, restore a stream from ConsumedState, and run both past the
+  // next window boundary against the serial oracle.
+  const Aabb area = Aabb::Square(100.0);
+  for (const PrimaryConfig& config : {Config(100, 0.3), MarkovConfig(100, 0.3, 4.0)}) {
+    SCOPED_TRACE(::testing::Message() << ToString(config.process));
+    PrimaryNetwork serial(config, area, Rng(17));
+    PrimaryNetwork streamed(config, area, Rng(17));
+    Rng rng(0xAC7u);
+    ActivityStream stream(rng);
+    for (std::int64_t slot = 0; slot < 2 * kWindow; ++slot) {
+      serial.ResampleSlot(rng);
+      streamed.ResampleSlot(stream);
+      ASSERT_TRUE(SameSlot(serial, rng, streamed, stream)) << "slot " << slot;
+      if (slot < kWindow) continue;
+      SCOPED_TRACE(::testing::Message() << "offset " << streamed.window_slot());
+
+      sim::StateWriter writer;
+      streamed.SaveState(writer);
+      const std::string blob = writer.Finish();
+      sim::StateReader reader(blob);
+      PrimaryNetwork resumed(config, area, Rng(17));
+      resumed.LoadState(reader);
+      ASSERT_TRUE(reader.ok()) << reader.error();
+      ActivityStream restored(Rng(1));
+      restored.Restore(streamed.ConsumedState(stream));
+      ASSERT_TRUE(SameWindowBits(serial, resumed));
+
+      PrimaryNetwork oracle = serial;
+      Rng replay = rng;
+      for (std::int64_t next = 0; next < kWindow + 2; ++next) {
+        oracle.ResampleSlot(replay);
+        resumed.ResampleSlot(restored);
+        ASSERT_TRUE(SameSlot(oracle, replay, resumed, restored)) << "slot +" << next;
+      }
+    }
+  }
+}
+
+TEST(ActivityWindowTest, DrawsNoSlotPastTheHorizon) {
+  // Every draw the stream hands out must belong to a slot the run samples:
+  // after the last slot the stream stands exactly where the serial
+  // generator does.
+  const Aabb area = Aabb::Square(100.0);
+  for (const PrimaryConfig& config : {Config(100, 0.3), MarkovConfig(100, 0.3, 4.0)}) {
+    for (const std::int64_t horizon : {1, 5, 63, 64, 65, 130}) {
+      SCOPED_TRACE(::testing::Message()
+                   << ToString(config.process) << ", " << horizon << " slots");
+      PrimaryNetwork serial(config, area, Rng(17));
+      PrimaryNetwork streamed(config, area, Rng(17));
+      Rng rng(0xAC7u);
+      ActivityStream stream(rng);
+      for (std::int64_t slot = 0; slot < horizon; ++slot) {
+        serial.ResampleSlot(rng);
+        streamed.ResampleSlot(stream, horizon - slot);
+        ASSERT_TRUE(SameSlot(serial, rng, streamed, stream)) << "slot " << slot;
+      }
+      EXPECT_TRUE(SameState(rng, stream.State()));
+    }
   }
 }
 
