@@ -676,7 +676,8 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
     from = static_cast<std::size_t>(tx.itf_count);
     ++work.su_resumes;
   } else {
-    interference = field_.PuInterference(rx, primary_.active_transmitters());
+    interference = field_.PuInterference(rx, primary_.active_transmitters(),
+                                         primary_.activity_mask());
   }
   for (std::size_t i = from; i < active_tx_.size(); ++i) {
     const Transmission& other = active_tx_[i];
