@@ -100,12 +100,15 @@ struct FaultPlan {
 //   option repair_delay_ms <ms>
 //   option retx_budget <k>
 //
-// Returns false and fills `error` (with a line number) on malformed input.
+// Returns false and fills `error` (with a line and column) on malformed
+// input. Besides syntax, it rejects non-finite numbers, ms values whose
+// nanoseconds do not fit in int64, and rates above 1e9 /s (a mean gap below
+// the 1 ns clock).
 bool ParsePlanText(const std::string& text, FaultPlan& plan, std::string& error);
 
-// ParsePlanText over the contents of `path`; CRN_CHECK-fails if the file
-// cannot be read or does not parse.
-FaultPlan LoadPlanFile(const std::string& path);
+// ParsePlanText over the contents of `path`. Returns false and fills
+// `error` (naming the file) if it cannot be read or does not parse.
+bool LoadPlanFile(const std::string& path, FaultPlan& plan, std::string& error);
 
 // Expands generators and merges them with the scripted events into one
 // timeline sorted by (time, kind, node). Deterministic in (plan, rng seed):

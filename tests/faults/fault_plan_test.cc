@@ -3,6 +3,7 @@
 // whole resilience suite rests on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,67 @@ TEST(FaultPlanParseTest, ErrorsCarryTheColumnOfTheOffendingToken) {
     const std::string error = ParseError(test_case.text);
     EXPECT_NE(error.find(test_case.location), std::string::npos)
         << "plan <" << test_case.text << "> produced: " << error;
+  }
+}
+
+// Numbers that parse but cannot become a plan: non-finite values, ms
+// counts whose nanoseconds overflow the int64 clock, and Poisson rates
+// whose mean gap is below the 1 ns tick (their arrival loop would round
+// every gap to 0 ns and never advance). Each fails at its own column.
+TEST(FaultPlanParseTest, RejectsNumbersTheClockCannotHold) {
+  const struct {
+    const char* text;
+    const char* location;
+    const char* reason;
+  } cases[] = {
+      {"option repair_delay_ms 1e400\n", "line 1, column 24", "not a finite number"},
+      {"at inf crash 3\n", "line 1, column 4", "not a finite number"},
+      {"at nan crash 3\n", "line 1, column 4", "not a finite number"},
+      {"gen sensing_burst 4 nan 0.1 50\n", "line 1, column 21", "not a finite number"},
+      {"gen crash 2 -inf\n", "line 1, column 13", "not a finite number"},
+      {"option horizon_ms 9223372036855\n", "line 1, column 19", "do not fit in int64"},
+      {"at 1e13 crash 3\n", "line 1, column 4", "do not fit in int64"},
+      {"at 5 sensing_burst 0 0 -1e16\n", "line 1, column 24", "do not fit in int64"},
+      {"at 5 pu_activity 0.5 1e16\n", "line 1, column 22", "do not fit in int64"},
+      {"gen crash 1 1e16\n", "line 1, column 13", "do not fit in int64"},
+      {"gen crash 99999999999999999999 1\n", "line 1, column 11", "<= 1e9 /s"},
+      {"gen sensing_burst 1.0000001e9 0 0 5\n", "line 1, column 19", "<= 1e9 /s"},
+  };
+  for (const auto& test_case : cases) {
+    const std::string error = ParseError(test_case.text);
+    EXPECT_NE(error.find(test_case.location), std::string::npos)
+        << "plan <" << test_case.text << "> produced: " << error;
+    EXPECT_NE(error.find(test_case.reason), std::string::npos)
+        << "plan <" << test_case.text << "> produced: " << error;
+  }
+  // The limits themselves are accepted.
+  const FaultPlan edge = Parse(
+      "option horizon_ms 9223372036854\n"
+      "gen crash 1e9 -1e12\n");
+  EXPECT_GT(edge.horizon, 9223372036853 * sim::kMillisecond);
+  EXPECT_DOUBLE_EQ(edge.crash_generators[0].rate_per_s, 1e9);
+}
+
+// Times that each fit but whose sum would not saturate at the end of the
+// clock, where nothing fires, instead of overflowing.
+TEST(FaultPlanParseTest, EventEndsPastTheClockSaturate) {
+  const FaultPlan plan = Parse("at 9000000000000 sensing_burst 0.1 0.1 9000000000000\n");
+  ASSERT_EQ(plan.scripted.size(), 2u);
+  EXPECT_EQ(plan.scripted[1].time, std::numeric_limits<sim::TimeNs>::max());
+}
+
+// A rate so small that its first gap overflows the clock compiles to no
+// arrivals; the fastest accepted rate still reaches its horizon.
+TEST(CompileTimelineTest, ExtremeRatesCompile) {
+  const FaultPlan slow = Parse("gen crash 1e-300 -1\n");
+  EXPECT_TRUE(CompileFaultTimeline(slow, Rng(7), 10, 0).empty());
+  const FaultPlan fast = Parse("gen sensing_burst 1e9 0 0 1\noption horizon_ms 0.001\n");
+  const auto timeline = CompileFaultTimeline(fast, Rng(7), 10, 0);
+  ASSERT_FALSE(timeline.empty());
+  for (const FaultEvent& event : timeline) {
+    if (event.kind == FaultKind::kSensingBurstStart) {
+      EXPECT_LT(event.time, 1000);
+    }
   }
 }
 

@@ -241,7 +241,11 @@ int main(int argc, char** argv) {
   }
 
   faults::FaultPlan fault_plan;
-  if (!faults_path.empty()) fault_plan = faults::LoadPlanFile(faults_path);
+  if (std::string error;
+      !faults_path.empty() && !faults::LoadPlanFile(faults_path, fault_plan, error)) {
+    std::cerr << "error: " << error << "\n";
+    return 2;
+  }
 
   if (csv) {
     std::cout << "algorithm,completed,delay_ms,capacity_fraction,avg_hops,jain,"
