@@ -229,43 +229,10 @@ TEST(CheckpointResumeTest, RestoreRejectsMismatchedAttachments) {
                ContractViolation);
 }
 
-// Where one section's CRC and payload sit in a CRNCKPT1 blob: magic (8),
-// version (4), section count (4), then per section name length (4), name,
-// payload length (8), CRC (4), payload.
-struct SectionAt {
-  std::size_t crc = 0;
-  std::size_t payload = 0;
-  std::size_t size = 0;
-};
-
-std::uint64_t LoadLe(const std::string& blob, std::size_t at, int bytes) {
-  std::uint64_t value = 0;
-  for (int i = bytes - 1; i >= 0; --i) {
-    value = (value << 8U) | static_cast<std::uint8_t>(blob.at(at + static_cast<std::size_t>(i)));
-  }
-  return value;
-}
-
 void StoreLe(std::string& blob, std::size_t at, std::uint32_t value) {
   for (std::size_t i = 0; i < 4; ++i) {
     blob[at + i] = static_cast<char>((value >> (8U * i)) & 0xFFU);
   }
-}
-
-SectionAt FindSection(const std::string& blob, std::string_view name) {
-  std::size_t pos = 12;
-  const std::uint64_t count = LoadLe(blob, pos, 4);
-  pos += 4;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t name_length = LoadLe(blob, pos, 4);
-    const std::string_view section(blob.data() + pos + 4, name_length);
-    pos += 4 + name_length;
-    SectionAt at{pos + 8, pos + 12, LoadLe(blob, pos, 8)};
-    if (section == name) return at;
-    pos = at.payload + at.size;
-  }
-  ADD_FAILURE() << "no section '" << name << "'";
-  return {};
 }
 
 // Overwrites the u32 at `offset` in `section`'s payload and re-seals the
