@@ -1,6 +1,7 @@
 #include "core/theory.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "geom/packing.h"
@@ -35,9 +36,22 @@ double SpectrumOpportunityProbability(double pcr, std::int64_t num_pus,
   return std::pow(1.0 - pu_activity, expected_pus_in_pcr);
 }
 
+namespace {
+
+constexpr sim::TimeNs kEndOfClock = std::numeric_limits<sim::TimeNs>::max();
+
+// A wait of `ns` nanoseconds as TimeNs. A vanishing p_o (dense, busy PUs)
+// makes it pass the int64 clock, where it saturates: converting such a
+// double is undefined behaviour.
+sim::TimeNs SaturatingNs(double ns) {
+  return ns < 0x1p63 ? static_cast<sim::TimeNs>(ns) : kEndOfClock;
+}
+
+}  // namespace
+
 sim::TimeNs ExpectedOpportunityWait(sim::TimeNs slot, double p_o) {
   CRN_CHECK(p_o > 0.0) << "an SU needs a positive spectrum-access probability";
-  return static_cast<sim::TimeNs>(static_cast<double>(slot) / p_o);
+  return SaturatingNs(static_cast<double>(slot) / p_o);
 }
 
 namespace {
@@ -53,8 +67,7 @@ sim::TimeNs Theorem1ServiceBound(double delta, double kappa, sim::TimeNs slot,
                                  double p_o) {
   CRN_CHECK(delta >= 1.0);
   CRN_CHECK(p_o > 0.0);
-  return static_cast<sim::TimeNs>(ServiceSlots(delta, kappa) *
-                                  static_cast<double>(slot) / p_o);
+  return SaturatingNs(ServiceSlots(delta, kappa) * static_cast<double>(slot) / p_o);
 }
 
 sim::TimeNs Lemma8ServiceBound(double kappa, sim::TimeNs slot, double p_o) {
@@ -66,9 +79,11 @@ sim::TimeNs Theorem2DelayBound(std::int64_t num_sus, double delta,
                                sim::TimeNs slot, double p_o) {
   CRN_CHECK(num_sus > 0);
   CRN_CHECK(sink_degree >= 0 && sink_degree <= num_sus);
-  const double tail = static_cast<double>(num_sus - sink_degree);
-  return Theorem1ServiceBound(delta, kappa, slot, p_o) +
-         static_cast<sim::TimeNs>(tail) * Lemma8ServiceBound(kappa, slot, p_o);
+  const std::int64_t tail = num_sus - sink_degree;
+  const sim::TimeNs head = Theorem1ServiceBound(delta, kappa, slot, p_o);
+  const sim::TimeNs per_packet = Lemma8ServiceBound(kappa, slot, p_o);
+  if (per_packet > 0 && tail > (kEndOfClock - head) / per_packet) return kEndOfClock;
+  return head + tail * per_packet;
 }
 
 double Theorem2CapacityFraction(double kappa, double p_o) {

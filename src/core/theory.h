@@ -40,7 +40,8 @@ sim::TimeNs Lemma8ServiceBound(double kappa, sim::TimeNs slot, double p_o);
 
 // Theorem 2: total collection delay is bounded by
 //   Theorem1ServiceBound + (n − Δ_b)·Lemma8ServiceBound,
-// where Δ_b is the degree of the base station in the tree. Capacity is then
+// where Δ_b is the degree of the base station in the tree. These bounds
+// saturate at the largest TimeNs when p_o is too small for them to fit. Capacity is then
 // n·B/delay ≥ p_o·W/(2β_κ + 24β_{κ+1} − 1) — order-optimal since W is the
 // trivial upper bound.
 sim::TimeNs Theorem2DelayBound(std::int64_t num_sus, double delta,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "sim/time.h"
@@ -87,6 +88,21 @@ TEST(TheoryTest, Theorem2Composition) {
       Theorem1ServiceBound(10.0, kappa, sim::kMillisecond, p_o) +
       1985 * Lemma8ServiceBound(kappa, sim::kMillisecond, p_o);
   EXPECT_EQ(bound, expected);
+}
+
+// At N = 1,100 PUs in a 100 m square at p_t = 0.3, p_o is about 1e-32:
+// every bound passes the int64 clock and saturates there.
+TEST(TheoryTest, BoundsSaturateWhenPoVanishes) {
+  constexpr sim::TimeNs kMax = std::numeric_limits<sim::TimeNs>::max();
+  const double p_o = 1e-32;
+  EXPECT_EQ(ExpectedOpportunityWait(sim::kMillisecond, p_o), kMax);
+  EXPECT_EQ(Theorem1ServiceBound(10.0, 2.43, sim::kMillisecond, p_o), kMax);
+  EXPECT_EQ(Theorem2DelayBound(300, 10.0, 5, 2.43, sim::kMillisecond, p_o), kMax);
+  // Each hop fits but their sum does not: p_o ≈ 1e-8 with 2,000 SUs.
+  const sim::TimeNs per_packet = Lemma8ServiceBound(2.43, sim::kMillisecond, 1e-8);
+  ASSERT_LT(per_packet, kMax / 2);
+  ASSERT_GT(per_packet, kMax / 2000);
+  EXPECT_EQ(Theorem2DelayBound(2000, 10.0, 15, 2.43, sim::kMillisecond, 1e-8), kMax);
 }
 
 TEST(TheoryTest, Theorem2BoundGrowsLinearlyInN) {
