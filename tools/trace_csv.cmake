@@ -22,37 +22,12 @@ function(run_addc_sim out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
-# Zero-padded 8-digit lowercase hex of a 32-bit value.
-function(hex32 out_var value)
-  math(EXPR hex "${value}" OUTPUT_FORMAT HEXADECIMAL)
-  string(SUBSTRING "${hex}" 2 -1 hex)
-  string(LENGTH "${hex}" length)
-  math(EXPR pad "8 - ${length}")
-  if(pad GREATER 0)
-    string(REPEAT "0" ${pad} zeros)
-    set(hex "${zeros}${hex}")
-  endif()
-  set(${out_var} "${hex}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/fnv1a64.cmake)
 
 if(CHECK STREQUAL "pin")
   run_addc_sim(out --scale=0.05 --seed=41 --algorithm=addc --trace=${csv})
   file(SIZE "${csv}" size)
-  # FNV-1a 64 over the bytes, in two 32-bit halves so every product fits
-  # CMake's signed 64-bit arithmetic: h * (2^40 + 0x1b3) mod 2^64.
-  file(READ "${csv}" bytes HEX)
-  string(REGEX MATCHALL ".." bytes "${bytes}")
-  set(hi 3421674724)  # 0xcbf29ce4
-  set(lo 2216829733)  # 0x84222325
-  foreach(byte IN LISTS bytes)
-    math(EXPR lo "${lo} ^ 0x${byte}")
-    math(EXPR low_product "${lo} * 435")
-    math(EXPR hi "(${hi} * 435 + (${low_product} >> 32) + ((${lo} & 0xFFFFFF) << 8)) & 0xFFFFFFFF")
-    math(EXPR lo "${low_product} & 0xFFFFFFFF")
-  endforeach()
-  hex32(hi_hex ${hi})
-  hex32(lo_hex ${lo})
-  set(fnv "${hi_hex}${lo_hex}")
+  fnv1a64(fnv "${csv}")
   set(expected_size 17122)
   set(expected_fnv "ee3c0d0e5ff34b99")
   if(NOT size EQUAL expected_size OR NOT fnv STREQUAL expected_fnv)
