@@ -252,7 +252,7 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
   } else {
     // A restored run resumes mid-collection; LoadState replaced this.
-    mac.StartSnapshotCollection();
+    mac.StartSnapshotCollection(options.snapshot_interval, options.snapshot_count);
   }
 
   // Serializes the full run — every section a restored run reads above, in
@@ -401,6 +401,11 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     if (t >= 0) delivery_ms.push_back(sim::ToMilliseconds(t));
   }
   result.jain_delivery_fairness = JainIndex(delivery_ms);
+  for (const mac::CollectionMac::SnapshotTally& tally : mac.snapshots()) {
+    if (tally.finish >= 0 && tally.created >= 0) {
+      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(tally.finish - tally.created));
+    }
+  }
 
   result.pcr = sensing_range;
   result.kappa = scenario.kappa();
@@ -499,68 +504,27 @@ ComparisonResult RunComparison(const ScenarioConfig& config, std::uint64_t repet
 }
 
 ContinuousResult RunAddcContinuous(const Scenario& scenario, sim::TimeNs interval,
-                                   std::int32_t snapshot_count) {
-  const ScenarioConfig& config = scenario.config();
-  const graph::CdsTree& tree = scenario.collection_tree();
-  std::vector<graph::NodeId> next_hop(tree.node_count(), scenario.sink());
-  for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
-    next_hop[v] = v == scenario.sink() ? scenario.sink() : tree.parent(v);
-  }
+                                   std::int32_t snapshot_count, RunOptions options) {
+  options.snapshot_interval = interval;
+  options.snapshot_count = snapshot_count;
+  return SummarizeContinuous(RunAddc(scenario, options), interval, snapshot_count);
+}
 
-  sim::Simulator simulator;
-  pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
-  const mac::MacConfig mac_config =
-      MakeMacConfig(config, scenario.pcr(), RunOptions{});
-  mac::CollectionMac mac(simulator, primary, scenario.su_positions(),
-                         scenario.area(), scenario.sink(), next_hop, mac_config,
-                         scenario.MakeRunRng().Stream("mac"));
-  std::vector<graph::NodeId> producers;
-  for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
-    if (v != scenario.sink()) producers.push_back(v);
-  }
-  mac.StartContinuousCollection(producers, interval, snapshot_count);
-  simulator.Run();
-
+ContinuousResult SummarizeContinuous(CollectionResult run, sim::TimeNs interval,
+                                     std::int32_t snapshot_count) {
   ContinuousResult result;
-  result.aggregate.algorithm = "ADDC/continuous";
-  result.aggregate.mac = mac.stats();
-  result.aggregate.completed = mac.finished();
-  result.aggregate.delay_ms = sim::ToMilliseconds(result.aggregate.mac.finish_time);
-  if (result.aggregate.mac.finish_time > 0) {
-    result.aggregate.capacity_fraction =
-        static_cast<double>(result.aggregate.mac.delivered) *
-        static_cast<double>(config.slot) /
-        static_cast<double>(result.aggregate.mac.finish_time);
-  }
-  result.aggregate.pcr = scenario.pcr();
-  result.aggregate.kappa = scenario.kappa();
-  result.aggregate.theory_po = SpectrumOpportunityProbability(
-      scenario.pcr(), config.num_pus, config.area(), config.pu_activity);
-  result.aggregate.theorem2_capacity_fraction =
-      result.aggregate.theory_po > 0.0
-          ? Theorem2CapacityFraction(scenario.kappa(), result.aggregate.theory_po)
-          : 0.0;
-
-  for (std::int32_t k = 0; k < snapshot_count; ++k) {
-    const mac::CollectionMac::SnapshotTally& tally = mac.snapshots()[k];
-    if (tally.finish >= 0 && tally.created >= 0) {
-      result.snapshot_delay_ms.push_back(sim::ToMilliseconds(tally.finish - tally.created));
-    }
-  }
-  if (!result.snapshot_delay_ms.empty()) {
-    result.mean_snapshot_delay_ms =
-        Summarize(result.snapshot_delay_ms).mean;
-  }
+  result.aggregate = std::move(run);
+  result.aggregate.algorithm += "/continuous";
+  const std::vector<double>& delays = result.aggregate.snapshot_delay_ms;
+  if (!delays.empty()) result.mean_snapshot_delay_ms = Summarize(delays).mean;
   // Drift: compare the first and last third of completed rounds.
-  const auto completed = static_cast<std::int32_t>(result.snapshot_delay_ms.size());
+  const auto completed = static_cast<std::int32_t>(delays.size());
   if (completed >= 3) {
     const std::int32_t third = completed / 3;
     double head = 0.0;
     double tail = 0.0;
-    for (std::int32_t i = 0; i < third; ++i) head += result.snapshot_delay_ms[i];
-    for (std::int32_t i = completed - third; i < completed; ++i) {
-      tail += result.snapshot_delay_ms[i];
-    }
+    for (std::int32_t i = 0; i < third; ++i) head += delays[i];
+    for (std::int32_t i = completed - third; i < completed; ++i) tail += delays[i];
     head /= third;
     tail /= third;
     result.delay_drift_ms_per_round =

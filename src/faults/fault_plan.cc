@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <sstream>
 #include <vector>
@@ -308,6 +309,49 @@ struct PendingEvent {
 
 }  // namespace
 
+std::string CheckScriptedEvents(const FaultPlan& plan, graph::NodeId node_count,
+                                graph::NodeId sink) {
+  std::vector<std::size_t> order(plan.scripted.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const FaultEvent& x = plan.scripted[a];
+    const FaultEvent& y = plan.scripted[b];
+    return x.time != y.time ? x.time < y.time : x.kind < y.kind;
+  });
+  std::vector<char> down(static_cast<std::size_t>(std::max(node_count, 0)), 0);
+  for (const std::size_t index : order) {
+    const FaultEvent& event = plan.scripted[index];
+    const bool names_node =
+        event.kind == FaultKind::kCrash || event.kind == FaultKind::kRecover;
+    std::ostringstream error;
+    error << "fault plan event 'at " << sim::ToMilliseconds(event.time) << " ms "
+          << ToString(event.kind);
+    if (names_node) error << " " << event.node;
+    error << "': ";
+    if (event.time < 0) return error.str() + "time is negative";
+    if (!names_node) continue;
+    if (event.node < 0 || event.node >= node_count) {
+      error << "node " << event.node << " is out of range [0, " << node_count << ")";
+      return error.str();
+    }
+    if (event.node == sink) {
+      error << "the base station (node " << sink << ") cannot crash or recover";
+      return error.str();
+    }
+    char& is_down = down[static_cast<std::size_t>(event.node)];
+    if (event.kind == FaultKind::kCrash && is_down) {
+      error << "node " << event.node << " is already down";
+      return error.str();
+    }
+    if (event.kind == FaultKind::kRecover && !is_down) {
+      error << "node " << event.node << " is not down";
+      return error.str();
+    }
+    is_down = event.kind == FaultKind::kCrash ? 1 : 0;
+  }
+  return {};
+}
+
 std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
                                              graph::NodeId node_count,
                                              graph::NodeId sink) {
@@ -323,17 +367,9 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
     heap.push(PendingEvent{event, seq++, crash_generator});
   };
 
-  for (const FaultEvent& event : plan.scripted) {
-    CRN_CHECK(event.time >= 0) << "scripted fault at t=" << event.time << " ns";
-    if (event.kind == FaultKind::kCrash || event.kind == FaultKind::kRecover) {
-      CRN_CHECK(event.node >= 0 && event.node < node_count)
-          << "scripted " << ToString(event.kind) << " of node " << event.node
-          << ": out of range [0, " << node_count << ")";
-      CRN_CHECK(event.node != sink) << "the base station (node " << sink
-                                    << ") cannot crash";
-    }
-    push(event);
-  }
+  const std::string script_error = CheckScriptedEvents(plan, node_count, sink);
+  CRN_CHECK(script_error.empty()) << script_error;
+  for (const FaultEvent& event : plan.scripted) push(event);
 
   // Crash arrivals (victims resolved during the chronological scan below).
   for (std::size_t g = 0; g < plan.crash_generators.size(); ++g) {
@@ -379,7 +415,8 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
   }
 
   // Chronological scan: resolve generated crash victims against the live
-  // set, validate scripted crash/recover consistency, emit in pop order
+  // set, check scripted crashes/recoveries against the generated ones (the
+  // script alone was checked above), emit in pop order
   // (sorted by time, then kind, then insertion). The emitted timeline is
   // therefore already sorted the way the injector will schedule it.
   Rng victims = rng.Stream("fault-crash-victims");

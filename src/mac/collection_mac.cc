@@ -131,13 +131,15 @@ void CollectionMac::StartCollection(const std::vector<NodeId>& producers) {
   StartContinuousCollection(producers, config_.slot, /*snapshot_count=*/1);
 }
 
-void CollectionMac::StartSnapshotCollection() {
+void CollectionMac::StartSnapshotCollection(sim::TimeNs interval,
+                                            std::int32_t snapshot_count) {
   std::vector<NodeId> producers;
   producers.reserve(node_count() - 1);
   for (NodeId v = 0; v < node_count(); ++v) {
     if (v != sink_) producers.push_back(v);
   }
-  StartCollection(producers);
+  StartContinuousCollection(producers, interval > 0 ? interval : config_.slot,
+                            snapshot_count);
 }
 
 void CollectionMac::StartContinuousCollection(const std::vector<NodeId>& producers,

@@ -164,9 +164,11 @@ class CollectionMac {
   // Simulator::Run().
   void StartCollection(const std::vector<NodeId>& producers);
 
-  // Convenience: every node except the sink produces one packet (the
-  // paper's snapshot model).
-  void StartSnapshotCollection();
+  // Convenience: every node except the sink produces one packet per
+  // snapshot (the paper's snapshot model); `snapshot_count` snapshots, one
+  // every `interval` (0 = one slot), as in StartContinuousCollection.
+  void StartSnapshotCollection(sim::TimeNs interval = 0,
+                               std::int32_t snapshot_count = 1);
 
   // Continuous data collection: `snapshot_count` snapshots are produced,
   // one every `interval` (the first at the current time); each snapshot

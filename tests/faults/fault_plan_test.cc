@@ -209,6 +209,27 @@ TEST(CompileTimelineTest, ScriptedEventsComeOutSorted) {
   }
 }
 
+// The scenario-dependent checks report the offending event instead of
+// failing a CRN_CHECK, and apply events in timeline order (time, then kind:
+// a crash before a recovery at the same instant).
+TEST(CheckScriptedEventsTest, NamesTheFirstOffendingEvent) {
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 20 recover 1\nat 10 crash 1\n"), 5, 0), "");
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 10 recover 1\nat 10 crash 1\n"), 5, 0), "");
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 50 crash 999\n"), 5, 0),
+            "fault plan event 'at 50 ms crash 999': node 999 is out of range [0, 5)");
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 60 crash 3\nat 50 crash 3\n"), 5, 0),
+            "fault plan event 'at 60 ms crash 3': node 3 is already down");
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 50 crash 0\n"), 5, 0),
+            "fault plan event 'at 50 ms crash 0': the base station (node 0) "
+            "cannot crash or recover");
+  EXPECT_EQ(CheckScriptedEvents(Parse("at 10 crash 2\nat 50 recover 3\n"), 5, 0),
+            "fault plan event 'at 50 ms recover 3': node 3 is not down");
+  FaultPlan negative = Parse("at 1 sensing_burst 0.1 0.1 5\n");
+  negative.scripted[0].time = -1000000;
+  EXPECT_EQ(CheckScriptedEvents(negative, 5, 0),
+            "fault plan event 'at -1 ms sensing_burst_start': time is negative");
+}
+
 TEST(CompileTimelineTest, RejectsContradictoryScripts) {
   {
     const FaultPlan plan = Parse("at 10 crash 2\nat 20 crash 2\n");

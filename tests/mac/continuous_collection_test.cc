@@ -112,7 +112,7 @@ TEST(RunAddcContinuousTest, SustainableAtGenerousInterval) {
       core::RunAddcContinuous(scenario, interval, 4);
   EXPECT_TRUE(result.aggregate.completed);
   EXPECT_TRUE(result.sustainable);
-  EXPECT_EQ(result.snapshot_delay_ms.size(), 4u);
+  EXPECT_EQ(result.aggregate.snapshot_delay_ms.size(), 4u);
   EXPECT_GT(result.mean_snapshot_delay_ms, 0.0);
 }
 
@@ -131,6 +131,37 @@ TEST(RunAddcContinuousTest, OverloadShowsPositiveDrift) {
   ASSERT_TRUE(result.aggregate.completed);
   EXPECT_GT(result.delay_drift_ms_per_round, 0.0);
   EXPECT_FALSE(result.sustainable);
+}
+
+// A continuous run is RunAddc with a longer workload, so it reports the
+// per-packet hop count and delivery fairness like a snapshot run.
+TEST(RunAddcContinuousTest, ReportsHopsAndFairness) {
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
+  config.seed = 23;
+  config.pu_activity = 0.1;
+  const core::Scenario scenario(config, 0);
+  const core::ContinuousResult result =
+      core::RunAddcContinuous(scenario, 500 * sim::kMillisecond, 3);
+  ASSERT_TRUE(result.aggregate.completed);
+  EXPECT_GT(result.aggregate.avg_hops, 0.0);
+  EXPECT_GT(result.aggregate.jain_delivery_fairness, 0.0);
+  EXPECT_LE(result.aggregate.jain_delivery_fairness, 1.0);
+}
+
+// ...and it takes RunAddc's attachments: the auditor watches every
+// transmission of the whole run.
+TEST(RunAddcContinuousTest, TakesTheAuditor) {
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
+  config.seed = 23;
+  config.pu_activity = 0.1;
+  const core::Scenario scenario(config, 0);
+  core::AuditReport report;
+  core::RunOptions options;
+  options.audit_report = &report;
+  const core::ContinuousResult result =
+      core::RunAddcContinuous(scenario, 500 * sim::kMillisecond, 3, options);
+  EXPECT_GT(report.tx_starts, 0);
+  EXPECT_EQ(report.tx_starts, result.aggregate.mac.attempts);
 }
 
 }  // namespace
