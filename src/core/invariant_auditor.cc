@@ -1,13 +1,110 @@
 #include "core/invariant_auditor.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
 #include "sim/checkpoint.h"
-#include "spectrum/interference.h"
 
 namespace crn::core {
+namespace pu_protection {
+
+bool Flipped(double signal, double interference_pu, double interference_su,
+             double eta) {
+  const bool ok_without_su =
+      interference_pu <= 0.0 || signal / interference_pu >= eta;
+  const bool ok_with_su = signal / (interference_pu + interference_su) >= eta;
+  return ok_without_su && !ok_with_su;
+}
+
+// Why the window holds (u = 2^-53, γ_n = nu/(1 − nu)). Let τ_q be the
+// exact loop's terms and I their left-to-right sum; ApproxInterference's
+// terms τ'_q and lane sum S̃.
+//  * Terms. d² = dx² + dy² is within γ_2 of its real value whether or not
+//    an FMA fuses one product, so the two d² differ by a factor at most
+//    δ = 2γ_2/(1 − γ_2); the kMinDistance clamp only narrows that gap.
+//    P/(d²·d²) and P·pow(d², −α/2) (pow within 1 ulp = 2u) then differ by
+//    at most ε = (1 + δ)^h·((1 + 2u)/(1 − 2u))² − 1, h = max(2, α/2).
+//  * Sums. Any order of summing n non-negative terms errs by at most
+//    γ_{n−1}·Σ. Hence |S̃ − I| ≤ (2γ_{n−1} + ε + γ_{n−1}ε)/(1 − γ_{n−1})·I,
+//    which is at most ρ = 2γ_n + ε for n ≤ 2^20.
+//  * Window. I then lies in [S̃/(1 + ρ), S̃/(1 − ρ)], inside the rounded
+//    [S̃(1 − m), S̃(1 + m)] for m = 2ρ + 2u.
+// Underflowed terms break the relative bounds but add at most a few
+// 2^-1074 each; Decide acts only on S̃ in [2^-900, 2^900], where that is
+// far below u·S̃ and no term or sum overflows.
+double Margin(std::size_t terms, double alpha) {
+  constexpr std::size_t kMaxTerms = std::size_t{1} << 20;
+  if (terms > kMaxTerms) return std::numeric_limits<double>::infinity();
+  constexpr double u = 0x1p-53;
+  const auto gamma = [](double n) { return n * u / (1.0 - n * u); };
+  const double delta = 2.0 * gamma(2.0) / (1.0 - gamma(2.0));
+  const double rounding = (1.0 + 2.0 * u) / (1.0 - 2.0 * u);
+  const double epsilon =
+      std::pow(1.0 + delta, std::max(2.0, alpha / 2.0)) * rounding * rounding - 1.0;
+  const double rho = 2.0 * gamma(static_cast<double>(terms)) + epsilon;
+  return 2.0 * rho + 2.0 * u;
+}
+
+Verdict Decide(double signal, double approx_pu, double interference_su, double eta,
+               double margin) {
+  // fl(signal / x) falls and fl(x + interference_su) rises with x, so each
+  // comparison that holds at the window's far end holds for every sum in it.
+  if (!(approx_pu >= 0x1p-900 && approx_pu <= 0x1p900 && margin < 0.5)) {
+    return Verdict::kUndecided;
+  }
+  const double low = approx_pu * (1.0 - margin);
+  const double high = approx_pu * (1.0 + margin);
+  if (signal / (high + interference_su) >= eta) return Verdict::kHoldsWithSu;
+  if (signal / low < eta) return Verdict::kFailsWithoutSu;
+  if (signal / high >= eta && signal / (low + interference_su) < eta) {
+    return Verdict::kFlipped;
+  }
+  return Verdict::kUndecided;
+}
+
+namespace {
+
+// Two doubles in one register (GCC/Clang vector extensions). One
+// accumulator measured faster than two or four: the divisions bound the
+// loop, not the add chain.
+typedef double Pair __attribute__((vector_size(16)));
+static_assert(kLanes == 2);
+
+}  // namespace
+
+double ApproxInterference(const double* xs, const double* ys, std::size_t count,
+                          geom::Vec2 rx, double power, const spectrum::PathLoss& loss) {
+  CRN_DCHECK(count % kLanes == 0);
+  constexpr double kMinSq =
+      spectrum::PathLoss::kMinDistance * spectrum::PathLoss::kMinDistance;
+  const Pair rx_x = Pair{} + rx.x;
+  const Pair rx_y = Pair{} + rx.y;
+  const Pair min_sq = Pair{} + kMinSq;
+  const Pair watts = Pair{} + power;
+  const bool alpha_is_four = loss.alpha() == 4.0;
+  Pair sum = {};
+  for (std::size_t i = 0; i < count; i += kLanes) {
+    Pair x;
+    Pair y;
+    __builtin_memcpy(&x, xs + i, sizeof x);
+    __builtin_memcpy(&y, ys + i, sizeof y);
+    const Pair dx = x - rx_x;
+    const Pair dy = y - rx_y;
+    Pair d2 = dx * dx + dy * dy;
+    d2 = d2 < min_sq ? min_sq : d2;
+    if (alpha_is_four) {
+      sum += watts / (d2 * d2);
+    } else {
+      for (int e = 0; e < 2; ++e) sum[e] += loss.ReceivedPowerSquared(power, d2[e]);
+    }
+  }
+  return sum[0] + sum[1];
+}
+
+}  // namespace pu_protection
 
 std::string AuditReport::Summary() const {
   std::ostringstream out;
@@ -97,33 +194,55 @@ void InvariantAuditor::CheckPuProtection() {
   // violation is counted only when secondary interference flips a PU
   // reception from success to failure — PU-on-PU interference is the
   // primary network's own business (Lemma 2 scopes the guarantee to SUs).
+  // The PU sum is first taken in lanes; the in-order loop below stays the
+  // one exact predicate and runs only when that sum cannot decide.
   primary_->SampleReceiverPositions(receiver_rng_);
   const spectrum::PathLoss loss(mac_->config().alpha);
   const double eta = mac_->config().eta_p.linear();
   const double su_power = mac_->config().su_power;
   const double pu_power = primary_->config().power;
   const std::vector<pu::PuId>& active_pus = primary_->active_transmitters();
-  for (pu::PuId p : active_pus) {
+  const std::size_t count = active_pus.size();
+  const std::size_t padded =
+      (count + pu_protection::kLanes - 1) / pu_protection::kLanes * pu_protection::kLanes;
+  constexpr double kAbsent = std::numeric_limits<double>::infinity();
+  pu_x_.assign(padded, kAbsent);
+  pu_y_.assign(padded, 0.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const geom::Vec2 position = primary_->position(active_pus[i]);
+    pu_x_[i] = position.x;
+    pu_y_[i] = position.y;
+  }
+  const double margin = pu_protection::Margin(count > 0 ? count - 1 : 0, loss.alpha());
+  for (std::size_t i = 0; i < count; ++i) {
+    const pu::PuId p = active_pus[i];
     const geom::Vec2 rx = primary_->receiver_position(p);
     const double signal = loss.ReceivedPowerSquared(
         pu_power, geom::DistanceSquared(primary_->position(p), rx));
-    double interference_pu = 0.0;
-    for (pu::PuId q : active_pus) {
-      if (q == p) continue;
-      interference_pu += loss.ReceivedPowerSquared(
-          pu_power, geom::DistanceSquared(primary_->position(q), rx));
-    }
     double interference_su = 0.0;
     for (const ActiveTx& tx : active_) {
       interference_su +=
           loss.ReceivedPowerSquared(su_power, geom::DistanceSquared(tx.position, rx));
     }
     ++report_.pu_checks;
-    const bool ok_without_su =
-        interference_pu <= 0.0 || signal / interference_pu >= eta;
-    const bool ok_with_su =
-        signal / (interference_pu + interference_su) >= eta;
-    if (ok_without_su && !ok_with_su) {
+    pu_x_[i] = kAbsent;
+    const double approx_pu = pu_protection::ApproxInterference(
+        pu_x_.data(), pu_y_.data(), padded, rx, pu_power, loss);
+    pu_x_[i] = primary_->position(p).x;
+    pu_protection::Verdict verdict =
+        pu_protection::Decide(signal, approx_pu, interference_su, eta, margin);
+    if (verdict == pu_protection::Verdict::kUndecided) {
+      double interference_pu = 0.0;
+      for (pu::PuId q : active_pus) {
+        if (q == p) continue;
+        interference_pu += loss.ReceivedPowerSquared(
+            pu_power, geom::DistanceSquared(primary_->position(q), rx));
+      }
+      if (pu_protection::Flipped(signal, interference_pu, interference_su, eta)) {
+        verdict = pu_protection::Verdict::kFlipped;
+      }
+    }
+    if (verdict == pu_protection::Verdict::kFlipped) {
       ++report_.pu_protection_violations;
       if (viol_pu_protection_ != nullptr) viol_pu_protection_->Add();
       std::ostringstream out;

@@ -46,8 +46,54 @@
 #include "sim/audit.h"
 #include "sim/flight_recorder.h"
 #include "sim/simulator.h"
+#include "spectrum/interference.h"
 
 namespace crn::core {
+
+// Lemma 2 at one PU receiver, split so the auditor can decide almost every
+// reception from a reordered sum (DESIGN.md §8, "Deciding PU protection
+// from a reordered sum"). `signal` is the PU's own received power,
+// `interference_pu` the other active PUs' power summed in id order,
+// `interference_su` the active SUs' power, `eta` the linear η_p > 0.
+namespace pu_protection {
+
+// The exact predicate: the reception holds without SUs (no PU interference,
+// or SIR ≥ η) but fails with them.
+[[nodiscard]] bool Flipped(double signal, double interference_pu,
+                           double interference_su, double eta);
+
+// Relative half-width of the window around an approximate PU sum S̃ of
+// `terms` interferers that provably contains the exact sequential sum,
+// whatever the order of S̃'s additions and however the compiler contracts
+// each term's d² into an FMA. Infinite (nothing is decided) past 2^20 terms.
+[[nodiscard]] double Margin(std::size_t terms, double alpha);
+
+enum class Verdict : std::uint8_t {
+  kFailsWithoutSu,  // no violation: the reception fails without SUs
+  kHoldsWithSu,     // no violation: the reception holds with SUs
+  kFlipped,         // a violation
+  kUndecided,       // the exact sum must decide
+};
+
+// Decides Flipped from S̃ when every sum in [S̃(1−margin), S̃(1+margin)]
+// gives the same answer; kUndecided otherwise, and whenever S̃ is not a
+// comfortably normal number.
+[[nodiscard]] Verdict Decide(double signal, double approx_pu,
+                             double interference_su, double eta, double margin);
+
+// Doubles that ApproxInterference takes per step; its arrays are padded
+// to a multiple of this.
+inline constexpr std::size_t kLanes = 2;
+
+// Σ_q P·d(q, rx)^{-α} over the `count` positions (xs[q], ys[q]), each term
+// the same expression as PathLoss::ReceivedPowerSquared, summed in
+// independent lanes. An entry with xs[q] = +inf adds exactly 0: the padding
+// and the receiver's own PU. `count` is a multiple of kLanes.
+[[nodiscard]] double ApproxInterference(const double* xs, const double* ys,
+                                        std::size_t count, geom::Vec2 rx,
+                                        double power, const spectrum::PathLoss& loss);
+
+}  // namespace pu_protection
 
 struct AuditConfig {
   bool check_event_time = true;
@@ -165,6 +211,10 @@ class InvariantAuditor {
   pu::PrimaryNetwork* primary_ = nullptr;
   Rng receiver_rng_;
   std::vector<ActiveTx> active_;
+  // Active PU positions for pu_protection::ApproxInterference, refilled at
+  // every check (scratch, not state: never checkpointed).
+  std::vector<double> pu_x_;
+  std::vector<double> pu_y_;
   bool finalized_ = false;
   // Optional violation-forensics source (BindFlightRecorder).
   const sim::FlightRecorder* flight_recorder_ = nullptr;
