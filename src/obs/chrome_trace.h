@@ -1,8 +1,9 @@
 // Chrome trace-event JSON emission (the "JSON Array/Object Format" that
-// chrome://tracing and Perfetto both load). Shared by the packet-lifecycle
-// span tracer (sim-time spans) and the harness profiler (wall-clock spans):
-// both reduce their records to ChromeTraceEvent values and hand them to
-// WriteChromeTrace(), which sorts by timestamp and serializes.
+// chrome://tracing and Perfetto both load). The harness profiler and
+// crn_trace reduce their records to ChromeTraceEvent values and hand them to
+// WriteChromeTrace(), which sorts by timestamp and serializes; the packet
+// span tracer renders its records straight through ChromeTraceWriter, the
+// same formatter, without building events first.
 //
 // Timestamps are microseconds (the format's unit). Sim-time producers
 // convert TimeNs exactly (ns / 1000.0 — every TimeNs fits a double);
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,6 +52,44 @@ struct ChromeTraceEvent {
 // concatenation order.
 void WriteChromeTrace(const std::vector<ChromeTraceEvent>& events,
                       std::ostream& out);
+
+// Formats the object form event by event into a bounded buffer that it
+// flushes to `out`: the document head on construction, then each event as
+// BeginEvent, its args in order, EndEvent, and the tail on Finish. Events
+// come out in call order; the caller sorts.
+class ChromeTraceWriter {
+ public:
+  explicit ChromeTraceWriter(std::ostream& out);
+  ChromeTraceWriter(const ChromeTraceWriter&) = delete;
+  ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
+
+  // An empty category renders as "crn". dur_us is written for kComplete
+  // only, id for the async phases only.
+  void BeginEvent(std::string_view name, std::string_view category,
+                  ChromeTraceEvent::Phase phase, double ts_us, double dur_us,
+                  std::int64_t pid, std::int64_t tid, std::uint64_t id);
+  // One arg of the open event; every value renders as a JSON string.
+  void Arg(std::string_view key, std::string_view value);
+  void Arg(std::string_view key, std::int64_t value);
+  void EndEvent();
+  // Writes the tail and flushes. Call once, last.
+  void Finish();
+
+ private:
+  void Reserve(std::size_t bytes);
+  void Flush();
+  void Put(std::string_view text);
+  void PutEscaped(std::string_view text);
+  void PutSigned(std::int64_t value);
+  void PutUnsigned(std::uint64_t value);
+  void PutTs(double us);
+
+  std::ostream& out_;
+  std::vector<char> buffer_;
+  std::size_t used_ = 0;
+  std::size_t events_ = 0;
+  std::size_t args_ = 0;
+};
 
 }  // namespace crn::obs
 

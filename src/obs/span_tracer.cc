@@ -1,5 +1,6 @@
 #include "obs/span_tracer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -110,76 +111,110 @@ std::uint64_t PacketSpanTracer::Digest() const {
   return digest.value();
 }
 
-std::vector<ChromeTraceEvent> PacketSpanTracer::ToChromeEvents() const {
-  std::vector<ChromeTraceEvent> events;
-  events.reserve(2 * packets_.size() + attempts_.size() + freezes_.size());
+void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
+  // One light key per event, numbered in the order ToChromeEvents-style
+  // emission would produce them: each packet's begin, enqueues and end (map
+  // order), then the attempts, then the freezes. Sorting by (ts, number) is
+  // the stable sort by ts that WriteChromeTrace applies.
+  enum class Kind : std::uint8_t { kBegin, kEnqueue, kEnd, kAttempt, kFreeze };
+  struct Key {
+    double ts_us;
+    std::uint32_t seq;
+    std::uint32_t record;  // packet ordinal, attempt or freeze index
+    std::uint32_t hop;     // enqueue index within the packet
+    Kind kind;
+  };
+  std::vector<const PacketSpan*> spans;
+  std::vector<std::uint64_t> ids;
+  spans.reserve(packets_.size());
+  ids.reserve(packets_.size());
+  std::vector<Key> keys;
+  keys.reserve(2 * packets_.size() + attempts_.size() + freezes_.size());
+  auto add = [&keys](sim::TimeNs at, std::size_t record, std::size_t hop, Kind kind) {
+    keys.push_back(Key{ToMicros(at), static_cast<std::uint32_t>(keys.size()),
+                       static_cast<std::uint32_t>(record),
+                       static_cast<std::uint32_t>(hop), kind});
+  };
   for (const auto& [id, span] : packets_) {
-    ChromeTraceEvent begin;
-    begin.name = "packet";
-    begin.category = "packet";
-    begin.phase = ChromeTraceEvent::Phase::kAsyncBegin;
-    begin.ts_us = ToMicros(span.created);
-    begin.tid = span.origin;
-    begin.id = id;
-    begin.args.emplace_back("origin", std::to_string(span.origin));
-    begin.args.emplace_back("snapshot", std::to_string(span.snapshot));
-    events.push_back(std::move(begin));
-    for (const Hop& hop : span.enqueues) {
-      ChromeTraceEvent enq;
-      enq.name = "enqueue";
-      enq.category = "packet";
-      enq.phase = ChromeTraceEvent::Phase::kInstant;
-      enq.ts_us = ToMicros(hop.at);
-      enq.tid = hop.node;
-      enq.args.emplace_back("origin", std::to_string(span.origin));
-      enq.args.emplace_back("queue_depth", std::to_string(hop.queue_depth));
-      events.push_back(std::move(enq));
+    const std::size_t ordinal = spans.size();
+    spans.push_back(&span);
+    ids.push_back(id);
+    add(span.created, ordinal, 0, Kind::kBegin);
+    for (std::size_t h = 0; h < span.enqueues.size(); ++h) {
+      add(span.enqueues[h].at, ordinal, h, Kind::kEnqueue);
     }
     if (span.terminal()) {
-      ChromeTraceEvent end;
-      end.name = "packet";
-      end.category = "packet";
-      end.phase = ChromeTraceEvent::Phase::kAsyncEnd;
-      end.ts_us = ToMicros(span.delivered >= 0 ? span.delivered : span.dropped);
-      end.tid = span.origin;
-      end.id = id;
-      end.args.emplace_back("outcome",
-                            span.delivered >= 0 ? "delivered" : "dropped");
-      if (span.delivered >= 0) {
-        end.args.emplace_back("hops", std::to_string(span.hops));
-        end.args.emplace_back("delay_ns", std::to_string(span.delivery_delay()));
-      }
-      events.push_back(std::move(end));
+      add(span.delivered >= 0 ? span.delivered : span.dropped, ordinal, 0, Kind::kEnd);
     }
   }
-  for (const Attempt& attempt : attempts_) {
-    ChromeTraceEvent tx;
-    tx.name = std::string("tx:") + mac::ToString(attempt.outcome);
-    tx.category = "tx";
-    tx.phase = ChromeTraceEvent::Phase::kComplete;
-    tx.ts_us = ToMicros(attempt.start);
-    tx.dur_us = ToMicros(attempt.end - attempt.start);
-    tx.tid = attempt.transmitter;
-    tx.args.emplace_back("receiver", std::to_string(attempt.receiver));
-    tx.args.emplace_back("origin", std::to_string(attempt.packet_origin));
-    tx.args.emplace_back("snapshot", std::to_string(attempt.packet_snapshot));
-    events.push_back(std::move(tx));
+  for (std::size_t i = 0; i < attempts_.size(); ++i) {
+    add(attempts_[i].start, i, 0, Kind::kAttempt);
   }
-  for (const FreezeSpan& freeze : freezes_) {
-    ChromeTraceEvent span;
-    span.name = "freeze";
-    span.category = "mac";
-    span.phase = ChromeTraceEvent::Phase::kComplete;
-    span.ts_us = ToMicros(freeze.begin);
-    span.dur_us = ToMicros(freeze.end - freeze.begin);
-    span.tid = freeze.node;
-    events.push_back(std::move(span));
+  for (std::size_t i = 0; i < freezes_.size(); ++i) {
+    add(freezes_[i].begin, i, 0, Kind::kFreeze);
   }
-  return events;
-}
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.ts_us < b.ts_us || (a.ts_us == b.ts_us && a.seq < b.seq);
+  });
 
-void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
-  obs::WriteChromeTrace(ToChromeEvents(), out);
+  std::string tx_names[mac::kTxOutcomeCount];
+  for (std::int32_t outcome = 0; outcome < mac::kTxOutcomeCount; ++outcome) {
+    tx_names[outcome] =
+        std::string("tx:") + mac::ToString(static_cast<mac::TxOutcome>(outcome));
+  }
+  using Phase = ChromeTraceEvent::Phase;
+  ChromeTraceWriter writer(out);
+  for (const Key& key : keys) {
+    switch (key.kind) {
+      case Kind::kBegin: {
+        const PacketSpan& span = *spans[key.record];
+        writer.BeginEvent("packet", "packet", Phase::kAsyncBegin, key.ts_us, 0.0, 1,
+                          span.origin, ids[key.record]);
+        writer.Arg("origin", std::int64_t{span.origin});
+        writer.Arg("snapshot", std::int64_t{span.snapshot});
+        break;
+      }
+      case Kind::kEnqueue: {
+        const PacketSpan& span = *spans[key.record];
+        const Hop& hop = span.enqueues[key.hop];
+        writer.BeginEvent("enqueue", "packet", Phase::kInstant, key.ts_us, 0.0, 1,
+                          hop.node, 0);
+        writer.Arg("origin", std::int64_t{span.origin});
+        writer.Arg("queue_depth", hop.queue_depth);
+        break;
+      }
+      case Kind::kEnd: {
+        const PacketSpan& span = *spans[key.record];
+        writer.BeginEvent("packet", "packet", Phase::kAsyncEnd, key.ts_us, 0.0, 1,
+                          span.origin, ids[key.record]);
+        writer.Arg("outcome", span.delivered >= 0 ? "delivered" : "dropped");
+        if (span.delivered >= 0) {
+          writer.Arg("hops", std::int64_t{span.hops});
+          writer.Arg("delay_ns", span.delivery_delay());
+        }
+        break;
+      }
+      case Kind::kAttempt: {
+        const Attempt& attempt = attempts_[key.record];
+        writer.BeginEvent(tx_names[static_cast<std::int32_t>(attempt.outcome)], "tx",
+                          Phase::kComplete, key.ts_us,
+                          ToMicros(attempt.end - attempt.start), 1,
+                          attempt.transmitter, 0);
+        writer.Arg("receiver", std::int64_t{attempt.receiver});
+        writer.Arg("origin", std::int64_t{attempt.packet_origin});
+        writer.Arg("snapshot", std::int64_t{attempt.packet_snapshot});
+        break;
+      }
+      case Kind::kFreeze: {
+        const FreezeSpan& freeze = freezes_[key.record];
+        writer.BeginEvent("freeze", "mac", Phase::kComplete, key.ts_us,
+                          ToMicros(freeze.end - freeze.begin), 1, freeze.node, 0);
+        break;
+      }
+    }
+    writer.EndEvent();
+  }
+  writer.Finish();
 }
 
 void PacketSpanTracer::WriteAttemptCsv(std::ostream& out) const {

@@ -117,8 +117,9 @@ class PacketSpanTracer {
 
   // Chrome trace-event rendering: an async b/e span per packet (pid 1, id =
   // PacketId), an "X" slice per attempt and per freeze on the transmitter's
-  // tid, an instant per relay enqueue. ts is sim-time microseconds.
-  [[nodiscard]] std::vector<ChromeTraceEvent> ToChromeEvents() const;
+  // tid, an instant per relay enqueue. ts is sim-time microseconds. Written
+  // straight from the records, in the order and bytes obs::WriteChromeTrace
+  // gives the same events.
   void WriteChromeTrace(std::ostream& out) const;
 
   // One row per transmission attempt:

@@ -8,6 +8,9 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/collection.h"
+#include "core/scenario.h"
+#include "faults/fault_plan.h"
 #include "mac/collection_mac.h"
 #include "obs/span_tracer.h"
 #include "sim/simulator.h"
@@ -17,6 +20,64 @@ namespace {
 
 using geom::Aabb;
 using geom::Vec2;
+
+double ToMicros(sim::TimeNs t) { return static_cast<double>(t) / 1000.0; }
+
+// The tracer's records as ChromeTraceEvent values, in emission order: each
+// packet's begin, enqueues and end (map order), then attempts, then
+// freezes. obs::WriteChromeTrace over these is the reference rendering
+// PacketSpanTracer::WriteChromeTrace must reproduce byte for byte.
+std::vector<ChromeTraceEvent> ToChromeEvents(const PacketSpanTracer& tracer) {
+  using Phase = ChromeTraceEvent::Phase;
+  std::vector<ChromeTraceEvent> events;
+  auto add = [&events](std::string name, std::string category, Phase phase,
+                       sim::TimeNs ts, std::int64_t tid) -> ChromeTraceEvent& {
+    ChromeTraceEvent& event = events.emplace_back();
+    event.name = std::move(name);
+    event.category = std::move(category);
+    event.phase = phase;
+    event.ts_us = ToMicros(ts);
+    event.tid = tid;
+    return event;
+  };
+  for (const auto& [id, span] : tracer.packets()) {
+    ChromeTraceEvent& begin =
+        add("packet", "packet", Phase::kAsyncBegin, span.created, span.origin);
+    begin.id = id;
+    begin.args = {{"origin", std::to_string(span.origin)},
+                  {"snapshot", std::to_string(span.snapshot)}};
+    for (const PacketSpanTracer::Hop& hop : span.enqueues) {
+      add("enqueue", "packet", Phase::kInstant, hop.at, hop.node).args = {
+          {"origin", std::to_string(span.origin)},
+          {"queue_depth", std::to_string(hop.queue_depth)}};
+    }
+    if (span.terminal()) {
+      ChromeTraceEvent& end =
+          add("packet", "packet", Phase::kAsyncEnd,
+              span.delivered >= 0 ? span.delivered : span.dropped, span.origin);
+      end.id = id;
+      end.args = {{"outcome", span.delivered >= 0 ? "delivered" : "dropped"}};
+      if (span.delivered >= 0) {
+        end.args.emplace_back("hops", std::to_string(span.hops));
+        end.args.emplace_back("delay_ns", std::to_string(span.delivery_delay()));
+      }
+    }
+  }
+  for (const PacketSpanTracer::Attempt& attempt : tracer.attempts()) {
+    ChromeTraceEvent& tx =
+        add(std::string("tx:") + mac::ToString(attempt.outcome), "tx",
+            Phase::kComplete, attempt.start, attempt.transmitter);
+    tx.dur_us = ToMicros(attempt.end - attempt.start);
+    tx.args = {{"receiver", std::to_string(attempt.receiver)},
+               {"origin", std::to_string(attempt.packet_origin)},
+               {"snapshot", std::to_string(attempt.packet_snapshot)}};
+  }
+  for (const PacketSpanTracer::FreezeSpan& freeze : tracer.freezes()) {
+    add("freeze", "mac", Phase::kComplete, freeze.begin, freeze.node).dur_us =
+        ToMicros(freeze.end - freeze.begin);
+  }
+  return events;
+}
 
 // Three SUs in a chain delivering to sink 0 over a quiet spectrum — the
 // same rig attempt_trace_test.cc uses.
@@ -119,7 +180,7 @@ TEST(PacketSpanTracerTest, ChromeTraceExportIsWellFormed) {
   rig.mac.StartSnapshotCollection();
   rig.simulator.Run();
 
-  const std::vector<ChromeTraceEvent> events = tracer.ToChromeEvents();
+  const std::vector<ChromeTraceEvent> events = ToChromeEvents(tracer);
   // Every packet contributes an async begin/end pair.
   std::size_t begins = 0;
   std::size_t ends = 0;
@@ -138,6 +199,48 @@ TEST(PacketSpanTracerTest, ChromeTraceExportIsWellFormed) {
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
   EXPECT_EQ(json.back(), '\n');
+}
+
+TEST(PacketSpanTracerTest, DirectRenderMatchesTheEventRendering) {
+  // A seeded run with delivered, dropped (crashed relays) and in-flight
+  // packets (the horizon cuts the collection short).
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
+  config.seed = 41;
+  config.max_sim_time = 600 * sim::kMillisecond;
+  faults::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(faults::ParsePlanText(
+      "at 50 crash 3\nat 80 crash 5\noption retx_budget 2\n", plan, error))
+      << error;
+  PacketSpanTracer tracer;
+  core::RunOptions options;
+  options.spans = &tracer;
+  options.faults = &plan;
+  core::RunAddc(core::Scenario(config, 0), options);
+
+  std::size_t delivered = 0;
+  std::size_t dropped = 0;
+  std::size_t in_flight = 0;
+  for (const auto& [id, span] : tracer.packets()) {
+    if (span.delivered >= 0) {
+      ++delivered;
+    } else if (span.dropped >= 0) {
+      ++dropped;
+    } else {
+      ++in_flight;
+    }
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(in_flight, 0u);
+  ASSERT_FALSE(tracer.freezes().empty());
+
+  std::ostringstream direct;
+  tracer.WriteChromeTrace(direct);
+  std::ostringstream reference;
+  WriteChromeTrace(ToChromeEvents(tracer), reference);
+  EXPECT_GT(direct.str().size(), std::size_t{64} << 10);  // crosses a flush
+  EXPECT_EQ(direct.str(), reference.str());
 }
 
 }  // namespace
