@@ -130,7 +130,19 @@ void CheckRunSection(sim::StateReader& reader, const Scenario& scenario,
          "checkpointed run had";
 }
 
+// The fault injector's stream for one repetition.
+Rng FaultRng(const ScenarioConfig& config, std::uint64_t repetition) {
+  return Scenario::RunRngFor(config, repetition).Stream("faults");
+}
+
 }  // namespace
+
+std::string CheckFaultPlan(const faults::FaultPlan& plan, const ScenarioConfig& config,
+                           std::uint64_t repetition) {
+  std::vector<faults::FaultEvent> timeline;
+  return faults::CompileFaultTimeline(plan, FaultRng(config, repetition),
+                                      config.num_sus + 1, /*sink=*/0, timeline);
+}
 
 CollectionResult RunWithNextHops(const Scenario& scenario,
                                  std::vector<graph::NodeId> next_hop,
@@ -223,7 +235,8 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   // run is byte-identical to an uninjected one.
   std::optional<faults::FaultInjector> injector;
   if (options.faults != nullptr) {
-    injector.emplace(*options.faults, scenario.MakeRunRng().Stream("faults"));
+    injector.emplace(*options.faults,
+                     FaultRng(scenario.config(), scenario.repetition()));
     injector->Attach(simulator, mac, scenario.secondary_graph(), &primary,
                      options.metrics);
     if (auditor.has_value() && injector->armed()) {

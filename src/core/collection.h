@@ -146,6 +146,13 @@ struct RunOptions {
   const std::string* restore_blob = nullptr;
 };
 
+// The error the fault injector would fail with on repetition `repetition`
+// of `config` (num_sus SUs plus the base station, node 0), naming the first
+// offending event; empty when the plan compiles. Cheap: it builds no
+// deployment, so a CLI can check every repetition before running any.
+std::string CheckFaultPlan(const faults::FaultPlan& plan, const ScenarioConfig& config,
+                           std::uint64_t repetition);
+
 // Runs ADDC on the given deployed scenario. `options` passes MAC-model
 // overrides and (via audit_report) attaches the runtime invariant auditor.
 CollectionResult RunAddc(const Scenario& scenario, const RunOptions& options = {});

@@ -62,8 +62,8 @@ pu::PrimaryNetwork Scenario::MakePrimaryNetwork() const {
                             prefab_->pu_positions);
 }
 
-Rng Scenario::MakeRunRng() const {
-  return Rng(config_.seed).Stream("run", repetition_);
+Rng Scenario::RunRngFor(const ScenarioConfig& config, std::uint64_t repetition) {
+  return Rng(config.seed).Stream("run", repetition);
 }
 
 }  // namespace crn::core

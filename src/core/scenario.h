@@ -137,7 +137,10 @@ class Scenario {
   [[nodiscard]] pu::PrimaryNetwork MakePrimaryNetwork() const;
 
   // Root RNG for this (seed, repetition); runs derive named streams.
-  [[nodiscard]] Rng MakeRunRng() const;
+  [[nodiscard]] Rng MakeRunRng() const { return RunRngFor(config_, repetition_); }
+  // The same stream without building the deployment.
+  [[nodiscard]] static Rng RunRngFor(const ScenarioConfig& config,
+                                     std::uint64_t repetition);
 
  private:
   ScenarioConfig config_;

@@ -307,6 +307,21 @@ struct PendingEvent {
   bool operator>(const PendingEvent& other) const { return key() > other.key(); }
 };
 
+bool NamesNode(const FaultEvent& event) {
+  return event.kind == FaultKind::kCrash || event.kind == FaultKind::kRecover;
+}
+
+// "fault plan event 'at <ms> ms <kind> [node]': " — the head of every
+// error about one event.
+std::string EventError(const FaultEvent& event) {
+  std::ostringstream error;
+  error << "fault plan event 'at " << sim::ToMilliseconds(event.time) << " ms "
+        << ToString(event.kind);
+  if (NamesNode(event)) error << " " << event.node;
+  error << "': ";
+  return error.str();
+}
+
 }  // namespace
 
 std::string CheckScriptedEvents(const FaultPlan& plan, graph::NodeId node_count,
@@ -321,15 +336,10 @@ std::string CheckScriptedEvents(const FaultPlan& plan, graph::NodeId node_count,
   std::vector<char> down(static_cast<std::size_t>(std::max(node_count, 0)), 0);
   for (const std::size_t index : order) {
     const FaultEvent& event = plan.scripted[index];
-    const bool names_node =
-        event.kind == FaultKind::kCrash || event.kind == FaultKind::kRecover;
     std::ostringstream error;
-    error << "fault plan event 'at " << sim::ToMilliseconds(event.time) << " ms "
-          << ToString(event.kind);
-    if (names_node) error << " " << event.node;
-    error << "': ";
+    error << EventError(event);
     if (event.time < 0) return error.str() + "time is negative";
-    if (!names_node) continue;
+    if (!NamesNode(event)) continue;
     if (event.node < 0 || event.node >= node_count) {
       error << "node " << event.node << " is out of range [0, " << node_count << ")";
       return error.str();
@@ -352,9 +362,10 @@ std::string CheckScriptedEvents(const FaultPlan& plan, graph::NodeId node_count,
   return {};
 }
 
-std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
-                                             graph::NodeId node_count,
-                                             graph::NodeId sink) {
+std::string CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
+                                 graph::NodeId node_count, graph::NodeId sink,
+                                 std::vector<FaultEvent>& timeline) {
+  timeline.clear();
   CRN_CHECK(node_count > 0) << "node_count=" << node_count;
   CRN_CHECK(sink >= 0 && sink < node_count) << "sink " << sink << " out of range";
   CRN_CHECK(plan.horizon > 0) << "horizon=" << plan.horizon;
@@ -367,8 +378,9 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
     heap.push(PendingEvent{event, seq++, crash_generator});
   };
 
-  const std::string script_error = CheckScriptedEvents(plan, node_count, sink);
-  CRN_CHECK(script_error.empty()) << script_error;
+  if (std::string error = CheckScriptedEvents(plan, node_count, sink); !error.empty()) {
+    return error;
+  }
   for (const FaultEvent& event : plan.scripted) push(event);
 
   // Crash arrivals (victims resolved during the chronological scan below).
@@ -422,7 +434,6 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
   Rng victims = rng.Stream("fault-crash-victims");
   std::vector<char> alive(static_cast<std::size_t>(node_count), 1);
   std::vector<graph::NodeId> eligible;
-  std::vector<FaultEvent> timeline;
   while (!heap.empty()) {
     PendingEvent pending = heap.top();
     heap.pop();
@@ -445,10 +456,9 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
             recover.node = event.node;
             push(recover, pending.crash_generator);
           }
-        } else {
-          CRN_CHECK(alive[event.node])
-              << "scripted crash of node " << event.node << " at t=" << event.time
-              << " ns: node is already down";
+        } else if (!alive[event.node]) {
+          return EventError(event) + "node " + std::to_string(event.node) +
+                 " is already down (a generated crash took it)";
         }
         alive[event.node] = 0;
         break;
@@ -458,10 +468,9 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
           // Generator-paired recovery: drop it silently if a scripted event
           // already brought the node back (plans may race the generator).
           if (alive[event.node]) continue;
-        } else {
-          CRN_CHECK(!alive[event.node])
-              << "scripted recovery of node " << event.node << " at t=" << event.time
-              << " ns: node is not down";
+        } else if (alive[event.node]) {
+          return EventError(event) + "node " + std::to_string(event.node) +
+                 " is not down (a generated recovery revived it)";
         }
         alive[event.node] = 1;
         break;
@@ -473,6 +482,15 @@ std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& r
     }
     timeline.push_back(event);
   }
+  return {};
+}
+
+std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
+                                             graph::NodeId node_count,
+                                             graph::NodeId sink) {
+  std::vector<FaultEvent> timeline;
+  const std::string error = CompileFaultTimeline(plan, rng, node_count, sink, timeline);
+  CRN_CHECK(error.empty()) << error;
   return timeline;
 }
 

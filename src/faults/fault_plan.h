@@ -124,8 +124,15 @@ std::string CheckScriptedEvents(const FaultPlan& plan, graph::NodeId node_count,
 // each generator consumes its own named stream. Crash victims are drawn
 // uniformly from nodes in [0, node_count) that are alive at arrival time,
 // never `sink`; an arrival that finds no eligible victim is skipped.
-// A script CheckScriptedEvents rejects fails a CRN_CHECK with its error,
-// as does a scripted crash of a node a generated crash already took down.
+// Returns an error naming the first offending event, or an empty string
+// with `timeline` filled: a script CheckScriptedEvents rejects, or a
+// scripted crash (recovery) of a node the generators have already taken
+// down (brought back) by then.
+std::string CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
+                                 graph::NodeId node_count, graph::NodeId sink,
+                                 std::vector<FaultEvent>& timeline);
+// The same, failing a CRN_CHECK with the error: for callers whose plan was
+// checked first (addc_sim checks every repetition before any run).
 std::vector<FaultEvent> CompileFaultTimeline(const FaultPlan& plan, const Rng& rng,
                                              graph::NodeId node_count,
                                              graph::NodeId sink);

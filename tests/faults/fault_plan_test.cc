@@ -249,6 +249,21 @@ TEST(CompileTimelineTest, RejectsContradictoryScripts) {
   }
 }
 
+TEST(CompileTimelineTest, ReturnsScriptedEventsThatRaceAGenerator) {
+  // At 2,000 crashes/s the generator takes all four SUs down within a few
+  // ms, so the scripted crash at 30 ms finds node 3 already down.
+  const FaultPlan plan = Parse("gen crash 2000 -1\nat 30 crash 3\n");
+  std::vector<FaultEvent> timeline = {FaultEvent{}};
+  EXPECT_EQ(CompileFaultTimeline(plan, Rng(7), 5, 0, timeline),
+            "fault plan event 'at 30 ms crash 3': node 3 is already down (a "
+            "generated crash took it)");
+  EXPECT_THROW(CompileFaultTimeline(plan, Rng(7), 5, 0), ContractViolation);
+  // A consistent plan fills the timeline and returns no error.
+  EXPECT_EQ(CompileFaultTimeline(Parse("at 30 crash 3\n"), Rng(7), 5, 0, timeline), "");
+  ASSERT_EQ(timeline.size(), 1u);
+  EXPECT_EQ(timeline[0].node, 3);
+}
+
 TEST(CompileTimelineTest, GeneratorsAreDeterministicInSeed) {
   const FaultPlan plan = Parse(
       "gen crash 20 50\n"

@@ -260,6 +260,16 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << error << "\n";
     return 2;
   }
+  // So are scripted events that race a crash generator, which depend on
+  // each repetition's draws: check them all before any cell runs.
+  for (std::int64_t rep = 0; !faults_path.empty() && rep < reps; ++rep) {
+    if (const std::string error =
+            core::CheckFaultPlan(fault_plan, config, static_cast<std::uint64_t>(rep));
+        !error.empty()) {
+      std::cerr << "error: repetition " << rep << ": " << error << "\n";
+      return 2;
+    }
+  }
 
   const bool continuous = continuous_ms > 0.0;
   const bool checkpointing = !checkpoint_out.empty() || !restore_path.empty();
