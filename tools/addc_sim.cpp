@@ -253,15 +253,8 @@ int main(int argc, char** argv) {
   }
 
   // Plan errors that depend on the deployment (n SUs plus the base station,
-  // node 0) are input errors too: report them once, before any run.
-  if (const std::string error =
-          faults::CheckScriptedEvents(fault_plan, config.num_sus + 1, /*sink=*/0);
-      !error.empty()) {
-    std::cerr << "error: " << error << "\n";
-    return 2;
-  }
-  // So are scripted events that race a crash generator, which depend on
-  // each repetition's draws: check them all before any cell runs.
+  // node 0) or on a repetition's draws (a scripted event racing a crash
+  // generator) are input errors too: check every repetition before any run.
   for (std::int64_t rep = 0; !faults_path.empty() && rep < reps; ++rep) {
     if (const std::string error =
             core::CheckFaultPlan(fault_plan, config, static_cast<std::uint64_t>(rep));
