@@ -119,5 +119,27 @@ TEST(ChromeTraceTest, TimelineStaysMonotoneAfterMetadata) {
   EXPECT_LT(rendered.find("early"), rendered.find("late"));
 }
 
+TEST(ChromeTraceTest, EscapesAndFlushesAcrossTheBuffer) {
+  ChromeTraceEvent escaped;
+  escaped.name = "a\"b\\c\nd\te\x01";
+  escaped.phase = ChromeTraceEvent::Phase::kInstant;
+  escaped.ts_us = -1.5;
+  escaped.args.emplace_back("k", "v");
+  EXPECT_EQ(Render({escaped}),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+            "{\"name\":\"a\\\"b\\\\c\\nd\\te\\u0001\",\"cat\":\"crn\",\"ph\":\"i\","
+            "\"ts\":-1.500,\"pid\":1,\"tid\":0,\"s\":\"t\",\"args\":{\"k\":\"v\"}}"
+            "\n]}\n");
+  // Names longer than the 64 KiB buffer, escaped and not, arrive whole.
+  const std::string plain(100000, 'x');
+  const std::string quotes(40000, '"');
+  const std::string rendered =
+      Render({Slice(plain, 1.0, 1, 0), Slice(quotes, 2.0, 1, 0)});
+  EXPECT_NE(rendered.find("{\"name\":\"" + plain + "\""), std::string::npos);
+  std::string escaped_quotes;
+  for (std::size_t i = 0; i < quotes.size(); ++i) escaped_quotes += "\\\"";
+  EXPECT_NE(rendered.find("{\"name\":\"" + escaped_quotes + "\""), std::string::npos);
+}
+
 }  // namespace
 }  // namespace crn::obs
