@@ -67,41 +67,83 @@ Verdict Decide(double signal, double approx_pu, double interference_su, double e
 
 namespace {
 
-// Two doubles in one register (GCC/Clang vector extensions). One
+// kWidth doubles in one register (GCC/Clang vector extensions). One
 // accumulator measured faster than two or four: the divisions bound the
-// loop, not the add chain.
-typedef double Pair __attribute__((vector_size(16)));
-static_assert(kLanes == 2);
+// loop, not the add chain. Every width's sum lies in the same window, so
+// the width never changes a verdict.
+template <int kWidth>
+struct LaneVector {
+  typedef double type __attribute__((vector_size(8 * kWidth)));
+};
 
-}  // namespace
-
-double ApproxInterference(const double* xs, const double* ys, std::size_t count,
-                          geom::Vec2 rx, double power, const spectrum::PathLoss& loss) {
-  CRN_DCHECK(count % kLanes == 0);
+template <int kWidth>
+[[gnu::always_inline]] inline double SumLanes(const double* xs, const double* ys,
+                                              std::size_t count, geom::Vec2 rx,
+                                              double power,
+                                              const spectrum::PathLoss& loss) {
+  using V = typename LaneVector<kWidth>::type;
   constexpr double kMinSq =
       spectrum::PathLoss::kMinDistance * spectrum::PathLoss::kMinDistance;
-  const Pair rx_x = Pair{} + rx.x;
-  const Pair rx_y = Pair{} + rx.y;
-  const Pair min_sq = Pair{} + kMinSq;
-  const Pair watts = Pair{} + power;
+  const V rx_x = V{} + rx.x;
+  const V rx_y = V{} + rx.y;
+  const V min_sq = V{} + kMinSq;
+  const V watts = V{} + power;
   const bool alpha_is_four = loss.alpha() == 4.0;
-  Pair sum = {};
-  for (std::size_t i = 0; i < count; i += kLanes) {
-    Pair x;
-    Pair y;
+  V sum = {};
+  for (std::size_t i = 0; i < count; i += kWidth) {
+    V x;
+    V y;
     __builtin_memcpy(&x, xs + i, sizeof x);
     __builtin_memcpy(&y, ys + i, sizeof y);
-    const Pair dx = x - rx_x;
-    const Pair dy = y - rx_y;
-    Pair d2 = dx * dx + dy * dy;
+    const V dx = x - rx_x;
+    const V dy = y - rx_y;
+    V d2 = dx * dx + dy * dy;
     d2 = d2 < min_sq ? min_sq : d2;
     if (alpha_is_four) {
       sum += watts / (d2 * d2);
     } else {
-      for (int e = 0; e < 2; ++e) sum[e] += loss.ReceivedPowerSquared(power, d2[e]);
+      for (int e = 0; e < kWidth; ++e) sum[e] += loss.ReceivedPowerSquared(power, d2[e]);
     }
   }
-  return sum[0] + sum[1];
+  double total = 0.0;
+  for (int e = 0; e < kWidth; ++e) total += sum[e];
+  return total;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] double SumLanes4(const double* xs, const double* ys,
+                                         std::size_t count, geom::Vec2 rx, double power,
+                                         const spectrum::PathLoss& loss) {
+  return SumLanes<4>(xs, ys, count, rx, power, loss);
+}
+#endif
+
+}  // namespace
+
+std::vector<int> SupportedWidths() {
+  std::vector<int> widths;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) widths.push_back(4);
+#endif
+  widths.push_back(2);
+  return widths;
+}
+
+int BestWidth() {
+  static const int best = SupportedWidths().front();
+  return best;
+}
+
+double ApproxInterference(const double* xs, const double* ys, std::size_t count,
+                          geom::Vec2 rx, double power, const spectrum::PathLoss& loss,
+                          int width) {
+  CRN_DCHECK(count % kLanes == 0);
+#if defined(__x86_64__) || defined(__i386__)
+  if (width == 4) return SumLanes4(xs, ys, count, rx, power, loss);
+#endif
+  CRN_DCHECK(width == 2) << "lane width " << width;
+  return SumLanes<2>(xs, ys, count, rx, power, loss);
 }
 
 }  // namespace pu_protection
@@ -214,6 +256,7 @@ void InvariantAuditor::CheckPuProtection() {
     pu_y_[i] = position.y;
   }
   const double margin = pu_protection::Margin(count > 0 ? count - 1 : 0, loss.alpha());
+  const int width = pu_protection::BestWidth();
   for (std::size_t i = 0; i < count; ++i) {
     const pu::PuId p = active_pus[i];
     const geom::Vec2 rx = primary_->receiver_position(p);
@@ -227,7 +270,7 @@ void InvariantAuditor::CheckPuProtection() {
     ++report_.pu_checks;
     pu_x_[i] = kAbsent;
     const double approx_pu = pu_protection::ApproxInterference(
-        pu_x_.data(), pu_y_.data(), padded, rx, pu_power, loss);
+        pu_x_.data(), pu_y_.data(), padded, rx, pu_power, loss, width);
     pu_x_[i] = primary_->position(p).x;
     pu_protection::Verdict verdict =
         pu_protection::Decide(signal, approx_pu, interference_su, eta, margin);

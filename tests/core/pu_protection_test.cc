@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -32,8 +34,9 @@ struct Layout {
       ys[i] = positions[i].y;
     }
   }
-  [[nodiscard]] double Approx(geom::Vec2 rx, const spectrum::PathLoss& loss) const {
-    return ApproxInterference(xs.data(), ys.data(), xs.size(), rx, kPower, loss);
+  [[nodiscard]] double Approx(geom::Vec2 rx, const spectrum::PathLoss& loss,
+                              int width) const {
+    return ApproxInterference(xs.data(), ys.data(), xs.size(), rx, kPower, loss, width);
   }
 };
 
@@ -114,9 +117,11 @@ TEST(PuProtectionTest, NoOtherPuLeavesTheDecisionToTheExactPredicate) {
   const spectrum::PathLoss loss(4.0);
   const geom::Vec2 rx{3.0, 4.0};
   // K = 0: nothing to sum. K = 1: the receiver's own PU is blanked.
-  EXPECT_EQ(ApproxInterference(nullptr, nullptr, 0, rx, kPower, loss), 0.0);
   const Layout alone({{kAbsent, 0.0}});
-  EXPECT_EQ(alone.Approx(rx, loss), 0.0);
+  for (const int width : SupportedWidths()) {
+    EXPECT_EQ(ApproxInterference(nullptr, nullptr, 0, rx, kPower, loss, width), 0.0);
+    EXPECT_EQ(alone.Approx(rx, loss, width), 0.0);
+  }
   for (const std::size_t terms : {std::size_t{0}, std::size_t{1}}) {
     const double margin = Margin(terms, 4.0);
     for (const double su : {0.0, 1e-3, 1.0}) {
@@ -137,35 +142,43 @@ TEST(PuProtectionTest, NoOtherPuLeavesTheDecisionToTheExactPredicate) {
             Verdict::kUndecided);
 }
 
+// One interferer on the receiver and one 1e-7 m from it (both inside the
+// 1e-6 m clamp): a single term is the exact term, bit for bit, and a mix of
+// clamped and far terms stays inside the window.
+void CheckClamp(double alpha, int width) {
+  SCOPED_TRACE("width " + std::to_string(width));
+  const spectrum::PathLoss loss(alpha);
+  const geom::Vec2 rx{100.0, 200.0};
+  for (const geom::Vec2 at : {rx, geom::Vec2{rx.x + 1e-7, rx.y}}) {
+    const Layout one({at});
+    EXPECT_EQ(one.Approx(rx, loss, width),
+              loss.ReceivedPowerSquared(kPower, geom::DistanceSquared(at, rx)));
+  }
+  const std::vector<geom::Vec2> positions = {
+      {kAbsent, 0.0}, rx, {rx.x, rx.y - 5e-7}, {rx.x + 40.0, rx.y}, {rx.x, rx.y + 90.0}};
+  const double exact = ExactSum(positions, 0, rx, loss);
+  const double approx = Layout(positions).Approx(rx, loss, width);
+  const double margin = Margin(positions.size() - 1, alpha);
+  EXPECT_LE(std::abs(approx - exact), Rho(margin) * exact);
+  for (const double scale : {0.5, 1.0, 1.0 + 1e-15, 2.0}) {
+    const double signal = kEta * exact * scale;
+    DefersOrAgrees(signal, approx, exact, 0.0, margin);
+    DefersOrAgrees(signal, approx, exact, exact, margin);
+  }
+}
+
 TEST(PuProtectionTest, TermsAtTheMinDistanceClamp) {
-  for (const double alpha : {4.0, 3.5}) {
-    const spectrum::PathLoss loss(alpha);
-    const geom::Vec2 rx{100.0, 200.0};
-    // One interferer on the receiver and one 1e-7 m from it (both inside
-    // the 1e-6 m clamp): a single term is the exact term, bit for bit.
-    for (const geom::Vec2 at : {rx, geom::Vec2{rx.x + 1e-7, rx.y}}) {
-      const Layout one({at});
-      EXPECT_EQ(one.Approx(rx, loss),
-                loss.ReceivedPowerSquared(kPower, geom::DistanceSquared(at, rx)));
-    }
-    const std::vector<geom::Vec2> positions = {
-        {kAbsent, 0.0}, rx, {rx.x, rx.y - 5e-7}, {rx.x + 40.0, rx.y}, {rx.x, rx.y + 90.0}};
-    const double exact = ExactSum(positions, 0, rx, loss);
-    const double approx = Layout(positions).Approx(rx, loss);
-    const double margin = Margin(positions.size() - 1, alpha);
-    EXPECT_LE(std::abs(approx - exact), Rho(margin) * exact);
-    for (const double scale : {0.5, 1.0, 1.0 + 1e-15, 2.0}) {
-      const double signal = kEta * exact * scale;
-      DefersOrAgrees(signal, approx, exact, 0.0, margin);
-      DefersOrAgrees(signal, approx, exact, exact, margin);
-    }
+  for (const int width : SupportedWidths()) {
+    CheckClamp(4.0, width);
+    CheckClamp(3.5, width);
   }
 }
 
 // Random PU fields with the receiver placed so one threshold sits within a
 // few windows of the exact sum: Decide must agree whenever it decides, and
 // near the threshold the exact predicate provably runs.
-void CheckRandomGeometries(double alpha) {
+void CheckRandomGeometries(double alpha, int width) {
+  SCOPED_TRACE("width " + std::to_string(width));
   const spectrum::PathLoss loss(alpha);
   Rng rng(0xA5A5 + static_cast<std::uint64_t>(alpha * 10));
   int deferred = 0;
@@ -182,7 +195,7 @@ void CheckRandomGeometries(double alpha) {
     const double exact = ExactSum(positions, p, rx, loss);
     Layout layout(positions);
     layout.xs[p] = kAbsent;
-    const double approx = layout.Approx(rx, loss);
+    const double approx = layout.Approx(rx, loss, width);
     const double margin = Margin(count - 1, alpha);
     ASSERT_LE(std::abs(approx - exact), Rho(margin) * exact) << "trial " << trial;
     const double su = rng.Bernoulli(0.5) ? 0.0 : exact * rng.UniformDouble(0.0, 0.5);
@@ -198,9 +211,21 @@ void CheckRandomGeometries(double alpha) {
   EXPECT_GT(decided, 0);
 }
 
-TEST(PuProtectionTest, RandomGeometriesAtAlphaFour) { CheckRandomGeometries(4.0); }
+TEST(PuProtectionTest, RandomGeometriesAtAlphaFour) {
+  for (const int width : SupportedWidths()) CheckRandomGeometries(4.0, width);
+}
 TEST(PuProtectionTest, RandomGeometriesAtAlphaThreeAndAHalf) {
-  CheckRandomGeometries(3.5);
+  for (const int width : SupportedWidths()) CheckRandomGeometries(3.5, width);
+}
+
+TEST(PuProtectionTest, EveryHostRunsTheBaselineWidth) {
+  const std::vector<int> widths = SupportedWidths();
+  ASSERT_FALSE(widths.empty());
+  EXPECT_EQ(widths.back(), 2);
+  EXPECT_EQ(BestWidth(), widths.front());
+  std::string names;
+  for (const int width : widths) names += " " + std::to_string(width);
+  std::cout << "[ widths   ]" << names << "\n";
 }
 
 }  // namespace
