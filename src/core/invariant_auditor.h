@@ -51,7 +51,7 @@
 namespace crn::core {
 
 // Lemma 2 at one PU receiver, split so the auditor can decide almost every
-// reception from a reordered sum (DESIGN.md §8, "Deciding PU protection
+// reception from a reordered sum (DESIGN.md §7, "Deciding PU protection
 // from a reordered sum"). `signal` is the PU's own received power,
 // `interference_pu` the other active PUs' power summed in id order,
 // `interference_su` the active SUs' power, `eta` the linear η_p > 0.

@@ -112,10 +112,10 @@ std::uint64_t PacketSpanTracer::Digest() const {
 }
 
 void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
-  // One light key per event, numbered in the order ToChromeEvents-style
-  // emission would produce them: each packet's begin, enqueues and end (map
-  // order), then the attempts, then the freezes. Sorting by (ts, number) is
-  // the stable sort by ts that WriteChromeTrace applies.
+  // One light key per event, numbered in emission order: each packet's
+  // begin, enqueues and end (map order), then the attempts, then the
+  // freezes. Sorting by (ts, number) is obs::WriteChromeTrace's stable sort
+  // by ts over events emitted in that order, so the bytes are the same.
   enum class Kind : std::uint8_t { kBegin, kEnqueue, kEnd, kAttempt, kFreeze };
   struct Key {
     double ts_us;
@@ -124,10 +124,8 @@ void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
     std::uint32_t hop;     // enqueue index within the packet
     Kind kind;
   };
-  std::vector<const PacketSpan*> spans;
-  std::vector<std::uint64_t> ids;
-  spans.reserve(packets_.size());
-  ids.reserve(packets_.size());
+  std::vector<const std::pair<const std::uint64_t, PacketSpan>*> packets;
+  packets.reserve(packets_.size());
   std::vector<Key> keys;
   keys.reserve(2 * packets_.size() + attempts_.size() + freezes_.size());
   auto add = [&keys](sim::TimeNs at, std::size_t record, std::size_t hop, Kind kind) {
@@ -135,10 +133,10 @@ void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
                        static_cast<std::uint32_t>(record),
                        static_cast<std::uint32_t>(hop), kind});
   };
-  for (const auto& [id, span] : packets_) {
-    const std::size_t ordinal = spans.size();
-    spans.push_back(&span);
-    ids.push_back(id);
+  for (const auto& entry : packets_) {
+    const std::size_t ordinal = packets.size();
+    packets.push_back(&entry);
+    const PacketSpan& span = entry.second;
     add(span.created, ordinal, 0, Kind::kBegin);
     for (std::size_t h = 0; h < span.enqueues.size(); ++h) {
       add(span.enqueues[h].at, ordinal, h, Kind::kEnqueue);
@@ -167,15 +165,15 @@ void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
   for (const Key& key : keys) {
     switch (key.kind) {
       case Kind::kBegin: {
-        const PacketSpan& span = *spans[key.record];
+        const auto& [id, span] = *packets[key.record];
         writer.BeginEvent("packet", "packet", Phase::kAsyncBegin, key.ts_us, 0.0, 1,
-                          span.origin, ids[key.record]);
+                          span.origin, id);
         writer.Arg("origin", std::int64_t{span.origin});
         writer.Arg("snapshot", std::int64_t{span.snapshot});
         break;
       }
       case Kind::kEnqueue: {
-        const PacketSpan& span = *spans[key.record];
+        const PacketSpan& span = packets[key.record]->second;
         const Hop& hop = span.enqueues[key.hop];
         writer.BeginEvent("enqueue", "packet", Phase::kInstant, key.ts_us, 0.0, 1,
                           hop.node, 0);
@@ -184,9 +182,9 @@ void PacketSpanTracer::WriteChromeTrace(std::ostream& out) const {
         break;
       }
       case Kind::kEnd: {
-        const PacketSpan& span = *spans[key.record];
+        const auto& [id, span] = *packets[key.record];
         writer.BeginEvent("packet", "packet", Phase::kAsyncEnd, key.ts_us, 0.0, 1,
-                          span.origin, ids[key.record]);
+                          span.origin, id);
         writer.Arg("outcome", span.delivered >= 0 ? "delivered" : "dropped");
         if (span.delivered >= 0) {
           writer.Arg("hops", std::int64_t{span.hops});
