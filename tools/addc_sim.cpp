@@ -74,7 +74,8 @@ Execution:
   --faults=FILE           inject the fault plan in FILE into every ADDC run
                           (crashes + self-healing repair, sensing bursts, PU
                           perturbation — format in DESIGN.md §9); a script
-                          that contradicts the deployment exits 2 first.
+                          that contradicts the deployment, or a generator's
+                          draws in any repetition, exits 2 first.
                           Reproducible from --seed; per-rep summaries print
                           when faults fired. With --audit, routing acyclicity
                           is re-verified after every repair.
