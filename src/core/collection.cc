@@ -17,33 +17,6 @@ namespace crn::core {
 
 namespace {
 
-// Depth of every node in the next-hop forest (steps to the sink).
-std::vector<std::int32_t> RouteDepths(const std::vector<graph::NodeId>& next_hop,
-                                      graph::NodeId sink) {
-  const auto n = static_cast<std::int32_t>(next_hop.size());
-  std::vector<std::int32_t> depth(n, -1);
-  depth[sink] = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    // Walk up until a memoized node, then unwind.
-    std::vector<graph::NodeId> path;
-    graph::NodeId cursor = v;
-    while (depth[cursor] < 0) {
-      path.push_back(cursor);
-      cursor = next_hop[cursor];
-      CRN_CHECK(static_cast<std::int32_t>(path.size()) <= n) << "route cycle";
-    }
-    std::int32_t d = depth[cursor];
-    for (auto it = path.rbegin(); it != path.rend(); ++it) {
-      depth[*it] = ++d;
-    }
-  }
-  return depth;
-}
-
-}  // namespace
-
-namespace {
-
 mac::MacConfig MakeMacConfig(const ScenarioConfig& config, double sensing_range,
                              const RunOptions& options) {
   mac::MacConfig mac_config;
@@ -199,8 +172,6 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   }
   pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
   const mac::MacConfig mac_config = MakeMacConfig(config, sensing_range, options);
-
-  const std::vector<std::int32_t> depths = RouteDepths(next_hop, scenario.sink());
 
   mac::CollectionMac mac(simulator, primary, scenario.su_positions(),
                          scenario.area(), scenario.sink(), std::move(next_hop),
@@ -425,6 +396,7 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   result.theory_po = SpectrumOpportunityProbability(
       sensing_range, config.num_pus, config.area(), config.pu_activity);
   result.measured_po = result.mac.measured_spectrum_opportunity();
+  const std::vector<std::int32_t>& depths = mac.route_depths();
   result.max_route_depth = *std::max_element(depths.begin(), depths.end());
   for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(depths.size()); ++v) {
     if (v != scenario.sink() && depths[v] == 1) ++result.sink_degree;

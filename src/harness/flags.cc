@@ -78,6 +78,19 @@ bool FlagParser::GetBool(const std::string& name, bool fallback) {
   return fallback;
 }
 
+std::string FlagParser::GetChoice(const std::string& name, const std::string& fallback,
+                                  std::initializer_list<std::string_view> choices) {
+  const std::string value = GetString(name, fallback);
+  std::string accepted;
+  for (const std::string_view choice : choices) {
+    if (choice == value) return value;
+    if (!accepted.empty()) accepted += '|';
+    accepted += choice;
+  }
+  errors_.push_back("--" + name + "=" + value + " is not one of " + accepted);
+  return fallback;
+}
+
 std::vector<std::string> FlagParser::UnconsumedFlags() const {
   std::vector<std::string> unknown;
   for (const auto& [name, value] : values_) {

@@ -6,9 +6,11 @@
 #define CRN_HARNESS_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace crn::harness {
@@ -27,6 +29,10 @@ class FlagParser {
   double GetDouble(const std::string& name, double fallback);
   std::int64_t GetInt(const std::string& name, std::int64_t fallback);
   bool GetBool(const std::string& name, bool fallback);
+  // A value that must be one of `choices`; any other is reported via
+  // errors(), naming the flag and the accepted values.
+  std::string GetChoice(const std::string& name, const std::string& fallback,
+                        std::initializer_list<std::string_view> choices);
 
   [[nodiscard]] const std::vector<std::string>& positionals() const {
     return positionals_;

@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "common/units.h"
 #include "geom/spatial_grid.h"
 #include "geom/vec2.h"
+#include "mac/fifo.h"
 #include "mac/packet.h"
 #include "pu/activity_stream.h"
 #include "pu/primary_network.h"
@@ -149,6 +149,13 @@ struct MacStats {
   }
 };
 
+// Hops from every node to `sink` along `next_hop` (the sink's own entry is
+// never read). CRN_CHECKs that every node reaches the sink: a hop outside
+// [0, n) or to the node itself is a "bad next hop", a loop a "next-hop
+// cycle". One memoized walk, O(n).
+[[nodiscard]] std::vector<std::int32_t> RouteDepths(const std::vector<NodeId>& next_hop,
+                                                    NodeId sink);
+
 class CollectionMac {
  public:
   // `positions[sink]` is the base station; `next_hop[v]` must eventually
@@ -245,6 +252,11 @@ class CollectionMac {
   // Current routing table entry (audit layers verify reachability/acyclicity
   // through these after churn).
   [[nodiscard]] NodeId next_hop(NodeId node) const { return next_hop_[node]; }
+  // RouteDepths of the table the MAC was constructed with (UpdateNextHop
+  // does not change it).
+  [[nodiscard]] const std::vector<std::int32_t>& route_depths() const {
+    return route_depths_;
+  }
   [[nodiscard]] NodeId sink() const { return sink_; }
 
   // Exact SIR work tally (interference_field.h): pure function of the
@@ -286,7 +298,7 @@ class CollectionMac {
   // arrays below instead, so those loops never drag a whole Agent — queue,
   // timers, PU list — through the cache.
   struct Agent {
-    std::deque<Packet> queue;
+    Fifo<Packet> queue;
     // Contention state (valid in kContending).
     sim::TimeNs backoff_drawn = 0;  // t_i of the current attempt
     sim::TimeNs remaining = 0;
@@ -386,6 +398,7 @@ class CollectionMac {
   geom::Aabb area_;
   NodeId sink_;
   std::vector<NodeId> next_hop_;
+  std::vector<std::int32_t> route_depths_;
   MacConfig config_;
   // Separate streams so the PU activity sequence is identical across
   // algorithms fed the same root rng (paired comparisons), regardless of

@@ -55,6 +55,18 @@ TEST(FlagParserTest, MalformedValuesReportErrors) {
   EXPECT_EQ(flags.errors().size(), 3u);
 }
 
+TEST(FlagParserTest, ChoicesAcceptOnlyTheirValues) {
+  FlagParser flags = Parse({"--mode=fast", "--algo=ADDC"});
+  EXPECT_EQ(flags.GetChoice("mode", "slow", {"slow", "fast"}), "fast");
+  EXPECT_EQ(flags.GetChoice("absent", "slow", {"slow", "fast"}), "slow");
+  EXPECT_TRUE(flags.errors().empty());
+  // Matching is exact: no case folding, no prefixes.
+  EXPECT_EQ(flags.GetChoice("algo", "both", {"addc", "coolest", "both"}), "both");
+  ASSERT_EQ(flags.errors().size(), 1u);
+  EXPECT_EQ(flags.errors()[0], "--algo=ADDC is not one of addc|coolest|both");
+  EXPECT_TRUE(flags.UnconsumedFlags().empty());
+}
+
 TEST(FlagParserTest, UnconsumedFlagsDetected) {
   FlagParser flags = Parse({"--known=1", "--typo=2"});
   flags.GetInt("known", 0);

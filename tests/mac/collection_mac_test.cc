@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/checkpoint.h"
 #include "sim/simulator.h"
 
 namespace crn::mac {
@@ -204,6 +205,100 @@ TEST(CollectionMacTest, RejectsBrokenNextHopTables) {
                ContractViolation);
   // Cycle 1 <-> 2.
   EXPECT_THROW(Harness(sus, {0, 2, 1}, {}, 0.0, BasicConfig()), ContractViolation);
+}
+
+std::string RouteRejection(const std::vector<NodeId>& next_hop) {
+  try {
+    (void)RouteDepths(next_hop, /*sink=*/0);
+  } catch (const ContractViolation& violation) {
+    return violation.what();
+  }
+  ADD_FAILURE() << "RouteDepths accepted a broken table";
+  return {};
+}
+
+TEST(RouteDepthsTest, CountsHopsToTheSink) {
+  // 0 <- 1 <- 3 <- 4, 0 <- 2 <- 5; the sink's own entry is never read.
+  EXPECT_EQ(RouteDepths({-1, 0, 0, 1, 3, 2}, 0),
+            (std::vector<std::int32_t>{0, 1, 1, 2, 3, 2}));
+  // Walks that start deep and meet already-walked nodes.
+  EXPECT_EQ(RouteDepths({0, 2, 3, 0, 1}, 0),
+            (std::vector<std::int32_t>{0, 3, 2, 1, 4}));
+}
+
+TEST(RouteDepthsTest, NamesTheBrokenEntry) {
+  auto contains = [](const std::string& text, const std::string& part) {
+    return text.find(part) != std::string::npos;
+  };
+  // The first node (in index order) whose route fails is reported.
+  EXPECT_TRUE(contains(RouteRejection({0, 1}), "bad next hop 1 at node 1"));
+  EXPECT_TRUE(contains(RouteRejection({0, 0, 7, 2}), "bad next hop 7 at node 2"));
+  EXPECT_TRUE(contains(RouteRejection({0, -1}), "bad next hop -1 at node 1"));
+  // 1 leads into the cycle 2 <-> 3 without being on it.
+  EXPECT_TRUE(contains(RouteRejection({0, 2, 3, 2}), "next-hop cycle involving node 1"));
+  EXPECT_TRUE(contains(RouteRejection({0, 0, 3, 2}), "next-hop cycle involving node 2"));
+}
+
+TEST(CollectionMacTest, ExposesTheConstructionRouteDepths) {
+  Harness h({{10, 50}, {18, 50}, {26, 50}, {34, 50}}, {0, 0, 1, 2}, {}, 0.0,
+            BasicConfig());
+  EXPECT_EQ(h.mac.route_depths(), (std::vector<std::int32_t>{0, 1, 2, 3}));
+}
+
+// A MAC checkpointed while packets wait in its relays' queues restores to
+// the same state: the restored run re-saves the same bytes and finishes
+// with the same statistics as the uninterrupted one.
+TEST(CollectionMacCheckpointTest, RoundTripsNonEmptyQueues) {
+  const std::vector<Vec2> sus{{10, 50}, {18, 50}, {26, 50}, {34, 50}, {42, 50}};
+  const std::vector<NodeId> next_hop{0, 0, 1, 2, 3};
+  const std::vector<Vec2> pus{{30, 60}, {60, 40}};
+  const MacConfig config = BasicConfig();
+  std::vector<NodeId> producers;
+  for (int k = 0; k < 6; ++k) {
+    for (NodeId v = 1; v < 5; ++v) producers.push_back(v);
+  }
+  const auto save = [](const sim::Simulator& simulator, const pu::PrimaryNetwork& primary,
+                       const CollectionMac& mac) {
+    sim::StateWriter writer;
+    simulator.SaveState(writer);
+    primary.SaveState(writer);
+    mac.SaveState(writer);
+    return writer.Finish();
+  };
+
+  Harness original(sus, next_hop, pus, 0.3, config);
+  original.mac.StartCollection(producers);
+  ASSERT_EQ(original.simulator.RunUntilEvents(60), sim::RunStatus::kPaused);
+  const MacStats& at_pause = original.mac.stats();
+  ASSERT_GE(at_pause.packets_seeded - at_pause.delivered - at_pause.packets_lost, 12)
+      << "the checkpoint should hold queued packets";
+  const std::string blob = save(original.simulator, original.primary, original.mac);
+
+  sim::StateReader reader(blob);
+  sim::Simulator simulator;
+  simulator.LoadRegistry(reader);
+  simulator.BeginRestore(reader);
+  const Aabb area = Aabb::Square(100.0);
+  pu::PrimaryNetwork primary = Harness::MakePrimary(pus, 0.3, config, area);
+  CollectionMac restored(simulator, primary, sus, area, /*sink=*/0, next_hop, config,
+                         Rng(99));
+  primary.LoadState(reader);
+  restored.LoadState(reader);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  simulator.FinishRestore();
+  EXPECT_EQ(save(simulator, primary, restored), blob);
+
+  original.simulator.Run();
+  simulator.Run();
+  ASSERT_TRUE(original.mac.finished());
+  ASSERT_TRUE(restored.finished());
+  EXPECT_EQ(restored.stats().delivered, original.mac.stats().delivered);
+  EXPECT_EQ(restored.stats().delivered, 24);
+  EXPECT_EQ(restored.stats().attempts, original.mac.stats().attempts);
+  EXPECT_EQ(restored.stats().finish_time, original.mac.stats().finish_time);
+  EXPECT_EQ(restored.stats().delivered_hops_total,
+            original.mac.stats().delivered_hops_total);
+  EXPECT_EQ(restored.delivery_time(), original.mac.delivery_time());
 }
 
 // Every MacConfig field is validated at construction with a message naming

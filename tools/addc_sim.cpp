@@ -188,12 +188,14 @@ int main(int argc, char** argv) {
     config.pu_activity_process = pu::ActivityProcess::kMarkov;
     config.pu_mean_burst_slots = burst;
   }
-  const std::string c2 = flags.GetString("c2", "paper");
+  const std::string c2 = flags.GetChoice("c2", "paper", {"paper", "corrected"});
   config.c2_variant =
       c2 == "corrected" ? core::C2Variant::kCorrected : core::C2Variant::kPaper;
 
-  const std::string algorithm = flags.GetString("algorithm", "both");
-  const std::string metric_name = flags.GetString("metric", "accumulated");
+  const std::string algorithm =
+      flags.GetChoice("algorithm", "both", {"addc", "coolest", "both"});
+  const std::string metric_name = flags.GetChoice(
+      "metric", "accumulated", {"accumulated", "highest", "mixed"});
   routing::TemperatureMetric metric = routing::TemperatureMetric::kAccumulated;
   if (metric_name == "highest") metric = routing::TemperatureMetric::kHighest;
   if (metric_name == "mixed") metric = routing::TemperatureMetric::kMixed;
