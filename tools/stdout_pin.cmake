@@ -1,9 +1,8 @@
-# Pins what one addc_sim command prints: its exit status and the size and
-# 64-bit FNV-1a hash of its stdout, and optionally of one artifact it
-# writes. The pins hold the CLI's visible behaviour fixed while its code
-# changes.
+# Pins what one command prints: its exit status and the size and 64-bit
+# FNV-1a hash of its stdout, and optionally of one artifact it writes. The
+# pins hold a program's visible behaviour fixed while its code changes.
 #
-#   cmake -DADDC_SIM=<addc_sim binary> -DWORK_DIR=<scratch dir>
+#   cmake -DPROGRAM=<binary> -DWORK_DIR=<scratch dir>
 #         "-DRUN_ARGS=<flag>;<flag>;..." -DPIN=<size>:<fnv>
 #         [-DSTATUS=<exit status, default 0>] [-DLINES=<regex>]
 #         [-DARTIFACT=<file name> -DARTIFACT_PIN=<size>:<fnv>]
@@ -23,10 +22,10 @@ endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 string(REPLACE "@DIR@" "${WORK_DIR}" args "${RUN_ARGS}")
 string(REPLACE "\\;" ";" args "${args}")
-execute_process(COMMAND "${ADDC_SIM}" ${args}
+execute_process(COMMAND "${PROGRAM}" ${args}
   RESULT_VARIABLE status OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status STREQUAL STATUS)
-  message(FATAL_ERROR "addc_sim ${args} exited ${status}, expected ${STATUS}:\n"
+  message(FATAL_ERROR "${PROGRAM} ${args} exited ${status}, expected ${STATUS}:\n"
                       "${out}${err}")
 endif()
 
@@ -45,7 +44,7 @@ function(check_pin what path pin)
   fnv1a64(fnv "${path}")
   if(NOT "${size}:${fnv}" STREQUAL "${pin}")
     message(FATAL_ERROR "${what} drifted: ${size}:${fnv} (pinned ${pin})\n"
-                        "addc_sim ${args}\n${out}")
+                        "${PROGRAM} ${args}\n${out}")
   endif()
   message(STATUS "${what}: ${size}:${fnv}")
 endfunction()
