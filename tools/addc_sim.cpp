@@ -43,7 +43,8 @@ using namespace crn;
 constexpr const char* kHelp = R"(addc_sim — ADDC / Coolest CRN data-collection simulator
 
 Scenario (defaults: the paper's Fig. 6 configuration scaled by --scale):
-  --scale=F               density-preserving scale factor (default 0.25)
+  --scale=F               density-preserving scale factor in (0, 1]
+                          (default 0.25)
   --n=INT                 number of SUs (overrides scale)
   --area=F                area side in meters (overrides scale)
   --num-pus=INT           number of PUs (overrides scale)
@@ -169,7 +170,11 @@ int main(int argc, char** argv) {
   }
 
   const double scale = flags.GetDouble("scale", 0.25);
-  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(scale);
+  // An out-of-range scale is a usage error, reported below; never hand it
+  // to ScaledDefaults, which CHECKs it.
+  const bool scale_valid = scale > 0.0 && scale <= 1.0;  // false for NaN too
+  core::ScenarioConfig config =
+      core::ScenarioConfig::ScaledDefaults(scale_valid ? scale : 1.0);
   config.num_sus = static_cast<std::int32_t>(flags.GetInt("n", config.num_sus));
   config.area_side = flags.GetDouble("area", config.area_side);
   config.num_pus = static_cast<std::int32_t>(flags.GetInt("num-pus", config.num_pus));
@@ -234,6 +239,10 @@ int main(int argc, char** argv) {
       std::cerr << "error: unknown flag " << unknown << "\n";
     }
     std::cerr << "run with --help for usage\n";
+    return 2;
+  }
+  if (!scale_valid) {
+    std::cerr << "error: --scale must be in (0, 1], got " << scale << "\n";
     return 2;
   }
   // Counts that size allocations or loops: a non-positive value would
