@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/simd_width.h"
 #include "sim/checkpoint.h"
 
 namespace crn::core {
@@ -119,21 +120,6 @@ template <int kWidth>
 #endif
 
 }  // namespace
-
-std::vector<int> SupportedWidths() {
-  std::vector<int> widths;
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) widths.push_back(4);
-#endif
-  widths.push_back(2);
-  return widths;
-}
-
-int BestWidth() {
-  static const int best = SupportedWidths().front();
-  return best;
-}
 
 double ApproxInterference(const double* xs, const double* ys, std::size_t count,
                           geom::Vec2 rx, double power, const spectrum::PathLoss& loss,
@@ -256,7 +242,7 @@ void InvariantAuditor::CheckPuProtection() {
     pu_y_[i] = position.y;
   }
   const double margin = pu_protection::Margin(count > 0 ? count - 1 : 0, loss.alpha());
-  const int width = pu_protection::BestWidth();
+  const int width = simd::BestWidth();
   for (std::size_t i = 0; i < count; ++i) {
     const pu::PuId p = active_pus[i];
     const geom::Vec2 rx = primary_->receiver_position(p);

@@ -85,15 +85,11 @@ enum class Verdict : std::uint8_t {
 // doubles, a multiple of every lane width.
 inline constexpr std::size_t kLanes = 4;
 
-// Lane widths this host can run, widest first (4 needs AVX2, 2 is the
-// baseline); BestWidth() is the first, picked once per process.
-[[nodiscard]] std::vector<int> SupportedWidths();
-[[nodiscard]] int BestWidth();
-
 // Σ_q P·d(q, rx)^{-α} over the `count` positions (xs[q], ys[q]), each term
 // the same expression as PathLoss::ReceivedPowerSquared, summed in `width`
-// independent lanes. An entry with xs[q] = +inf adds exactly 0: the
-// padding and the receiver's own PU. `count` is a multiple of kLanes.
+// independent lanes, `width` one of simd::SupportedWidths(). An entry with
+// xs[q] = +inf adds exactly 0: the padding and the receiver's own PU.
+// `count` is a multiple of kLanes.
 [[nodiscard]] double ApproxInterference(const double* xs, const double* ys,
                                         std::size_t count, geom::Vec2 rx,
                                         double power, const spectrum::PathLoss& loss,

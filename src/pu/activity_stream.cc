@@ -166,24 +166,9 @@ LaneKernel KernelFor(int width) {
 
 }  // namespace
 
-std::vector<int> ActivityStream::SupportedWidths() {
-  std::vector<int> widths;
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) widths.push_back(4);
-#endif
-  widths.push_back(2);
-  return widths;
-}
-
-int ActivityStream::BestWidth() {
-  static const int best = SupportedWidths().front();
-  return best;
-}
-
 ActivityStream::ActivityStream(const Rng& rng, int width)
     : width_(width), base_(rng), next_base_(rng) {
-  const std::vector<int> widths = SupportedWidths();
+  const std::vector<int> widths = simd::SupportedWidths();
   CRN_CHECK(std::find(widths.begin(), widths.end(), width) != widths.end())
       << "kernel width " << width << " is not runnable on this host";
 }

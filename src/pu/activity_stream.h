@@ -25,9 +25,9 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/rng.h"
+#include "common/simd_width.h"
 
 namespace crn::pu {
 
@@ -37,16 +37,11 @@ class ActivityStream {
   static constexpr std::int32_t kLaneDraws = 2048;  // L
   static constexpr std::int32_t kBlockDraws = kLanes * kLaneDraws;
 
-  // Vector widths (64-bit lanes per register) of the lane kernel: 4 (AVX2)
-  // or 2 (the baseline every build has). Every width runs the same integer
-  // operations and yields the same bits.
-  // SupportedWidths() lists what this host can run, widest first;
-  // BestWidth() is its first entry, picked once per process.
-  [[nodiscard]] static std::vector<int> SupportedWidths();
-  [[nodiscard]] static int BestWidth();
-
-  // `rng` is the serial generator at the stream's first draw.
-  explicit ActivityStream(const Rng& rng, int width = BestWidth());
+  // `rng` is the serial generator at the stream's first draw. `width` is
+  // the lane kernel's vector width (64-bit lanes per register), one of
+  // simd::SupportedWidths(); every width runs the same integer operations
+  // and yields the same bits.
+  explicit ActivityStream(const Rng& rng, int width = simd::BestWidth());
 
   // Sets the Bernoulli thresholds (Rng::BernoulliThreshold) the two bit
   // planes compare against. Free when unchanged; otherwise the unconsumed

@@ -118,7 +118,7 @@ TEST(PuProtectionTest, NoOtherPuLeavesTheDecisionToTheExactPredicate) {
   const geom::Vec2 rx{3.0, 4.0};
   // K = 0: nothing to sum. K = 1: the receiver's own PU is blanked.
   const Layout alone({{kAbsent, 0.0}});
-  for (const int width : SupportedWidths()) {
+  for (const int width : simd::SupportedWidths()) {
     EXPECT_EQ(ApproxInterference(nullptr, nullptr, 0, rx, kPower, loss, width), 0.0);
     EXPECT_EQ(alone.Approx(rx, loss, width), 0.0);
   }
@@ -168,7 +168,7 @@ void CheckClamp(double alpha, int width) {
 }
 
 TEST(PuProtectionTest, TermsAtTheMinDistanceClamp) {
-  for (const int width : SupportedWidths()) {
+  for (const int width : simd::SupportedWidths()) {
     CheckClamp(4.0, width);
     CheckClamp(3.5, width);
   }
@@ -212,17 +212,17 @@ void CheckRandomGeometries(double alpha, int width) {
 }
 
 TEST(PuProtectionTest, RandomGeometriesAtAlphaFour) {
-  for (const int width : SupportedWidths()) CheckRandomGeometries(4.0, width);
+  for (const int width : simd::SupportedWidths()) CheckRandomGeometries(4.0, width);
 }
 TEST(PuProtectionTest, RandomGeometriesAtAlphaThreeAndAHalf) {
-  for (const int width : SupportedWidths()) CheckRandomGeometries(3.5, width);
+  for (const int width : simd::SupportedWidths()) CheckRandomGeometries(3.5, width);
 }
 
 TEST(PuProtectionTest, EveryHostRunsTheBaselineWidth) {
-  const std::vector<int> widths = SupportedWidths();
+  const std::vector<int> widths = simd::SupportedWidths();
   ASSERT_FALSE(widths.empty());
   EXPECT_EQ(widths.back(), 2);
-  EXPECT_EQ(BestWidth(), widths.front());
+  EXPECT_EQ(simd::BestWidth(), widths.front());
   std::string names;
   for (const int width : widths) names += " " + std::to_string(width);
   std::cout << "[ widths   ]" << names << "\n";

@@ -108,7 +108,7 @@ std::int64_t SlotsForThreeBlocks(double draws_per_slot) {
 // `width`, calling `before_slot` (if any) ahead of each, and expects equal
 // masks, counts, window bits and generator states after every slot.
 void ExpectMatchesSerial(const PrimaryConfig& config, std::int64_t slots,
-                         int width = ActivityStream::BestWidth(),
+                         int width = simd::BestWidth(),
                          const BeforeSlot& before_slot = nullptr) {
   const Aabb area = Aabb::Square(100.0);
   PrimaryNetwork serial(config, area, Rng(17));
@@ -172,18 +172,18 @@ TEST(ActivityStreamTest, MatchesSerialAcrossMidBlockOverrides) {
     streamed.OverrideActivity(activity);
   };
   ExpectMatchesSerial(Config(100, 0.3), SlotsForThreeBlocks(100),
-                      ActivityStream::BestWidth(), overrides);
+                      simd::BestWidth(), overrides);
   ExpectMatchesSerial(MarkovConfig(100, 0.3, 4.0), SlotsForThreeBlocks(100),
-                      ActivityStream::BestWidth(), overrides);
+                      simd::BestWidth(), overrides);
 }
 
 TEST(ActivityStreamTest, EveryKernelWidthMatchesTheBaseline) {
-  const std::vector<int> widths = ActivityStream::SupportedWidths();
+  const std::vector<int> widths = simd::SupportedWidths();
   ASSERT_FALSE(widths.empty());
   EXPECT_EQ(widths.back(), 2);
   std::cout << "[ widths   ] kernel widths run on this host:";
   for (const int width : widths) std::cout << ' ' << width;
-  std::cout << " (best " << ActivityStream::BestWidth() << ")\n";
+  std::cout << " (best " << simd::BestWidth() << ")\n";
 
   for (const int width : widths) {
     SCOPED_TRACE(::testing::Message() << "width " << width);
@@ -316,10 +316,10 @@ TEST(ActivityWindowTest, OverrideAtEveryWindowOffsetRedraws) {
       serial.OverrideActivity(activity);
       streamed.OverrideActivity(activity);
     };
-    ExpectMatchesSerial(Config(100, 0.3), 4 * kWindow, ActivityStream::BestWidth(),
+    ExpectMatchesSerial(Config(100, 0.3), 4 * kWindow, simd::BestWidth(),
                         overrides);
     ExpectMatchesSerial(MarkovConfig(100, 0.3, 1.0), 4 * kWindow,
-                        ActivityStream::BestWidth(), overrides);
+                        simd::BestWidth(), overrides);
   }
 }
 
