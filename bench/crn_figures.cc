@@ -7,8 +7,10 @@
 // (data: one ScenarioConfig field over a list of values, run by RunSweep)
 // or a function that runs its cells, prints its tables and returns its
 // BENCH json series. The ablations, capacity and resilience rows lay their
-// cells out as variant × repetition through one FanOut. Every row shares
-// one frame: options, banner, profiler, timer and WriteBenchJson.
+// cells out as variant × repetition through one FanOut, which deploys
+// every repetition once for all the variants that share its geometry.
+// Every row shares one frame: options, banner, profiler, timer and
+// WriteBenchJson.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -41,17 +43,36 @@ using harness::Json;
 using harness::RunProfiler;
 using harness::Table;
 
-// Runs run(variant, repetition) for every variant × repetition cell on the
-// worker pool; the result holds cell (v, r) at v · reps + r.
+// The deployments of one FanOut: a cell asks for (config, repetition) and
+// gets a Scenario on the shared prefab for that geometry, so the variants
+// of a repetition deploy it once between them (a variant that changes
+// geometry gets its own entry). Shared prefabs are bit-identical to
+// private ones (DESIGN.md §15).
+class Deployments {
+ public:
+  core::Scenario operator()(const core::ScenarioConfig& config, std::uint64_t rep) {
+    return core::Scenario(config, rep, prefabs_.Get(config, rep));
+  }
+
+ private:
+  core::ScenarioPrefabCache prefabs_;
+};
+
+// Runs run(variant, repetition, deploy) for every variant × repetition cell
+// on the worker pool; the result holds cell (v, r) at v · reps + r. Cells
+// are dispatched repetition-major, as RunSweep's are, so the workers start
+// on different repetitions' geometries.
 template <typename Run>
 auto FanOut(const BenchOptions& options, std::int64_t variants, std::int64_t reps,
             RunProfiler& profiler, Run run) {
-  std::vector<std::invoke_result_t<Run&, std::int64_t, std::uint64_t>> cells(
-      static_cast<std::size_t>(variants * reps));
+  std::vector<std::invoke_result_t<Run&, std::int64_t, std::uint64_t, Deployments&>>
+      cells(static_cast<std::size_t>(variants * reps));
+  Deployments deploy;
   harness::ParallelRunner(options.jobs, options.grain)
-      .ForEachIndex(variants * reps, [&](std::int64_t index) {
+      .ForEachIndex(variants * reps, [&](std::int64_t order) {
+        const std::int64_t index = harness::CellAtDispatchSlot(order, variants, reps, 1);
         cells[static_cast<std::size_t>(index)] =
-            run(index / reps, static_cast<std::uint64_t>(index % reps));
+            run(index / reps, static_cast<std::uint64_t>(index % reps), deploy);
       }, &profiler);
   return cells;
 }
@@ -159,10 +180,10 @@ Json Fig4(const BenchOptions& /*options*/, RunProfiler& /*profiler*/) {
 Json AblationFairness(const BenchOptions& options, RunProfiler& profiler) {
   const bool cases[] = {true, false};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
     core::ScenarioConfig config = options.base;
     config.fairness_wait = cases[v];
-    return core::RunAddc(core::Scenario(config, rep));
+    return core::RunAddc(deploy(config, rep));
   };
   const auto cells = FanOut(options, 2, reps, profiler, run_cell);
   Table table({"fairness wait", "ADDC delay (ms)", "Jain index", "capacity (·W)",
@@ -198,10 +219,10 @@ Json AblationC2(const BenchOptions& options, RunProfiler& profiler) {
   const core::C2Variant variants[] = {core::C2Variant::kPaper,
                                       core::C2Variant::kCorrected};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
     core::ScenarioConfig config = options.base;
     config.c2_variant = variants[v];
-    return core::RunAddc(core::Scenario(config, rep));
+    return core::RunAddc(deploy(config, rep));
   };
   const auto cells = FanOut(options, 2, reps, profiler, run_cell);
   Table table({"c2 variant", "PCR (m)", "theory p_o", "ADDC delay (ms)",
@@ -239,8 +260,8 @@ Json AblationCoolestMetric(const BenchOptions& options, RunProfiler& profiler) {
                                                 routing::TemperatureMetric::kHighest,
                                                 routing::TemperatureMetric::kMixed};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
-    const core::Scenario scenario(options.base, rep);
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
+    const core::Scenario scenario = deploy(options.base, rep);
     return v == 0 ? core::RunAddc(scenario) : core::RunCoolest(scenario, metrics[v - 1]);
   };
   const auto cells = FanOut(options, 4, reps, profiler, run_cell);
@@ -290,8 +311,8 @@ Json AblationBaselineMac(const BenchOptions& options, RunProfiler& profiler) {
                               {"ADDC's tight PCR", 1.0, 0.0},
                               {"conventional 2r (under-senses)", 0.0, 2.0}};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
-    if (v == 0) return core::RunAddc(core::Scenario(options.base, rep));
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
+    if (v == 0) return core::RunAddc(deploy(options.base, rep));
     core::ScenarioConfig config = options.base;
     config.audit_stride = 4;
     if (variants[v - 1].sensing_factor > 0.0) {
@@ -299,7 +320,7 @@ Json AblationBaselineMac(const BenchOptions& options, RunProfiler& profiler) {
     } else {
       config.baseline_interference_margin = variants[v - 1].margin;
     }
-    return core::RunCoolest(core::Scenario(config, rep));
+    return core::RunCoolest(deploy(config, rep));
   };
   const auto cells = FanOut(options, 4, reps, profiler, run_cell);
   const core::SampleStats addc = PrintAddcReference(Reps(cells, 0, reps));
@@ -341,11 +362,11 @@ Json AblationSensingErrors(const BenchOptions& options, RunProfiler& profiler) {
   const Case cases[] = {{0.0, 0.0}, {0.1, 0.0},  {0.3, 0.0},
                         {0.0, 0.05}, {0.0, 0.15}, {0.1, 0.05}};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
     core::RunOptions run;
     run.sensing_false_alarm = cases[v].fa;
     run.sensing_missed_detection = cases[v].md;
-    return core::RunAddc(core::Scenario(options.base, rep), run);
+    return core::RunAddc(deploy(options.base, rep), run);
   };
   const auto cells = FanOut(options, 6, reps, profiler, run_cell);
   Table table({"P(false alarm)", "P(missed detection)", "ADDC delay (ms)",
@@ -388,11 +409,12 @@ Json AblationPuBurstiness(const BenchOptions& options, RunProfiler& profiler) {
                         {pu::ActivityProcess::kMarkov, 8.0},
                         {pu::ActivityProcess::kMarkov, 16.0}};
   const std::int64_t reps = options.repetitions;
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
     core::ScenarioConfig config = options.base;
     config.pu_activity_process = cases[v].process;
     config.pu_mean_burst_slots = cases[v].burst;
-    return core::RunComparison(config, rep);
+    const core::Scenario scenario = deploy(config, rep);
+    return core::ComparisonResult{core::RunAddc(scenario), core::RunCoolest(scenario)};
   };
   const auto cells = FanOut(options, 5, reps, profiler, run_cell);
   Table table({"activity process", "mean burst (slots)", "ADDC delay (ms)",
@@ -444,7 +466,7 @@ Json CapacityContinuous(const BenchOptions& options, RunProfiler& profiler) {
   const auto interval = [&](std::int64_t v) {
     return static_cast<sim::TimeNs>(sim::FromMilliseconds(single.delay_ms / factors[v]));
   };
-  const auto run_cell = [&](std::int64_t v, std::uint64_t /*rep*/) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t /*rep*/, Deployments&) {
     return core::RunAddcContinuous(scenario, interval(v), rounds);
   };
   const auto cells = FanOut(options, 6, 1, profiler, run_cell);
@@ -501,7 +523,7 @@ Json Resilience(const BenchOptions& options, RunProfiler& profiler) {
   // Variant 2·case + arm; arm 0 = ADDC, arm 1 = the baseline MAC of
   // DESIGN.md §3 on the same routing tree (discrete contention slots,
   // carrier-detection lag, no PU-slot awareness).
-  const auto run_cell = [&](std::int64_t v, std::uint64_t rep) {
+  const auto run_cell = [&](std::int64_t v, std::uint64_t rep, Deployments& deploy) {
     const Case& c = cases[v / 2];
     faults::FaultPlan plan;
     plan.horizon = 2 * sim::kSecond;
@@ -521,7 +543,7 @@ Json Resilience(const BenchOptions& options, RunProfiler& profiler) {
       bursts.duration = 50 * sim::kMillisecond;
       plan.burst_generators.push_back(bursts);
     }
-    const core::Scenario scenario(options.base, rep);
+    const core::Scenario scenario = deploy(options.base, rep);
     core::RunOptions run;
     if (v % 2 == 1) {
       run.backoff_granularity = scenario.config().baseline_backoff_granularity;

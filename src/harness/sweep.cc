@@ -30,7 +30,8 @@ std::uint64_t FoldDigest(std::uint64_t accumulator, std::uint64_t value) {
 // One experiment cell: (point, repetition, algorithm). Cells are laid out
 // point-major, repetition next, ADDC before Coolest — the same order the
 // serial reduction consumes, so results are independent of which worker
-// finishes first.
+// finishes first. They are dispatched repetition-major
+// (CellAtDispatchSlot), which changes only who runs a cell and when.
 struct CellOutcome {
   core::CollectionResult result;
   std::uint64_t digest = 0;
@@ -41,6 +42,15 @@ struct CellOutcome {
 };
 
 }  // namespace
+
+std::int64_t CellAtDispatchSlot(std::int64_t order, std::int64_t points,
+                                std::int64_t repetitions, std::int64_t algorithms) {
+  const std::int64_t slots_per_rep = points * algorithms;
+  const std::int64_t rep = order / slots_per_rep;
+  const std::int64_t point = order % slots_per_rep / algorithms;
+  const std::int64_t algorithm = order % algorithms;
+  return point * algorithms * repetitions + algorithms * rep + algorithm;
+}
 
 SweepResult RunSweep(const SweepSpec& spec) {
   const WallTimer timer;
@@ -54,8 +64,8 @@ SweepResult RunSweep(const SweepSpec& spec) {
   const auto reps = static_cast<std::int64_t>(spec.repetitions);
   const std::int64_t algorithms = spec.addc_only ? 1 : 2;
   const std::int64_t cells_per_point = algorithms * reps;
-  const std::int64_t cell_count =
-      cells_per_point * static_cast<std::int64_t>(spec.points.size());
+  const auto points = static_cast<std::int64_t>(spec.points.size());
+  const std::int64_t cell_count = cells_per_point * points;
   std::vector<CellOutcome> cells(static_cast<std::size_t>(cell_count));
 
   // Geometry sharing across cells: the cache hands every cell whose
@@ -66,7 +76,9 @@ SweepResult RunSweep(const SweepSpec& spec) {
   const ParallelRunner runner(spec.jobs, spec.grain);
   sweep.pool = runner.ForEachIndex(
       cell_count,
-      [&](std::int64_t index) {
+      [&](std::int64_t order) {
+        const std::int64_t index =
+            CellAtDispatchSlot(order, points, reps, algorithms);
         const auto point = static_cast<std::size_t>(index / cells_per_point);
         const std::int64_t rest = index % cells_per_point;
         const auto rep = static_cast<std::uint64_t>(rest / algorithms);
@@ -211,8 +223,8 @@ constexpr const char* kBenchUsage =
   --scale=F           density-preserving scale factor in (0, 1], default 0.25
                       (CRN_SCALE); not with --full-scale
   --reps=K            repetitions per point, >= 1 (CRN_REPS)
-  --jobs=J            worker threads; 0 = hardware concurrency (CRN_JOBS)
-  --grain=G           cells per work-stealing chunk; 0 = auto, i.e.
+  --jobs=J            worker threads, >= 0; 0 = hardware concurrency (CRN_JOBS)
+  --grain=G           cells per work-stealing chunk, >= 0; 0 = auto, i.e.
                       cells/(4*jobs) floored at 1 (CRN_GRAIN). Any grain is
                       bit-identical; this only tunes scheduling granularity
   --seed=S            root scenario seed (CRN_SEED)
@@ -257,17 +269,22 @@ BenchOptions ResolveBenchOptions(FlagParser& flags, const std::string& usage) {
             << " must be in (0, 1], got " << factor;
     invalid.push_back(message.str());
   }
-  // Checked before the narrowing cast, which would wrap 2^32 + 1 to 1.
-  const std::int64_t reps =
-      flags.GetInt("reps", GetEnvInt("CRN_REPS", options.repetitions));
-  if (reps < 1 || reps > std::numeric_limits<std::int32_t>::max()) {
-    invalid.push_back(std::string(flags.Has("reps") ? "--reps" : "CRN_REPS") +
-                      " must be in [1, 2147483647], got " + std::to_string(reps));
-  }
-  options.repetitions = static_cast<std::int32_t>(reps);
-  options.jobs =
-      static_cast<std::int32_t>(flags.GetInt("jobs", GetEnvInt("CRN_JOBS", 0)));
-  options.grain = flags.GetInt("grain", GetEnvInt("CRN_GRAIN", 0));
+  // Counts are checked in int64, before the narrowing cast, which would
+  // wrap 2^32 + 1 to 1; a negative jobs or grain is not "auto" (0 is).
+  const auto count = [&](const char* name, const char* env, std::int64_t fallback,
+                         std::int64_t min) {
+    const std::int64_t value = flags.GetInt(name, GetEnvInt(env, fallback));
+    if (value < min || value > std::numeric_limits<std::int32_t>::max()) {
+      invalid.push_back((flags.Has(name) ? std::string("--") + name : env) +
+                        " must be in [" + std::to_string(min) +
+                        ", 2147483647], got " + std::to_string(value));
+    }
+    return value;
+  };
+  options.repetitions =
+      static_cast<std::int32_t>(count("reps", "CRN_REPS", options.repetitions, 1));
+  options.jobs = static_cast<std::int32_t>(count("jobs", "CRN_JOBS", 0, 0));
+  options.grain = count("grain", "CRN_GRAIN", 0, 0);
   options.base.seed = static_cast<std::uint64_t>(flags.GetInt(
       "seed", GetEnvInt("CRN_SEED", static_cast<std::int64_t>(options.base.seed))));
   options.json_out = flags.GetString("json-out", GetEnv("CRN_JSON_OUT").value_or(""));

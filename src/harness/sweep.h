@@ -127,6 +127,20 @@ struct SweepResult {
 
 SweepResult RunSweep(const SweepSpec& spec);
 
+// The order RunSweep's fan-out visits cells in (DESIGN.md §15): dispatch
+// slot `order` runs the cell at the returned index. Cells are laid out
+// point-major — point · (algorithms · repetitions) + algorithms · rep +
+// algorithm, the layout the reduction reads — but dispatched
+// repetition-major: slots [rep · points · algorithms, (rep + 1) · points ·
+// algorithms) hold every point of repetition `rep`, ADDC before Coolest.
+// Cells of one repetition share a prefab key whenever their points agree
+// on geometry, so a chunk of them builds one geometry, and workers that
+// start on different chunks start on different geometries. A bijection on
+// [0, points · repetitions · algorithms); the identity when repetitions or
+// points is 1.
+std::int64_t CellAtDispatchSlot(std::int64_t order, std::int64_t points,
+                                std::int64_t repetitions, std::int64_t algorithms);
+
 // Serial single-point convenience used by tests and custom benches.
 ComparisonSummary RunRepeatedComparison(
     const core::ScenarioConfig& config, std::int32_t repetitions,
@@ -141,8 +155,9 @@ void RenderDelayTable(const SweepResult& result, std::ostream& out);
 //   --scale=F    / CRN_SCALE=F        density-preserving factor in (0, 1]
 //                                     (def. 0.25), not with --full-scale;
 //   --reps=K     / CRN_REPS=K         repetition override, >= 1;
-//   --jobs=J     / CRN_JOBS=J         worker threads (0 = hardware, def.);
-//   --grain=G    / CRN_GRAIN=G        cells per work-stealing chunk
+//   --jobs=J     / CRN_JOBS=J         worker threads, >= 0 (0 = hardware,
+//                                     def.);
+//   --grain=G    / CRN_GRAIN=G        cells per work-stealing chunk, >= 0
 //                                     (0 = auto: cells/(4·jobs), min 1);
 //   --seed=S     / CRN_SEED=S         root scenario seed;
 //   --json-out=P / CRN_JSON_OUT=P     BENCH json path (def. BENCH_<name>.json);
@@ -159,7 +174,8 @@ struct BenchOptions {
 
 // Parses argv (strictly: unknown flags are fatal) and the environment.
 // Handles --help itself. Exits the process (status 2) on usage errors,
-// including a scale or repetition count no run can use.
+// including a scale no run can use, a repetition count outside [1, 2^31 - 1]
+// and a jobs or grain value outside [0, 2^31 - 1].
 BenchOptions ResolveBenchOptions(int argc, const char* const* argv);
 
 // The same, for a binary with flags of its own: it reads them from `flags`

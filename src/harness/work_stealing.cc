@@ -85,8 +85,11 @@ WorkStealingStats RunWorkStealing(
   }
 
   // Block partition: worker w owns a contiguous run of chunks, so its LIFO
-  // drain touches adjacent indices (prefab-key locality) and a thief's FIFO
-  // scan takes the oldest — farthest from the owner's end — first.
+  // drain touches adjacent indices and a thief's FIFO scan takes the
+  // oldest — farthest from the owner's end — first. Callers choose what
+  // adjacency means: RunSweep dispatches its cells repetition-major
+  // (CellAtDispatchSlot), so adjacent indices share a prefab key and the
+  // workers start on different geometries instead of queueing on one build.
   const std::int32_t worker_count = stats.workers;
   std::vector<Block> blocks(static_cast<std::size_t>(worker_count));
   const std::int64_t per = chunk_count / worker_count;

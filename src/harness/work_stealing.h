@@ -4,12 +4,13 @@
 // grain-sized chunks — plain {begin, end, claim-flag} records, no per-cell
 // std::function, no queue allocation on the dispatch path. Chunks are
 // block-partitioned across workers; each worker drains its own block LIFO
-// (newest-first, so adjacent indices — which share scenario prefabs — stay
-// on one worker) and then steals FIFO from victims visited in randomized
-// order. Exactly-once execution is enforced by a per-chunk atomic claim, so
-// the deque discipline is purely a performance policy, never a correctness
-// mechanism: any interleaving of owners and thieves runs every index
-// exactly once.
+// (newest-first, so adjacent indices stay on one worker; RunSweep numbers
+// its cells so that adjacent ones share a scenario prefab, see
+// CellAtDispatchSlot in sweep.h) and then steals FIFO from victims visited
+// in randomized order. Exactly-once execution is enforced by a per-chunk
+// atomic claim, so the deque discipline is purely a performance policy,
+// never a correctness mechanism: any interleaving of owners and thieves
+// runs every index exactly once.
 //
 // Determinism contract: the engine decides only *where and when* fn(i)
 // runs, never *what* it computes — cells write results only at their own

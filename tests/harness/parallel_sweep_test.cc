@@ -5,6 +5,9 @@
 // digests both.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "harness/profiler.h"
 #include "harness/sweep.h"
 #include "obs/metrics.h"
@@ -35,11 +38,8 @@ void ExpectStatsIdentical(const core::SampleStats& a, const core::SampleStats& b
   EXPECT_EQ(a.count, b.count);
 }
 
-TEST(ParallelSweepTest, SerialAndParallelSweepsAreBitIdentical) {
-  const SweepResult serial = RunSweep(TinySpec(1));
-  const SweepResult parallel = RunSweep(TinySpec(4));
-  EXPECT_EQ(serial.jobs, 1);
-  EXPECT_EQ(parallel.jobs, 4);
+// Every summary field and every digest of two sweeps of the same spec.
+void ExpectSweepsIdentical(const SweepResult& serial, const SweepResult& parallel) {
   EXPECT_EQ(serial.labels, parallel.labels);
   ASSERT_EQ(serial.summaries.size(), parallel.summaries.size());
   for (std::size_t i = 0; i < serial.summaries.size(); ++i) {
@@ -61,6 +61,92 @@ TEST(ParallelSweepTest, SerialAndParallelSweepsAreBitIdentical) {
   }
   EXPECT_NE(serial.trace_digest, 0u);
   EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
+  EXPECT_EQ(serial.metric_values, parallel.metric_values);
+}
+
+TEST(ParallelSweepTest, SerialAndParallelSweepsAreBitIdentical) {
+  const SweepResult serial = RunSweep(TinySpec(1));
+  const SweepResult parallel = RunSweep(TinySpec(4));
+  EXPECT_EQ(serial.jobs, 1);
+  EXPECT_EQ(parallel.jobs, 4);
+  ExpectSweepsIdentical(serial, parallel);
+}
+
+TEST(ParallelSweepTest, DispatchVisitsEveryCellOnceRepetitionByRepetition) {
+  // RunSweep's fan-out runs slot `order` on cell CellAtDispatchSlot(order):
+  // a bijection onto the point-major cell indices in which every aligned
+  // block of points · algorithms slots is one repetition, each point once,
+  // ADDC before Coolest.
+  for (const std::int64_t points : {1, 2, 5, 8}) {
+    for (const std::int64_t reps : {1, 3, 16}) {
+      for (const std::int64_t algorithms : {1, 2}) {
+        const std::int64_t cells_per_point = algorithms * reps;
+        const std::int64_t count = points * cells_per_point;
+        std::vector<bool> seen(static_cast<std::size_t>(count), false);
+        for (std::int64_t order = 0; order < count; ++order) {
+          const std::int64_t cell =
+              CellAtDispatchSlot(order, points, reps, algorithms);
+          ASSERT_GE(cell, 0);
+          ASSERT_LT(cell, count);
+          EXPECT_FALSE(seen[static_cast<std::size_t>(cell)]) << "cell " << cell;
+          seen[static_cast<std::size_t>(cell)] = true;
+          const std::int64_t rest = cell % cells_per_point;
+          const std::int64_t block = order / (points * algorithms);
+          const std::int64_t slot = order % (points * algorithms);
+          EXPECT_EQ(rest / algorithms, block) << "order " << order;
+          EXPECT_EQ(cell / cells_per_point, slot / algorithms) << "order " << order;
+          EXPECT_EQ(rest % algorithms, slot % algorithms) << "order " << order;
+        }
+        // One repetition or one point: the point-major order itself.
+        if (reps == 1 || points == 1) {
+          for (std::int64_t order = 0; order < count; ++order) {
+            EXPECT_EQ(CellAtDispatchSlot(order, points, reps, algorithms), order);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelSweepTest, GeometrySweepWithCoolestIsPinnedAcrossJobsAndGrain) {
+  // Coolest cells, two geometries per repetition (the num_pus point keys
+  // its own prefab, the p_t points share one) and 3 repetitions, which no
+  // worker count above 1 divides: the dispatch order still decides only
+  // who runs a cell, never what it computes.
+  const auto run = [](std::int32_t jobs, std::int64_t grain,
+                      obs::MetricsRegistry* metrics) {
+    SweepSpec spec = TinySpec(jobs);
+    // Light PU load keeps the 12 sweeps short under the thread sanitizer.
+    spec.points[0] = {"0.1", spec.points[0].config};
+    spec.points[0].config.pu_activity = 0.1;
+    core::ScenarioConfig config = spec.points.front().config;
+    config.num_pus += 10;
+    spec.points.push_back({"N+10", config});
+    spec.repetitions = 3;
+    spec.grain = grain;
+    spec.metrics = metrics;
+    return RunSweep(spec);
+  };
+  obs::MetricsRegistry reference_metrics;
+  const SweepResult reference = run(1, 0, &reference_metrics);
+  ASSERT_EQ(reference.summaries.size(), 3u);
+  // 3 points x 3 reps x 2 algorithms = 18 requests over 2 x 3 geometries.
+  EXPECT_EQ(reference_metrics.GetCounter("prefab.misses").value(), 6);
+  EXPECT_EQ(reference_metrics.GetCounter("prefab.hits").value(), 12);
+  for (const std::int32_t jobs : {1, 2, 4, 8}) {
+    for (const std::int64_t grain : {0, 1, 3}) {
+      obs::MetricsRegistry metrics;
+      const SweepResult result = run(jobs, grain, &metrics);
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) + " grain=" + std::to_string(grain));
+      ExpectSweepsIdentical(reference, result);
+      EXPECT_EQ(metrics.Digest(), reference_metrics.Digest());
+      for (const char* key : {"prefab.hits", "prefab.misses", "prefab.bytes"}) {
+        EXPECT_EQ(metrics.GetCounter(key).value(),
+                  reference_metrics.GetCounter(key).value())
+            << key;
+      }
+    }
+  }
 }
 
 TEST(ParallelSweepTest, MetricsFoldIsBitIdenticalAcrossJobs) {
