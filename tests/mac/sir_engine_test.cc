@@ -3,9 +3,14 @@
 // run under the direct reference engine — trace digests, delays, capacity —
 // and the dirty-set bookkeeping must account for every evaluation it skips:
 //   evals(cached) + reeval_skipped + bound_skips == evals(direct).
+// Each configuration pins what both engines must reproduce, plus the direct
+// engine's own SIR work, so the cached engine stays checkable against the
+// reference without running it.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -53,12 +58,47 @@ EngineRun RunEngine(ScenarioConfig config, bool direct,
   return run;
 }
 
+// The outcome both engines produce on one configuration, and the direct
+// engine's work: every SIR evaluation the triggers ask for, and every
+// interference term those evaluations sum.
+struct Pins {
+  std::uint64_t digest;
+  double delay_ms;
+  double capacity;
+  std::int64_t attempts;
+  std::int64_t delivered;
+  std::int64_t direct_evaluations;
+  std::int64_t direct_terms;
+};
+
+void ExpectOutcomePinned(const EngineRun& run, const Pins& pins) {
+  EXPECT_EQ(run.digest, pins.digest);
+  EXPECT_EQ(run.result.delay_ms, pins.delay_ms);
+  EXPECT_EQ(run.result.capacity_fraction, pins.capacity);
+  EXPECT_EQ(run.result.mac.attempts, pins.attempts);
+  EXPECT_EQ(run.result.mac.delivered, pins.delivered);
+}
+
 void ExpectEnginesEquivalent(const ScenarioConfig& config,
                              const RunOptions& options,
-                             const std::string& label) {
+                             const std::string& label, const Pins& pins) {
   SCOPED_TRACE(label);
   const EngineRun cached = RunEngine(config, /*direct=*/false, options);
   const EngineRun direct = RunEngine(config, /*direct=*/true, options);
+  std::printf("[ pins     ] %s: {0x%016llxULL, %a, %a, %lld, %lld, %lld, %lld}\n",
+              label.c_str(), static_cast<unsigned long long>(direct.digest),
+              direct.result.delay_ms, direct.result.capacity_fraction,
+              static_cast<long long>(direct.result.mac.attempts),
+              static_cast<long long>(direct.result.mac.delivered),
+              static_cast<long long>(direct.sir_evaluations),
+              static_cast<long long>(direct.sir_terms));
+  ExpectOutcomePinned(cached, pins);
+  ExpectOutcomePinned(direct, pins);
+  EXPECT_EQ(direct.sir_evaluations, pins.direct_evaluations);
+  EXPECT_EQ(direct.sir_terms, pins.direct_terms);
+  EXPECT_EQ(cached.sir_evaluations + cached.reeval_skipped + cached.bound_skips,
+            pins.direct_evaluations);
+  EXPECT_LE(cached.sir_terms, pins.direct_terms);
 
   // Bit-identity: same triggers, same floors, same everything.
   ASSERT_NE(cached.digest, 0u);
@@ -86,8 +126,11 @@ ScenarioConfig SmallConfig() {
   return config;
 }
 
+constexpr Pins kDefaultPins = {0xfd1e82603b827f5eULL, 0x1.1bd126d8b1dd6p+9,
+                               0x1.20a2fe4f7b4adp-4, 96, 40, 103, 170};
+
 TEST(SirEngineTest, CachedMatchesDirectOnDefaultScenario) {
-  ExpectEnginesEquivalent(SmallConfig(), RunOptions{}, "default");
+  ExpectEnginesEquivalent(SmallConfig(), RunOptions{}, "default", kDefaultPins);
 }
 
 TEST(SirEngineTest, CachedMatchesDirectOnGeneralAlpha) {
@@ -95,24 +138,43 @@ TEST(SirEngineTest, CachedMatchesDirectOnGeneralAlpha) {
   // exact doubles that path produces.
   ScenarioConfig config = SmallConfig();
   config.alpha = 3.5;
-  ExpectEnginesEquivalent(config, RunOptions{}, "alpha=3.5");
+  ExpectEnginesEquivalent(config, RunOptions{}, "alpha=3.5",
+                          {0xba0ca6c7c3e238a8ULL, 0x1.7e5126d8b1dd6p+9,
+                           0x1.ac8b7e8c66c44p-5, 96, 40, 101, 122});
 }
 
 TEST(SirEngineTest, CachedMatchesDirectAcrossPuActivity) {
-  for (const double activity : {0.05, 0.7}) {
+  constexpr std::array<double, 2> kActivities = {0.05, 0.7};
+  constexpr std::array<Pins, 2> kPins = {{
+      {0x45ea8ce8a8007cfbULL, 0x1.ec0c9c90c4decp+5,
+       0x1.4cf98bca72ef4p-1, 97, 40, 120, 171},
+      {0x56cbbdde53904b70ULL, 0x1.a2887b2938de7p+18,
+       0x1.8776627749bc7p-14, 98, 40, 101, 210},
+  }};
+  for (std::size_t i = 0; i < kActivities.size(); ++i) {
     ScenarioConfig config = SmallConfig();
-    config.pu_activity = activity;
+    config.pu_activity = kActivities[i];
     ExpectEnginesEquivalent(config, RunOptions{},
-                            "pu_activity=" + std::to_string(activity));
+                            "pu_activity=" + std::to_string(kActivities[i]),
+                            kPins[i]);
   }
 }
 
 TEST(SirEngineTest, CachedMatchesDirectAcrossSeeds) {
-  for (const std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
+  constexpr std::array<std::uint64_t, 3> kSeeds = {1ULL, 42ULL, 0xDEADBEEFULL};
+  constexpr std::array<Pins, 3> kPins = {{
+      {0x4c7c0953f86ae126ULL, 0x1.11cp+9,
+       0x1.2b404ad012b4p-4, 98, 40, 110, 181},
+      {0xebbe99873d657886ULL, 0x1.d0aa72b884407p+8,
+       0x1.6098f532299a9p-4, 109, 40, 117, 262},
+      {0xcae1fc6fb063c1daULL, 0x1.b3cdc347e8ccep+8,
+       0x1.77f2f37266383p-4, 102, 40, 118, 217},
+  }};
+  for (std::size_t i = 0; i < kSeeds.size(); ++i) {
     ScenarioConfig config = SmallConfig();
-    config.seed = seed;
+    config.seed = kSeeds[i];
     ExpectEnginesEquivalent(config, RunOptions{},
-                            "seed=" + std::to_string(seed));
+                            "seed=" + std::to_string(kSeeds[i]), kPins[i]);
   }
 }
 
@@ -125,7 +187,9 @@ TEST(SirEngineTest, CachedMatchesDirectUnderConventionalMac) {
   options.backoff_granularity = config.baseline_backoff_granularity;
   options.sensing_latency = config.baseline_sensing_latency;
   options.slot_aware_defer = false;
-  ExpectEnginesEquivalent(config, options, "conventional-mac");
+  ExpectEnginesEquivalent(config, options, "conventional-mac",
+                          {0x5b993edd45d1df7dULL, 0x1.7dccc77574f72p+9,
+                           0x1.ad2012e082d18p-5, 208, 40, 254, 488});
 }
 
 TEST(SirEngineTest, CachedEngineDoesStrictlyLessGeometryWork) {
@@ -135,7 +199,8 @@ TEST(SirEngineTest, CachedEngineDoesStrictlyLessGeometryWork) {
   const EngineRun cached = RunEngine(SmallConfig(), false, RunOptions{});
   const EngineRun direct = RunEngine(SmallConfig(), true, RunOptions{});
   ASSERT_GT(direct.sir_terms, 0);
-  EXPECT_LT(cached.sir_terms, direct.sir_terms);
+  EXPECT_EQ(direct.sir_terms, kDefaultPins.direct_terms);
+  EXPECT_LT(cached.sir_terms, kDefaultPins.direct_terms);
   EXPECT_GT(cached.cache_hits, 0);
 }
 
