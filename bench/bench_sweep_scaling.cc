@@ -1,27 +1,25 @@
 // Sweep-engine scaling bench: the work-stealing executor with the shared
-// scenario-prefab cache (DESIGN.md §15) on vs off — off rebuilds the
-// geometry of every cell — on the same multi-point delay-vs-p_t sweep.
+// scenario-prefab cache (DESIGN.md §15) on a multi-point delay-vs-p_t sweep.
 //
 // Three jobs in one binary:
-//   1. Cache verification: each configuration runs a two-point sweep of the
-//      same scenario with trace digests on. Digests must agree inside each
-//      sweep (determinism, re-checkable from the artifact by
-//      tools/bench_delta.py --verify-digests) and across the configurations
-//      — the bench FAILS (exit 1) on any mismatch.
-//   2. Headline A/B at jobs=4: the horizon-capped delay sweep once per
-//      configuration — prefab cache vs rebuild-every-cell. The sweeps carry
+//   1. Cache verification: a two-point sweep of the same scenario with
+//      trace digests on and every prefab-cache hit rebuilt and
+//      digest-checked (SweepSpec::verify_prefabs). The two points must
+//      agree, and their digest must match the committed baseline's, which
+//      per-cell rebuilds reproduced while they still ran
+//      (tools/bench_delta.py --verify-digests).
+//   2. Headline sweep at jobs=4: the horizon-capped delay sweep. It carries
 //      the deterministic prefab.* counters (exact functions of the
 //      instance, gated 1:1 in CI) and the "pool" scheduling diagnostics
 //      (steals budget only — they depend on OS scheduling). The bench fails
 //      unless the cache actually shared work (prefab.hits > 0).
-//   3. Strong-scaling rows at jobs in {1, 2, 4}: cells/second with the
-//      cache on, for EXPERIMENTS.md's scaling table and the CI artifact.
+//   3. Strong-scaling rows at jobs in {1, 2, 4}: cells/second, for
+//      EXPERIMENTS.md's scaling table and the CI artifact.
 //
 // The cells are horizon-capped (a full collection at this size would
 // dominate wall time and dilute what this bench isolates: per-cell setup
 // cost). With P points sharing one geometry per repetition, the cache
-// builds R geometries instead of P*R — that, not thread count, is the
-// headline ratio on a small runner.
+// builds R geometries instead of P*R.
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -51,22 +49,17 @@ core::ScenarioConfig ScaledBy(const core::ScenarioConfig& base, double factor) {
   return config;
 }
 
-const char* CacheLabel(bool prefab_cache) {
-  return prefab_cache ? "stealing+prefab" : "stealing+rebuild";
-}
-
 // The shared workload: a horizon-capped delay-vs-p_t sweep (the Fig. 6(c)
 // axis — p_t does not key the prefab, so all points of one repetition share
 // a geometry). Digests and sinks are attached by the callers.
 harness::SweepSpec DelaySweep(const core::ScenarioConfig& sized,
                               std::int32_t repetitions, std::int32_t jobs,
-                              std::int64_t grain, bool prefab_cache) {
+                              std::int64_t grain) {
   harness::SweepSpec spec;
   spec.parameter_name = "p_t";
   spec.repetitions = repetitions;
   spec.jobs = jobs;
   spec.grain = grain;
-  spec.prefab_cache = prefab_cache;
   spec.addc_only = true;
   for (const double p_t : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}) {
     core::ScenarioConfig config = sized;
@@ -93,9 +86,8 @@ int main(int argc, char** argv) {
   harness::RunProfiler profiler;
   harness::PrintBenchHeader(
       "sweep-engine scaling — work stealing + scenario-prefab cache",
-      "the shared scenario-prefab cache runs the same delay sweep "
-      "bit-identically to per-cell rebuilds, building each repetition's "
-      "geometry once instead of once per point",
+      "the shared scenario-prefab cache runs the delay sweep building each "
+      "repetition's geometry once instead of once per point",
       options, std::cout);
 
   // The headline instance: 4x the base scale (the paper's full n = 2000 at
@@ -104,63 +96,46 @@ int main(int argc, char** argv) {
   const core::ScenarioConfig sized = ScaledBy(options.base, 4.0);
   std::vector<harness::SweepResult> sweeps;
 
-  // --- 1. Cache verification: two identical points per configuration,
-  // digests on. Within a sweep the two points must agree (determinism);
-  // across the sweeps cache on and off must agree with each other.
-  std::uint64_t digest_by_cache[2] = {0, 0};
-  for (const bool prefab_cache : {false, true}) {
-    harness::SweepSpec verify;
-    verify.title =
-        std::string("cache verification (") + CacheLabel(prefab_cache) + ")";
-    verify.parameter_name = "run";
-    verify.repetitions = options.repetitions;
-    verify.jobs = 4;
-    verify.grain = options.grain;
-    verify.prefab_cache = prefab_cache;
-    verify.collect_digests = true;
-    verify.addc_only = true;
-    verify.profiler = &profiler;
-    core::ScenarioConfig small = ScaledBy(options.base, 0.2);
-    small.max_sim_time = 5 * sim::kMillisecond;
-    verify.points.push_back({"first", small});
-    verify.points.push_back({"again", small});
-    const harness::SweepResult verified = harness::RunSweep(verify);
-    digest_by_cache[prefab_cache ? 1 : 0] =
-        verified.summaries[0].addc_trace_digest;
-    sweeps.push_back(verified);
-  }
-  const bool digests_match =
-      digest_by_cache[0] != 0 && digest_by_cache[0] == digest_by_cache[1];
+  // --- 1. Cache verification: two identical points, digests on, every
+  // cache hit rebuilt and digest-checked. The two points must agree.
+  harness::SweepSpec verify;
+  verify.title = "cache verification (stealing+prefab)";
+  verify.parameter_name = "run";
+  verify.repetitions = options.repetitions;
+  verify.jobs = 4;
+  verify.grain = options.grain;
+  verify.verify_prefabs = true;
+  verify.collect_digests = true;
+  verify.addc_only = true;
+  verify.profiler = &profiler;
+  core::ScenarioConfig small = ScaledBy(options.base, 0.2);
+  small.max_sim_time = 5 * sim::kMillisecond;
+  verify.points.push_back({"first", small});
+  verify.points.push_back({"again", small});
+  sweeps.push_back(harness::RunSweep(verify));
+  const std::uint64_t first_digest = sweeps.back().summaries[0].addc_trace_digest;
+  const std::uint64_t again_digest = sweeps.back().summaries[1].addc_trace_digest;
+  const bool digests_match = first_digest != 0 && first_digest == again_digest;
 
-  // --- 2. Headline A/B at jobs=4 on the horizon-capped delay sweep. ---
-  double wall_by_cache[2] = {0.0, 0.0};
-  std::int64_t prefab_hits = 0;
-  for (const bool prefab_cache : {false, true}) {
-    obs::MetricsRegistry metrics;
-    harness::SweepSpec spec = DelaySweep(sized, options.repetitions,
-                                         /*jobs=*/4, options.grain,
-                                         prefab_cache);
-    spec.title = std::string("delay sweep jobs=4 (") +
-                 CacheLabel(prefab_cache) +
-                 ") n=" + std::to_string(sized.num_sus);
-    spec.metrics = &metrics;
-    spec.profiler = &profiler;
-    const harness::SweepResult result = harness::RunSweep(spec);
-    wall_by_cache[prefab_cache ? 1 : 0] = result.wall_seconds;
-    if (prefab_cache) prefab_hits = Metric(result, "prefab.hits");
-    sweeps.push_back(result);
-  }
-  const double speedup =
-      wall_by_cache[1] > 0.0 ? wall_by_cache[0] / wall_by_cache[1] : 0.0;
+  // --- 2. Headline sweep at jobs=4 on the horizon-capped delay sweep. ---
+  obs::MetricsRegistry headline_metrics;
+  harness::SweepSpec headline =
+      DelaySweep(sized, options.repetitions, /*jobs=*/4, options.grain);
+  headline.title =
+      "delay sweep jobs=4 (stealing+prefab) n=" + std::to_string(sized.num_sus);
+  headline.metrics = &headline_metrics;
+  headline.profiler = &profiler;
+  sweeps.push_back(harness::RunSweep(headline));
+  const double headline_wall = sweeps.back().wall_seconds;
+  const std::int64_t prefab_hits = Metric(sweeps.back(), "prefab.hits");
 
-  // --- 3. Strong scaling with the cache on: cells/sec at jobs 1/2/4. ---
-  harness::Table table({"jobs", "configuration", "cells", "wall (s)",
-                        "cells/s", "chunks", "steals", "prefab hits",
-                        "prefab misses"});
+  // --- 3. Strong scaling: cells/sec at jobs 1/2/4. ---
+  harness::Table table({"jobs", "cells", "wall (s)", "cells/s", "chunks", "steals",
+                        "prefab hits", "prefab misses"});
   for (const std::int32_t jobs : {1, 2, 4}) {
     obs::MetricsRegistry metrics;
-    harness::SweepSpec spec = DelaySweep(sized, options.repetitions, jobs,
-                                         options.grain, /*prefab_cache=*/true);
+    harness::SweepSpec spec =
+        DelaySweep(sized, options.repetitions, jobs, options.grain);
     spec.title = "scaling jobs=" + std::to_string(jobs) +
                  " n=" + std::to_string(sized.num_sus);
     spec.metrics = &metrics;
@@ -170,8 +145,7 @@ int main(int argc, char** argv) {
         result.wall_seconds > 0.0
             ? static_cast<double>(result.pool.tasks) / result.wall_seconds
             : 0.0;
-    table.AddRow({std::to_string(jobs), CacheLabel(true),
-                  std::to_string(result.pool.tasks),
+    table.AddRow({std::to_string(jobs), std::to_string(result.pool.tasks),
                   harness::FormatDouble(result.wall_seconds, 3),
                   harness::FormatDouble(cells_per_second, 1),
                   std::to_string(result.pool.chunks),
@@ -183,16 +157,12 @@ int main(int argc, char** argv) {
 
   table.PrintMarkdown(std::cout);
   std::cout << "\n";
-  std::cout << "digest check (" << CacheLabel(false) << " vs "
-            << CacheLabel(true)
-            << "): " << (digests_match ? "IDENTICAL " : "MISMATCH ")
-            << harness::DigestHex(digest_by_cache[0]) << " vs "
-            << harness::DigestHex(digest_by_cache[1]) << "\n";
-  std::cout << "headline jobs=4: " << CacheLabel(false) << " "
-            << harness::FormatDouble(wall_by_cache[0], 3) << "s vs "
-            << CacheLabel(true) << " "
-            << harness::FormatDouble(wall_by_cache[1], 3) << "s — "
-            << harness::FormatDouble(speedup, 2) << "x\n";
+  std::cout << "digest check (verified prefabs, two points): "
+            << (digests_match ? "IDENTICAL " : "MISMATCH ")
+            << harness::DigestHex(first_digest) << " vs "
+            << harness::DigestHex(again_digest) << "\n";
+  std::cout << "headline jobs=4: " << harness::FormatDouble(headline_wall, 3)
+            << "s\n";
   std::cout << "prefab sharing: " << prefab_hits
             << " cache hits (must be > 0)\n\n";
 

@@ -36,9 +36,6 @@ mac::MacConfig MakeMacConfig(const ScenarioConfig& config, double sensing_range,
   mac_config.slot_aware_defer = options.slot_aware_defer;
   mac_config.sensing_false_alarm = options.sensing_false_alarm;
   mac_config.sensing_missed_detection = options.sensing_missed_detection;
-  mac_config.sir_engine = config.direct_sir_engine
-                              ? spectrum::SirEngine::kDirect
-                              : spectrum::SirEngine::kCached;
   if (options.faults != nullptr) {
     mac_config.dead_hop_retx_budget = options.faults->retx_budget;
   }
@@ -296,10 +293,11 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   }
   if (options.metrics != nullptr) {
     // Exact SIR work accounting (DESIGN.md §10): seed-stable operation
-    // counts, labeled by engine so cached and direct runs stay separable
-    // inside one merged registry (bench_sim_throughput, bench_delta.py).
+    // counts. The label is a constant — the interference field has one
+    // engine — kept because metrics digests, bench/suite/pins.json,
+    // crn_bench and tools/bench_delta.py all key on "{engine=cached}".
     const spectrum::FieldWork& work = mac.sir_work();
-    const obs::Labels engine{{"engine", spectrum::ToString(mac_config.sir_engine)}};
+    const obs::Labels engine{{"engine", "cached"}};
     options.metrics->GetCounter("perf.sir_evaluations", engine)
         .Add(work.sir_evaluations);
     options.metrics->GetCounter("perf.sir_terms_evaluated", engine)

@@ -68,9 +68,10 @@ SweepResult RunSweep(const SweepSpec& spec) {
   const std::int64_t cell_count = cells_per_point * points;
   std::vector<CellOutcome> cells(static_cast<std::size_t>(cell_count));
 
-  // Geometry sharing across cells: the cache hands every cell whose
-  // (geometry key, rep) matches the same immutable prefab. Deployment is a
-  // pure function of (config, rep) either way, so cached and rebuilt
+  // Geometry sharing across cells (DESIGN.md §15): the cache hands every
+  // cell whose (geometry key, rep) matches the same immutable prefab, so
+  // points varying only MAC/spectrum parameters skip the rebuild.
+  // Deployment is a pure function of (config, rep), so shared and rebuilt
   // geometry are bit-identical (verify_prefabs re-proves it per hit).
   core::ScenarioPrefabCache prefab_cache(spec.verify_prefabs);
   const ParallelRunner runner(spec.jobs, spec.grain);
@@ -84,10 +85,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
         const auto rep = static_cast<std::uint64_t>(rest / algorithms);
         const bool is_addc = spec.addc_only || rest % 2 == 0;
         const core::ScenarioConfig& config = spec.points[point].config;
-        const core::Scenario scenario =
-            spec.prefab_cache
-                ? core::Scenario(config, rep, prefab_cache.Get(config, rep))
-                : core::Scenario(config, rep);
+        const core::Scenario scenario(config, rep, prefab_cache.Get(config, rep));
         CellOutcome& cell = cells[static_cast<std::size_t>(index)];
         if (is_addc) {
           core::RunOptions options;
@@ -160,7 +158,7 @@ SweepResult RunSweep(const SweepSpec& spec) {
     sweep.summaries.push_back(summary);
   }
   if (spec.collect_digests) sweep.trace_digest = sweep_digest;
-  if (spec.metrics != nullptr && spec.prefab_cache) {
+  if (spec.metrics != nullptr) {
     // Deterministic at every jobs/grain value (misses = distinct keys, hits
     // = requests - misses, bytes = Σ built prefabs), so safe to fold into
     // the digest-compared registry. The scheduling-dependent pool.steals
@@ -172,8 +170,6 @@ SweepResult RunSweep(const SweepSpec& spec) {
     if (spec.verify_prefabs) {
       spec.metrics->GetCounter("prefab.verified").Add(stats.verified);
     }
-  }
-  if (spec.metrics != nullptr) {
     // Counter/gauge state snapshot for the BENCH json "metrics" section.
     // Capture iterates sorted keys, so the pairs are already in the
     // deterministic order the json writer and bench_delta.py rely on.

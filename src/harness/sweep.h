@@ -9,9 +9,10 @@
 //
 // Parallelism never changes results: every (point × repetition × algorithm)
 // cell is an independent simulation keyed by (config.seed, point, rep,
-// algorithm) — each cell deploys its own Scenario and derives every RNG
-// stream from (config.seed, rep), so a sweep is bit-identical at any jobs
-// value. tests/harness/parallel_sweep_test.cc pins jobs=1 against jobs=4,
+// algorithm) — each cell's geometry and every RNG stream derive from
+// (config.seed, rep) alone, so a sweep is bit-identical at any jobs value,
+// and sharing one geometry between cells (the prefab cache) changes no
+// result. tests/harness/parallel_sweep_test.cc pins jobs=1 against jobs=4,
 // summaries and trace digests both.
 #ifndef CRN_HARNESS_SWEEP_H_
 #define CRN_HARNESS_SWEEP_H_
@@ -79,12 +80,6 @@ struct SweepSpec {
   // 1 — ResolveGrain in work_stealing.h). Any value yields bit-identical
   // results; grain trades scheduling flexibility against claim traffic.
   std::int64_t grain = 0;
-  // Share deployment geometry (positions + graph + CDS tree) across cells
-  // whose geometry-determining parameters match (core/scenario_prefab.h):
-  // points varying only MAC/spectrum parameters skip the rebuild entirely.
-  // Off rebuilds per cell (the legacy behaviour, kept for A/B benches).
-  // Either way the simulated geometry is bit-identical.
-  bool prefab_cache = true;
   // Equivalence mode: every prefab-cache hit is digest-checked against a
   // freshly built prefab (cached ≡ rebuilt, CRN_CHECK). Forfeits the
   // cache's speedup; used by tests and CI, not benches.
@@ -116,7 +111,7 @@ struct SweepResult {
   // (sorted key, value) pairs — the BENCH json "metrics" section. Empty
   // when no registry was attached; histograms are presentation-layer and
   // stay out. Includes the deterministic prefab.{hits,misses,bytes}
-  // counters when the prefab cache was on and a registry was attached.
+  // counters whenever a registry was attached.
   std::vector<std::pair<std::string, std::int64_t>> metric_values;
   // Scheduling diagnostics from the cell fan-out (the BENCH json "pool"
   // section). tasks/chunks/workers are deterministic given (spec, jobs);

@@ -99,9 +99,9 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
       activity_(rng.Stream("pu-activity")),
       audit_rng_(rng.Stream("pu-audit")),
       sensing_rng_(rng.Stream("sensing")),
-      sir_(spectrum::PathLoss(config.alpha)),
-      field_(spectrum::PathLoss(config.alpha), config.sir_engine, positions_,
-             config.su_power, primary.positions(), primary.config().power),
+      path_loss_(config.alpha),
+      field_(path_loss_, positions_, config.su_power, primary.positions(),
+             primary.config().power),
       sensing_grid_(positions_, area, SensingCellSize(config.pcr)),
       carrier_grid_(positions_, area, SensingCellSize(config.pcr)) {
   const auto n = node_count();
@@ -675,16 +675,14 @@ void CollectionMac::NotifySensorsTxEnd(NodeId transmitter) {
 double CollectionMac::EvaluateSir(Transmission& tx) {
   // Fixed summation order — PU terms (ascending PU id, the active-list
   // order) first, then SU terms in active_tx_ order — so the field's
-  // per-receiver PU memo continues into the exact operation sequence a
-  // from-scratch recomputation would run, and cached and direct engines
-  // stay bit-identical.
+  // per-receiver PU memo and the resumed sum below continue into the exact
+  // operation sequence a from-scratch recomputation would run.
   spectrum::FieldWork& work = field_.work();
   ++work.sir_evaluations;
   const NodeId rx = tx.receiver;
-  const bool cached = field_.engine() == spectrum::SirEngine::kCached;
   double interference = 0.0;
   std::size_t from = 0;
-  if (cached && tx.itf_count >= 0 &&
+  if (tx.itf_count >= 0 &&
       tx.itf_shrink_epoch == field_.shrink_epoch() &&
       tx.itf_pu_epoch == field_.pu_epoch()) {
     // Entries [0, itf_count) are the same transmissions in the same order
@@ -703,30 +701,27 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
     if (other.transmitter == tx.transmitter) continue;
     interference += field_.SuGain(other.transmitter, rx);
   }
-  if (cached) {
-    tx.itf_sum = interference;
-    tx.itf_count = static_cast<std::int32_t>(active_tx_.size());
-    tx.itf_pu_epoch = field_.pu_epoch();
-    tx.itf_shrink_epoch = field_.shrink_epoch();
-    tx.itf_ub = interference;  // exact again: the bound's slack resets
-    tx.itf_ub_pu_epoch = field_.pu_epoch();
-  }
+  tx.itf_sum = interference;
+  tx.itf_count = static_cast<std::int32_t>(active_tx_.size());
+  tx.itf_pu_epoch = field_.pu_epoch();
+  tx.itf_shrink_epoch = field_.shrink_epoch();
+  tx.itf_ub = interference;  // exact again: the bound's slack resets
+  tx.itf_ub_pu_epoch = field_.pu_epoch();
   if (interference <= 0.0) return std::numeric_limits<double>::infinity();
   return tx.signal_power / interference;
 }
 
 void CollectionMac::ReevaluateOngoingSirs() {
-  const bool cached = field_.engine() == spectrum::SirEngine::kCached;
   for (Transmission& tx : active_tx_) {
     if (!tx.receiver_ok) continue;  // verdict already sealed
-    if (cached && tx.last_eval_epoch == field_.change_epoch()) {
+    if (tx.last_eval_epoch == field_.change_epoch()) {
       // No SIR-lowering event since this floor was set: interferers have
       // only dropped out, the SIR only rose, and min() would return the
       // stored floor unchanged — skipping is bit-exact.
       ++field_.work().reeval_skipped;
       continue;
     }
-    if (cached && TrySirBoundSkip(tx)) {
+    if (TrySirBoundSkip(tx)) {
       tx.last_eval_epoch = field_.change_epoch();
       continue;
     }
@@ -828,7 +823,7 @@ void CollectionMac::OnSlotBoundary() {
 void CollectionMac::AuditPrimaryReceptions() {
   if (active_tx_.empty()) return;  // SUs silent: nothing to audit
   primary_.SampleReceiverPositions(audit_rng_);
-  const spectrum::PathLoss& loss = sir_.path_loss();
+  const spectrum::PathLoss& loss = path_loss_;
   const double audit_radius = config_.audit_proximity_factor * config_.pcr;
   const double audit_radius2 = audit_radius * audit_radius;
   const double pu_power = primary_.config().power;

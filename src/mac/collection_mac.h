@@ -99,11 +99,6 @@ struct MacConfig {
   // 0 keeps retrying indefinitely — the fault-free default, where a repair
   // is expected to re-point the route.
   std::int32_t dead_hop_retx_budget = 0;
-
-  // SIR evaluation engine (interference_field.h). kCached is bit-identical
-  // to kDirect on every scenario — the direct engine exists as the property
-  // tests' reference and the throughput bench's before/after baseline.
-  spectrum::SirEngine sir_engine = spectrum::SirEngine::kCached;
 };
 
 // Aggregate counters for one collection run.
@@ -325,7 +320,7 @@ class CollectionMac {
     // Dirty-set reevaluation state (interference_field.h): the change epoch
     // at the last min-SIR floor update.
     std::int64_t last_eval_epoch = -1;
-    // Append-incremental interference memo (kCached engine): the full
+    // Append-incremental interference memo: the full
     // interference sum — PU terms plus the SU terms of active_tx_[0,
     // itf_count) — valid while no swap-and-pop reordered the list
     // (itf_shrink_epoch) and the active-PU set is unchanged (itf_pu_epoch).
@@ -336,7 +331,7 @@ class CollectionMac {
     std::int32_t itf_count = -1;
     std::int64_t itf_pu_epoch = -1;
     std::int64_t itf_shrink_epoch = -1;
-    // Interference upper bound (kCached engine): exact at the last full
+    // Interference upper bound: exact at the last full
     // evaluation, then grown by each new interferer's gain while the PU set
     // is unchanged. Removals only widen the slack, so signal/itf_ub is a
     // SIR lower bound — when it clears min_sir (with an FP-safety margin)
@@ -408,7 +403,7 @@ class CollectionMac {
   pu::ActivityStream activity_;  // the "pu-activity" stream, drawn ahead
   Rng audit_rng_;
   Rng sensing_rng_;
-  spectrum::SirEvaluator sir_;
+  spectrum::PathLoss path_loss_;  // the PU-protection audit's gains
   spectrum::InterferenceField field_;
 
   std::vector<Agent> agents_;

@@ -9,12 +9,12 @@
 // cache. PairGainCache keeps one bit per pair instead, recording whether
 // the pair was read before, so FieldWork sorts every read into a first
 // read (gain_cache_misses, sir_terms_evaluated) or a repeat
-// (gain_cache_hits). Both engines sum the same doubles in the same fixed
-// order, so the cached engine is bit-identical to the direct one — min-SIR
-// floors, trace digests and all.
-// tests/mac/sir_engine_test.cc pins that equivalence over randomized
-// scenarios; tests/spectrum/interference_field_test.cc pins the gains and
-// the read records.
+// (gain_cache_hits). Every sum runs in one fixed order, so a memo, a skip
+// or a resumed sum is bit-identical to summing every term from scratch —
+// min-SIR floors, trace digests and all. tests/mac/sir_engine_test.cc
+// pins whole runs against the outcomes and work of that from-scratch sum;
+// tests/spectrum/interference_field_test.cc checks the gains and the memo
+// against a sum computed in the test, and pins the read records.
 //
 // Epoch counters support the MAC's dirty-set reevaluation:
 //  * change_epoch advances on every event that can LOWER an ongoing
@@ -34,12 +34,9 @@
 // previous slot's and leaves both epochs alone when the set is unchanged —
 // at low activity most slots change nothing and whole refloors vanish.
 //
-// SirEngine::kDirect keeps no read records, skips or memos, with the
-// identical summation order — the reference the property tests and
-// bench_sim_throughput compare against. All work is tallied in FieldWork;
-// the counts are pure functions of (scenario, seed), so perf regressions
-// are caught by exact counter comparison (tools/bench_delta.py) instead of
-// wall-clock thresholds.
+// All work is tallied in FieldWork; the counts are pure functions of
+// (scenario, seed), so perf regressions are caught by exact counter
+// comparison (tools/bench_delta.py) instead of wall-clock thresholds.
 #ifndef CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 #define CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 
@@ -55,25 +52,15 @@
 
 namespace crn::spectrum {
 
-// Which SIR evaluation engine a run uses. Both produce bit-identical
-// results; kDirect exists as the reference/baseline for property tests and
-// for before/after work accounting in the throughput bench.
-enum class SirEngine : std::uint8_t { kCached, kDirect };
-
-inline const char* ToString(SirEngine engine) {
-  return engine == SirEngine::kCached ? "cached" : "direct";
-}
-
 // Deterministic work tally for SIR evaluation. Every field is an exact,
 // seed-stable operation count (never a wall-clock quantity); RunWithNextHops
 // exports them as perf.* counters when a MetricsRegistry is attached.
 struct FieldWork {
   std::int64_t sir_evaluations = 0;     // full SIR computations performed
-  // Interference terms charged as computed. The direct engine charges every
-  // term it sums. The cached engine charges only a pair's first read (a
-  // gain_cache_miss): it recomputes every gain too, so this counts distinct
-  // pairs read, not arithmetic done or saved. The ≥3× bench criterion and
-  // the CI budget are pinned on this count.
+  // Interference terms charged as computed: only a pair's first read (a
+  // gain_cache_miss). Every gain is recomputed on every read, so this counts
+  // distinct pairs read, not arithmetic done or saved. The CI budget is
+  // pinned on this count.
   std::int64_t sir_terms_evaluated = 0;
   std::int64_t gain_cache_hits = 0;     // reads of a pair read before
   std::int64_t gain_cache_misses = 0;   // first reads of a pair
@@ -216,11 +203,10 @@ class PairGainCache {
 // lifetime coupling to the MAC's vectors.
 class InterferenceField {
  public:
-  InterferenceField(PathLoss loss, SirEngine engine,
-                    const std::vector<geom::Vec2>& su_positions, double su_power,
-                    const std::vector<geom::Vec2>& pu_positions, double pu_power)
-      : engine_(engine),
-        su_gains_(loss, su_power, su_positions, su_positions),
+  InterferenceField(PathLoss loss, const std::vector<geom::Vec2>& su_positions,
+                    double su_power, const std::vector<geom::Vec2>& pu_positions,
+                    double pu_power)
+      : su_gains_(loss, su_power, su_positions, su_positions),
         pu_gains_(pu_positions.empty()
                       ? PairGainCache(loss, su_power, {}, su_positions)
                       : PairGainCache(loss, pu_power, pu_positions, su_positions)),
@@ -229,53 +215,41 @@ class InterferenceField {
         pu_sum_(su_positions.size(), 0.0),
         pu_sum_epoch_(su_positions.size(), -1) {}
 
-  [[nodiscard]] SirEngine engine() const { return engine_; }
   [[nodiscard]] FieldWork& work() { return work_; }
   [[nodiscard]] const FieldWork& work() const { return work_; }
 
   // Received power of SU `tx`'s signal at SU `rx`'s position.
   [[nodiscard]] double SuGain(std::int32_t tx, std::int32_t rx) {
-    if (engine_ == SirEngine::kCached) return su_gains_.Gain(tx, rx, work_);
-    ++work_.sir_terms_evaluated;
-    return su_gains_.Direct(tx, rx);
+    return su_gains_.Gain(tx, rx, work_);
   }
 
   // Received power of PU `pu`'s signal at SU `rx`'s position.
   [[nodiscard]] double PuGain(std::int32_t pu, std::int32_t rx) {
-    if (engine_ == SirEngine::kCached) return pu_gains_.Gain(pu, rx, work_);
-    ++work_.sir_terms_evaluated;
-    return pu_gains_.Direct(pu, rx);
+    return pu_gains_.Gain(pu, rx, work_);
   }
 
   // Aggregate PU interference at SU `rx` from `active_pus` (ascending PU
   // id — the PrimaryNetwork active-list order), whose activity bitmask is
-  // `mask`. The cached engine accounts the reads a word at a time against
-  // `mask` and memoizes the sum per receiver, keyed on pu_epoch: ADDC
-  // serializes siblings onto the same parent, so within one slot many
-  // evaluations target the same receiver and the memoized double — produced
-  // by the identical fixed-order sum — is bit-exact to reuse. The direct
-  // engine re-sums every time.
+  // `mask`. Accounts the reads a word at a time against `mask` and
+  // memoizes the sum per receiver, keyed on pu_epoch: ADDC serializes
+  // siblings onto the same parent, so within one slot many evaluations
+  // target the same receiver and the memoized double — produced by the
+  // identical fixed-order sum — is bit-exact to reuse.
   [[nodiscard]] double PuInterference(std::int32_t rx,
                                       const std::vector<std::int32_t>& active_pus,
                                       const std::vector<std::uint64_t>& mask) {
     const auto receiver = static_cast<std::size_t>(rx);
-    if (engine_ == SirEngine::kCached && pu_sum_epoch_[receiver] == pu_epoch_) {
+    if (pu_sum_epoch_[receiver] == pu_epoch_) {
       ++work_.pu_partials_reused;
       return pu_sum_[receiver];
     }
     CRN_DCHECK(MaskHolds(mask, active_pus))
         << "the activity mask and the active list name different PUs";
-    if (engine_ == SirEngine::kCached) {
-      pu_gains_.NoteReads(rx, mask, work_);
-    } else {
-      work_.sir_terms_evaluated += static_cast<std::int64_t>(active_pus.size());
-    }
+    pu_gains_.NoteReads(rx, mask, work_);
     double sum = 0.0;
     for (const std::int32_t pu : active_pus) sum += pu_gains_.Direct(pu, rx);
-    if (engine_ == SirEngine::kCached) {
-      pu_sum_[receiver] = sum;
-      pu_sum_epoch_[receiver] = pu_epoch_;
-    }
+    pu_sum_[receiver] = sum;
+    pu_sum_epoch_[receiver] = pu_epoch_;
     return sum;
   }
 
@@ -384,7 +358,6 @@ class InterferenceField {
            });
   }
 
-  SirEngine engine_;
   FieldWork work_;
   PairGainCache su_gains_;
   PairGainCache pu_gains_;
@@ -394,7 +367,7 @@ class InterferenceField {
   std::size_t pu_count_;
   std::vector<std::uint64_t> previous_pu_mask_;  // last NotePuSample mask
   // Per-receiver PU interference sums, valid while pu_sum_epoch_ matches
-  // pu_epoch_ (kCached only).
+  // pu_epoch_.
   std::vector<double> pu_sum_;
   std::vector<std::int64_t> pu_sum_epoch_;
 };

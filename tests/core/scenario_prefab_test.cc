@@ -59,7 +59,6 @@ TEST(PrefabKeyTest, MacAndSpectrumParametersDoNotKeyThePrefab) {
   changed.su_power = 3.0;
   changed.alpha = 3.0;
   changed.fairness_wait = false;
-  changed.direct_sir_engine = true;
   EXPECT_EQ(key, PrefabKey::Of(changed, 0));
 }
 

@@ -5,6 +5,7 @@
 // digests both.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -189,17 +190,16 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   // The bench_sim_throughput contract: an addc_only sweep's captured perf.*
   // counters are pure functions of (scenario, seed) — the same at any jobs
   // value — which is what lets CI compare them against a committed baseline
-  // exactly. Runs both engines as points, like the bench's verification
-  // sweep does.
+  // exactly. Two identical points, like the bench sweeps' verification
+  // points, must also agree with each other.
   const auto make = [](std::int32_t jobs, obs::MetricsRegistry* metrics) {
     core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
     config.seed = 11;
     SweepSpec spec;
-    spec.title = "engines";
-    spec.parameter_name = "engine";
-    spec.points.push_back({"cached", config});
-    config.direct_sir_engine = true;
-    spec.points.push_back({"direct", config});
+    spec.title = "repeat";
+    spec.parameter_name = "run";
+    spec.points.push_back({"first", config});
+    spec.points.push_back({"again", config});
     spec.repetitions = 2;
     spec.jobs = jobs;
     spec.collect_digests = true;
@@ -212,7 +212,7 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   const SweepResult serial = RunSweep(make(1, &serial_metrics));
   const SweepResult parallel = RunSweep(make(4, &parallel_metrics));
 
-  // Both engines, same scenarios, same digests — at every jobs value.
+  // Same scenarios, same digests — at every jobs value.
   ASSERT_EQ(serial.summaries.size(), 2u);
   EXPECT_NE(serial.summaries[0].addc_trace_digest, 0u);
   EXPECT_EQ(serial.summaries[0].addc_trace_digest,
@@ -223,21 +223,21 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
   // bench and tools/bench_delta.py consume.
   ASSERT_EQ(serial.metric_values.size(), parallel.metric_values.size());
   ASSERT_FALSE(serial.metric_values.empty());
-  bool saw_cached_terms = false;
-  bool saw_direct_evals = false;
+  bool saw_terms = false;
+  bool saw_evals = false;
   for (std::size_t i = 0; i < serial.metric_values.size(); ++i) {
     EXPECT_EQ(serial.metric_values[i].first, parallel.metric_values[i].first);
     EXPECT_EQ(serial.metric_values[i].second, parallel.metric_values[i].second);
     if (serial.metric_values[i].first ==
         "perf.sir_terms_evaluated{engine=cached}") {
-      saw_cached_terms = serial.metric_values[i].second > 0;
+      saw_terms = serial.metric_values[i].second > 0;
     }
-    if (serial.metric_values[i].first == "perf.sir_evaluations{engine=direct}") {
-      saw_direct_evals = serial.metric_values[i].second > 0;
+    if (serial.metric_values[i].first == "perf.sir_evaluations{engine=cached}") {
+      saw_evals = serial.metric_values[i].second > 0;
     }
   }
-  EXPECT_TRUE(saw_cached_terms);
-  EXPECT_TRUE(saw_direct_evals);
+  EXPECT_TRUE(saw_terms);
+  EXPECT_TRUE(saw_evals);
 }
 
 TEST(ParallelSweepTest, ProfilerIsObservationOnly) {
@@ -326,32 +326,44 @@ TEST(ParallelSweepTest, DigestsAndMetricsArePinnedAcrossJobsAndGrain) {
 }
 
 TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
-  // Cache on (shared immutable prefabs) vs off (every cell deploys its own
-  // geometry, the pre-cache behaviour) must be bit-identical — the cache
+  // RunSweep shares one immutable prefab between the cells of a geometry;
+  // the oracle is the same cells run one by one, each Scenario building its
+  // own geometry. Digests and every delay must be bit-identical — the cache
   // is a pure memoization of a deterministic build.
-  SweepSpec cached_spec = TinySpec(4);
-  SweepSpec rebuilt_spec = TinySpec(4);
-  rebuilt_spec.prefab_cache = false;
-  const SweepResult cached = RunSweep(cached_spec);
-  const SweepResult rebuilt = RunSweep(rebuilt_spec);
+  const SweepSpec spec = TinySpec(4);
+  const SweepResult cached = RunSweep(spec);
   ASSERT_NE(cached.trace_digest, 0u);
-  EXPECT_EQ(cached.trace_digest, rebuilt.trace_digest);
-  ASSERT_EQ(cached.summaries.size(), rebuilt.summaries.size());
-  for (std::size_t i = 0; i < cached.summaries.size(); ++i) {
-    EXPECT_EQ(cached.summaries[i].addc_trace_digest,
-              rebuilt.summaries[i].addc_trace_digest);
-    ExpectStatsIdentical(cached.summaries[i].addc_delay_ms,
-                         rebuilt.summaries[i].addc_delay_ms);
+  ASSERT_EQ(cached.summaries.size(), spec.points.size());
+  const auto fold = [](std::uint64_t accumulator, std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      accumulator ^= (value >> (8 * byte)) & 0xFFU;
+      accumulator *= 0x100000001B3ULL;
+    }
+    return accumulator;
+  };
+  std::uint64_t sweep_digest = 0xCBF29CE484222325ULL;
+  for (std::size_t point = 0; point < spec.points.size(); ++point) {
+    const core::ScenarioConfig& config = spec.points[point].config;
+    std::uint64_t point_digest = 0xCBF29CE484222325ULL;
+    std::vector<double> addc_delay;
+    std::vector<double> coolest_delay;
+    for (std::int32_t rep = 0; rep < spec.repetitions; ++rep) {
+      const core::Scenario rebuilt(config, static_cast<std::uint64_t>(rep));
+      core::AuditReport report;
+      core::RunOptions options;
+      options.audit_report = &report;
+      addc_delay.push_back(core::RunAddc(rebuilt, options).delay_ms);
+      coolest_delay.push_back(core::RunCoolest(rebuilt, spec.metric).delay_ms);
+      point_digest = fold(point_digest, report.trace_digest);
+      sweep_digest = fold(sweep_digest, report.trace_digest);
+    }
+    EXPECT_EQ(cached.summaries[point].addc_trace_digest, point_digest);
+    ExpectStatsIdentical(cached.summaries[point].addc_delay_ms,
+                         core::Summarize(addc_delay));
+    ExpectStatsIdentical(cached.summaries[point].coolest_delay_ms,
+                         core::Summarize(coolest_delay));
   }
-
-  // With the cache off, no prefab.* metrics may appear — the counters
-  // describe cache behaviour, not the sweep.
-  obs::MetricsRegistry metrics;
-  rebuilt_spec.metrics = &metrics;
-  RunSweep(rebuilt_spec);
-  for (const obs::SnapshotEntry& entry : metrics.Capture(0).entries) {
-    EXPECT_EQ(entry.key.rfind("prefab.", 0), std::string::npos) << entry.key;
-  }
+  EXPECT_EQ(cached.trace_digest, sweep_digest);
 }
 
 TEST(ParallelSweepTest, VerifyPrefabsModeRebuildsAndMatchesEveryHit) {

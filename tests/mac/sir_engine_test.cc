@@ -1,11 +1,11 @@
-// Engine-equivalence property test (DESIGN.md §10): a full ADDC run under
-// the cached interference-field engine must be bit-identical to the same
-// run under the direct reference engine — trace digests, delays, capacity —
-// and the dirty-set bookkeeping must account for every evaluation it skips:
-//   evals(cached) + reeval_skipped + bound_skips == evals(direct).
-// Each configuration pins what both engines must reproduce, plus the direct
-// engine's own SIR work, so the cached engine stays checkable against the
-// reference without running it.
+// SIR engine property test (DESIGN.md §10): a full ADDC run under the
+// interference field — read records, epoch skips, bound skips, memos and
+// resumed sums — must be bit-identical to summing every interference term
+// from scratch at every evaluation. That reference engine is gone from the
+// code; each configuration below pins the outcome it produced (trace
+// digest, delay, capacity, attempts, deliveries) and its SIR work, and the
+// field's bookkeeping must account for every evaluation it skips:
+//   evals + reeval_skipped + bound_skips == the reference's evals.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -33,9 +33,7 @@ struct EngineRun {
   std::int64_t cache_misses = 0;
 };
 
-EngineRun RunEngine(ScenarioConfig config, bool direct,
-                    const RunOptions& base_options) {
-  config.direct_sir_engine = direct;
+EngineRun RunEngine(const ScenarioConfig& config, const RunOptions& base_options) {
   const Scenario scenario(config, 0);
   obs::MetricsRegistry metrics;
   AuditReport report;
@@ -45,7 +43,7 @@ EngineRun RunEngine(ScenarioConfig config, bool direct,
   EngineRun run;
   run.result = RunAddc(scenario, options);
   run.digest = report.trace_digest;
-  const obs::Labels engine{{"engine", direct ? "direct" : "cached"}};
+  const obs::Labels engine{{"engine", "cached"}};
   const auto counter = [&](const char* name) {
     return metrics.GetCounter(name, engine).value();
   };
@@ -58,9 +56,10 @@ EngineRun RunEngine(ScenarioConfig config, bool direct,
   return run;
 }
 
-// The outcome both engines produce on one configuration, and the direct
-// engine's work: every SIR evaluation the triggers ask for, and every
-// interference term those evaluations sum.
+// Pinned while the reference engine still ran: the outcome both engines
+// produced on one configuration, and the reference's work — every SIR
+// evaluation the triggers ask for, and every interference term those
+// evaluations sum.
 struct Pins {
   std::uint64_t digest;
   double delay_ms;
@@ -71,53 +70,32 @@ struct Pins {
   std::int64_t direct_terms;
 };
 
-void ExpectOutcomePinned(const EngineRun& run, const Pins& pins) {
+void ExpectEnginesEquivalent(const ScenarioConfig& config,
+                             const RunOptions& options,
+                             const std::string& label, const Pins& pins) {
+  SCOPED_TRACE(label);
+  const EngineRun run = RunEngine(config, options);
+  std::printf("[ pins     ] %s: {0x%016llxULL, %a, %a, %lld, %lld, ...}\n",
+              label.c_str(), static_cast<unsigned long long>(run.digest),
+              run.result.delay_ms, run.result.capacity_fraction,
+              static_cast<long long>(run.result.mac.attempts),
+              static_cast<long long>(run.result.mac.delivered));
+
+  // Bit-identity: same triggers, same floors, same everything.
+  ASSERT_NE(run.digest, 0u);
   EXPECT_EQ(run.digest, pins.digest);
   EXPECT_EQ(run.result.delay_ms, pins.delay_ms);
   EXPECT_EQ(run.result.capacity_fraction, pins.capacity);
   EXPECT_EQ(run.result.mac.attempts, pins.attempts);
   EXPECT_EQ(run.result.mac.delivered, pins.delivered);
-}
 
-void ExpectEnginesEquivalent(const ScenarioConfig& config,
-                             const RunOptions& options,
-                             const std::string& label, const Pins& pins) {
-  SCOPED_TRACE(label);
-  const EngineRun cached = RunEngine(config, /*direct=*/false, options);
-  const EngineRun direct = RunEngine(config, /*direct=*/true, options);
-  std::printf("[ pins     ] %s: {0x%016llxULL, %a, %a, %lld, %lld, %lld, %lld}\n",
-              label.c_str(), static_cast<unsigned long long>(direct.digest),
-              direct.result.delay_ms, direct.result.capacity_fraction,
-              static_cast<long long>(direct.result.mac.attempts),
-              static_cast<long long>(direct.result.mac.delivered),
-              static_cast<long long>(direct.sir_evaluations),
-              static_cast<long long>(direct.sir_terms));
-  ExpectOutcomePinned(cached, pins);
-  ExpectOutcomePinned(direct, pins);
-  EXPECT_EQ(direct.sir_evaluations, pins.direct_evaluations);
-  EXPECT_EQ(direct.sir_terms, pins.direct_terms);
-  EXPECT_EQ(cached.sir_evaluations + cached.reeval_skipped + cached.bound_skips,
+  // Work accounting: every reference evaluation is either performed or
+  // explicitly skipped (epoch skip or bound skip)...
+  EXPECT_EQ(run.sir_evaluations + run.reeval_skipped + run.bound_skips,
             pins.direct_evaluations);
-  EXPECT_LE(cached.sir_terms, pins.direct_terms);
-
-  // Bit-identity: same triggers, same floors, same everything.
-  ASSERT_NE(cached.digest, 0u);
-  EXPECT_EQ(cached.digest, direct.digest);
-  EXPECT_EQ(cached.result.delay_ms, direct.result.delay_ms);
-  EXPECT_EQ(cached.result.capacity_fraction, direct.result.capacity_fraction);
-  EXPECT_EQ(cached.result.mac.attempts, direct.result.mac.attempts);
-  EXPECT_EQ(cached.result.mac.delivered, direct.result.mac.delivered);
-
-  // Work accounting: every direct-engine evaluation is either performed or
-  // explicitly skipped (epoch skip or bound skip) by the cached engine.
-  EXPECT_EQ(cached.sir_evaluations + cached.reeval_skipped + cached.bound_skips,
-            direct.sir_evaluations);
-  // The direct reference never touches the cache...
-  EXPECT_EQ(direct.cache_hits, 0);
-  EXPECT_EQ(direct.cache_misses, 0);
-  // ...and the cached engine never computes a pair's gain twice.
-  EXPECT_EQ(cached.sir_terms, cached.cache_misses);
-  EXPECT_LE(cached.sir_terms, direct.sir_terms);
+  // ...and no pair's first read is charged twice.
+  EXPECT_EQ(run.sir_terms, run.cache_misses);
+  EXPECT_LE(run.sir_terms, pins.direct_terms);
 }
 
 ScenarioConfig SmallConfig() {
@@ -193,15 +171,11 @@ TEST(SirEngineTest, CachedMatchesDirectUnderConventionalMac) {
 }
 
 TEST(SirEngineTest, CachedEngineDoesStrictlyLessGeometryWork) {
-  // The perf claim at test scale: the cached engine computes each pair's
-  // gain once, so its geometry-term count must fall well below the direct
-  // engine's total on any nontrivial run.
-  const EngineRun cached = RunEngine(SmallConfig(), false, RunOptions{});
-  const EngineRun direct = RunEngine(SmallConfig(), true, RunOptions{});
-  ASSERT_GT(direct.sir_terms, 0);
-  EXPECT_EQ(direct.sir_terms, kDefaultPins.direct_terms);
-  EXPECT_LT(cached.sir_terms, kDefaultPins.direct_terms);
-  EXPECT_GT(cached.cache_hits, 0);
+  // The read records charge each pair's first read only, so the term count
+  // must fall well below the reference's total on any nontrivial run.
+  const EngineRun run = RunEngine(SmallConfig(), RunOptions{});
+  EXPECT_LT(run.sir_terms, kDefaultPins.direct_terms);
+  EXPECT_GT(run.cache_hits, 0);
 }
 
 }  // namespace

@@ -24,9 +24,27 @@ std::vector<Vec2> SuPositions() {
 
 std::vector<Vec2> PuPositions() { return {{2.0, 2.0}, {8.0, 1.0}, {5.0, 9.0}}; }
 
-InterferenceField MakeField(SirEngine engine, double alpha = 4.0) {
-  return InterferenceField(PathLoss(alpha), engine, SuPositions(), 1.5,
-                           PuPositions(), 6.0);
+constexpr double kSuPower = 1.5;
+constexpr double kPuPower = 6.0;
+
+InterferenceField MakeField() {
+  return InterferenceField(PathLoss(4.0), SuPositions(), kSuPower, PuPositions(),
+                           kPuPower);
+}
+
+// The reference the field must reproduce bit for bit: one gain computed
+// straight from positions, and a PU sum of those in active-list order.
+double DirectGain(double power, Vec2 tx, Vec2 rx) {
+  return PathLoss(4.0).ReceivedPowerSquared(power, geom::DistanceSquared(tx, rx));
+}
+
+double DirectPuSum(const std::vector<std::int32_t>& active, std::int32_t rx) {
+  double sum = 0.0;
+  for (const std::int32_t pu : active) {
+    sum += DirectGain(kPuPower, PuPositions()[static_cast<std::size_t>(pu)],
+                      SuPositions()[static_cast<std::size_t>(rx)]);
+  }
+  return sum;
 }
 
 // The activity mask NotePuSample takes, for PuPositions()' three PUs.
@@ -81,34 +99,28 @@ TEST(PairGainCacheTest, RejectsNonPositivePower) {
                ContractViolation);
 }
 
-TEST(InterferenceFieldTest, EnginesAgreeOnEveryGain) {
-  InterferenceField cached = MakeField(SirEngine::kCached);
-  InterferenceField direct = MakeField(SirEngine::kDirect);
-  for (std::int32_t tx = 0; tx < 5; ++tx) {
-    for (std::int32_t rx = 0; rx < 5; ++rx) {
-      EXPECT_EQ(cached.SuGain(tx, rx), direct.SuGain(tx, rx));
+TEST(InterferenceFieldTest, GainsMatchTheDirectFormula) {
+  InterferenceField field = MakeField();
+  for (int pass = 0; pass < 2; ++pass) {  // first reads, then repeats
+    for (std::int32_t tx = 0; tx < 5; ++tx) {
+      for (std::int32_t rx = 0; rx < 5; ++rx) {
+        EXPECT_EQ(field.SuGain(tx, rx),
+                  DirectGain(kSuPower, SuPositions()[static_cast<std::size_t>(tx)],
+                             SuPositions()[static_cast<std::size_t>(rx)]));
+      }
+    }
+    for (std::int32_t pu = 0; pu < 3; ++pu) {
+      for (std::int32_t rx = 0; rx < 5; ++rx) {
+        EXPECT_EQ(field.PuGain(pu, rx),
+                  DirectGain(kPuPower, PuPositions()[static_cast<std::size_t>(pu)],
+                             SuPositions()[static_cast<std::size_t>(rx)]));
+      }
     }
   }
-  for (std::int32_t pu = 0; pu < 3; ++pu) {
-    for (std::int32_t rx = 0; rx < 5; ++rx) {
-      EXPECT_EQ(cached.PuGain(pu, rx), direct.PuGain(pu, rx));
-    }
-  }
-}
-
-TEST(InterferenceFieldTest, DirectEngineBypassesCache) {
-  InterferenceField field = MakeField(SirEngine::kDirect);
-  (void)field.SuGain(0, 1);
-  (void)field.SuGain(0, 1);
-  (void)field.PuGain(2, 4);
-  EXPECT_EQ(field.work().gain_cache_hits, 0);
-  EXPECT_EQ(field.work().gain_cache_misses, 0);
-  EXPECT_EQ(field.work().sir_terms_evaluated, 3);
-  EXPECT_EQ(field.su_rows_allocated(), 0);
 }
 
 TEST(InterferenceFieldTest, CachedEngineCountsOnlyMissesAsTerms) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   (void)field.SuGain(0, 1);
   (void)field.SuGain(0, 1);
   (void)field.SuGain(0, 1);
@@ -118,14 +130,12 @@ TEST(InterferenceFieldTest, CachedEngineCountsOnlyMissesAsTerms) {
 }
 
 TEST(InterferenceFieldTest, PuInterferenceMemoIsBitExact) {
-  InterferenceField field = MakeField(SirEngine::kCached);
-  InterferenceField reference = MakeField(SirEngine::kDirect);
+  InterferenceField field = MakeField();
   const std::vector<std::int32_t> active{0, 2};
   EXPECT_TRUE(field.NotePuSample(MaskOf(active)));
-  EXPECT_TRUE(reference.NotePuSample(MaskOf(active)));
 
   const double first = field.PuInterference(1, active, MaskOf(active));
-  EXPECT_EQ(first, reference.PuInterference(1, active, MaskOf(active)));
+  EXPECT_EQ(first, DirectPuSum(active, 1));
   EXPECT_EQ(field.work().pu_partials_reused, 0);
 
   const double again = field.PuInterference(1, active, MaskOf(active));
@@ -134,12 +144,12 @@ TEST(InterferenceFieldTest, PuInterferenceMemoIsBitExact) {
 
   // A different receiver fills its own memo slot.
   const double other = field.PuInterference(3, active, MaskOf(active));
-  EXPECT_EQ(other, reference.PuInterference(3, active, MaskOf(active)));
+  EXPECT_EQ(other, DirectPuSum(active, 3));
   EXPECT_EQ(field.work().pu_partials_reused, 1);
 }
 
 TEST(InterferenceFieldTest, PuSetChangeInvalidatesMemo) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   const std::vector<std::int32_t> first{0, 1};
   field.NotePuSample(MaskOf(first));
   const double before = field.PuInterference(2, first, MaskOf(first));
@@ -158,7 +168,7 @@ TEST(InterferenceFieldTest, PuSetChangeInvalidatesMemo) {
 // and a slot-boundary PU resample bumps change + pu only when the active
 // set actually changed.
 TEST(InterferenceFieldTest, EpochSemantics) {
-  InterferenceField field = MakeField(SirEngine::kCached);
+  InterferenceField field = MakeField();
   EXPECT_EQ(field.change_epoch(), 0);
   EXPECT_EQ(field.pu_epoch(), 0);
   EXPECT_EQ(field.shrink_epoch(), 0);
@@ -192,8 +202,7 @@ TEST(InterferenceFieldTest, EpochSemantics) {
 }
 
 TEST(InterferenceFieldTest, EmptyPuDeploymentIsUsable) {
-  InterferenceField field(PathLoss(4.0), SirEngine::kCached, SuPositions(), 1.0,
-                          {}, 0.0);
+  InterferenceField field(PathLoss(4.0), SuPositions(), 1.0, {}, 0.0);
   EXPECT_EQ(field.PuInterference(0, {}, {}), 0.0);
   EXPECT_EQ(field.work().sir_terms_evaluated, 0);
 }
@@ -237,8 +246,7 @@ TEST(InterferenceFieldTest, WordReadAccountingMatchesPerPairGains) {
     Rng rng(0x5EED0000ULL + static_cast<std::uint64_t>(pus));
     const std::vector<Vec2> sus = RandomPositions(rng, kSus);
     const std::vector<Vec2> pu_positions = RandomPositions(rng, pus);
-    InterferenceField field(PathLoss(3.5), SirEngine::kCached, sus, 1.0, pu_positions,
-                            4.0);
+    InterferenceField field(PathLoss(3.5), sus, 1.0, pu_positions, 4.0);
     PairGainCache reference(PathLoss(3.5), 4.0, pu_positions, sus);
     FieldWork expected;
     for (int slot = 0; slot < 200; ++slot) {
@@ -265,18 +273,16 @@ TEST(InterferenceFieldTest, WordReadAccountingMatchesPerPairGains) {
 }
 
 TEST(InterferenceFieldTest, EmptyPuSumMaterializesNoRow) {
-  for (const SirEngine engine : {SirEngine::kCached, SirEngine::kDirect}) {
-    InterferenceField field = MakeField(engine);
-    EXPECT_FALSE(field.NotePuSample(MaskOf({})));
-    EXPECT_EQ(field.PuInterference(2, {}, MaskOf({})), 0.0);
-    EXPECT_EQ(field.pu_rows_allocated(), 0);
-    EXPECT_EQ(field.work().gain_cache_misses, 0);
-    EXPECT_EQ(field.work().sir_terms_evaluated, 0);
-    EXPECT_TRUE(field.NotePuSample(MaskOf({1})));
-    EXPECT_GT(field.PuInterference(2, {1}, MaskOf({1})), 0.0);
-    EXPECT_EQ(field.pu_rows_allocated(), engine == SirEngine::kCached ? 1 : 0);
-    EXPECT_EQ(field.work().sir_terms_evaluated, 1);
-  }
+  InterferenceField field = MakeField();
+  EXPECT_FALSE(field.NotePuSample(MaskOf({})));
+  EXPECT_EQ(field.PuInterference(2, {}, MaskOf({})), 0.0);
+  EXPECT_EQ(field.pu_rows_allocated(), 0);
+  EXPECT_EQ(field.work().gain_cache_misses, 0);
+  EXPECT_EQ(field.work().sir_terms_evaluated, 0);
+  EXPECT_TRUE(field.NotePuSample(MaskOf({1})));
+  EXPECT_EQ(field.PuInterference(2, {1}, MaskOf({1})), DirectPuSum({1}, 2));
+  EXPECT_EQ(field.pu_rows_allocated(), 1);
+  EXPECT_EQ(field.work().sir_terms_evaluated, 1);
 }
 
 // The cache the read records replaced: it stored each read pair's gain as
@@ -416,14 +422,14 @@ std::string FieldBlob(const std::vector<std::int32_t>& active) {
 }
 
 TEST(InterferenceFieldTest, RestoresPreviousActiveSet) {
-  InterferenceField saved = MakeField(SirEngine::kCached);
+  InterferenceField saved = MakeField();
   ASSERT_TRUE(saved.NotePuSample(MaskOf({0, 2})));
   sim::StateWriter writer;
   saved.SaveState(writer);
   const std::string blob = writer.Finish();
   ASSERT_EQ(blob, FieldBlob({0, 2}));  // FieldBlob writes the real layout
 
-  InterferenceField restored = MakeField(SirEngine::kCached);
+  InterferenceField restored = MakeField();
   sim::StateReader reader(blob);
   restored.LoadState(reader);
   ASSERT_TRUE(reader.ok()) << reader.error();
@@ -437,7 +443,7 @@ TEST(InterferenceFieldTest, RejectsCheckpointedPuOutsideDeployment) {
   for (const std::int32_t pu : {-1, 3, 63, 64}) {
     const std::string blob = FieldBlob({pu});
     sim::StateReader reader(blob);
-    InterferenceField field = MakeField(SirEngine::kCached);
+    InterferenceField field = MakeField();
     EXPECT_THROW(field.LoadState(reader), ContractViolation) << "pu=" << pu;
   }
 }

@@ -15,10 +15,11 @@ Checks, without any third-party dependency:
     and identical scale block (num_sus/num_pus/area_side/pu_activity/
     repetitions/seed). Counter comparison across different instances is
     meaningless, so a mismatch is exit 2 (incomparable), not a failure.
-  * budget (--budget KEY, repeatable) — for every sweep title present in
-    both files, current metrics[KEY] must not exceed
-    baseline * (1 + --tolerance). Default budget: the cached engine's
-    geometry-term count, the quantity DESIGN.md §10 pins. Keys spelled
+  * budget (--budget KEY, repeatable) — for every baseline sweep title that
+    carries KEY, the current run must carry the title and KEY, and
+    metrics[KEY] must not exceed baseline * (1 + --tolerance). Default
+    budget: the interference field's term count (first reads of a pair),
+    the quantity DESIGN.md §10 pins. Keys spelled
     "pool.<field>" resolve from the sweep's scheduling-diagnostics section
     (tasks/chunks/steals/workers) instead of the metrics registry — steals
     are scheduling-dependent, so they budget (upper-bound) rather than pin.
@@ -28,10 +29,11 @@ Checks, without any third-party dependency:
     misses/bytes): any drift means the keying rule or the fold changed.
   * --verify-digests — every sweep whose title starts with "engine
     verification" or "cache verification" must carry the same
-    addc_trace_digest on all its points (the cached-vs-direct SIR engine
-    and prefab-determinism contracts, re-checked from the artifact).
-  * --min-term-ratio R — at the largest n among "... (cached)"/"... (direct)"
-    timing-sweep pairs, direct/cached perf.sir_terms_evaluated must be >= R.
+    addc_trace_digest on all its points, and that digest must equal every
+    point digest of the baseline's same-title sweep. The baselines were
+    written while the direct-sum SIR engine and per-cell geometry rebuilds
+    still ran and matched these digests, so this re-checks both
+    equivalences from the artifact.
   * --max-wall-ratio R — for every sweep title present in both files,
     current wall_seconds / baseline wall_seconds must be <= R. This is the
     only wall-clock gate; it exists to catch order-of-magnitude blowups
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 DEFAULT_BUDGET = ["perf.sir_terms_evaluated{engine=cached}"]
@@ -149,19 +150,21 @@ def metric_value(sweep: dict, key: str):
 
 def check_budget(baseline: dict, current: dict, keys: list[str],
                  tolerance: float) -> list[str]:
+    """Upper bounds on every title the baseline carries the key for. A
+    budgeted title or key missing from the current run is a failure, as in
+    check_exact: a run that stops emitting a sweep must not pass its
+    budget by silence."""
     problems: list[str] = []
-    base_sweeps = sweeps_by_title(baseline)
+    current_sweeps = sweeps_by_title(current)
     compared = 0
-    for title, sweep in sweeps_by_title(current).items():
-        base = base_sweeps.get(title)
-        if base is None:
-            continue
+    for title, base in sweeps_by_title(baseline).items():
+        sweep = current_sweeps.get(title)
         for key in keys:
             base_value = metric_value(base, key)
             if base_value is None:
                 continue
             allowed = base_value * (1.0 + tolerance)
-            value = metric_value(sweep, key)
+            value = metric_value(sweep, key) if sweep is not None else None
             if value is None:
                 problems.append(f"{title}: {key} missing from current run "
                                 f"(baseline {base_value})")
@@ -173,7 +176,8 @@ def check_budget(baseline: dict, current: dict, keys: list[str],
             if value > allowed:
                 problems.append(f"{title}: {key} {value} exceeds budget "
                                 f"{allowed:.0f}")
-        if base.get("wall_seconds") and sweep.get("wall_seconds"):
+        if (sweep is not None and base.get("wall_seconds")
+                and sweep.get("wall_seconds")):
             ratio = sweep["wall_seconds"] / base["wall_seconds"]
             print(f"bench_delta: {title}: wall {sweep['wall_seconds']:.3f}s "
                   f"vs baseline {base['wall_seconds']:.3f}s "
@@ -220,25 +224,36 @@ def check_exact(baseline: dict, current: dict, keys: list[str]) -> list[str]:
 VERIFICATION_TITLE_PREFIXES = ("engine verification", "cache verification")
 
 
-def check_digests(current: dict) -> list[str]:
+def point_digests(sweep: dict) -> list:
+    return [point.get("addc_trace_digest") for point in sweep.get("points", [])]
+
+
+def check_digests(baseline: dict, current: dict) -> list[str]:
     problems: list[str] = []
+    base_sweeps = sweeps_by_title(baseline)
     checked = 0
     for sweep in current["sweeps"]:
         title = sweep.get("title", "")
         if not title.startswith(VERIFICATION_TITLE_PREFIXES):
             continue
-        digests = [point.get("addc_trace_digest")
-                   for point in sweep.get("points", [])]
+        digests = point_digests(sweep)
         checked += 1
-        if len(digests) < 2 or None in digests:
+        if not digests or None in digests:
             problems.append(f"{title}: verification points missing "
                             "addc_trace_digest")
-        elif len(set(digests)) != 1:
+            continue
+        if len(set(digests)) != 1:
             problems.append(f"{title}: verification digests differ: "
                             f"{digests}")
-        else:
-            print(f"bench_delta: {title}: {len(digests)} "
-                  f"digests identical ({digests[0]})")
+            continue
+        base = base_sweeps.get(title)
+        base_digests = point_digests(base) if base is not None else []
+        if not base_digests or set(base_digests) != {digests[0]}:
+            problems.append(f"{title}: verification digest {digests[0]} "
+                            f"differs from the baseline's {base_digests}")
+            continue
+        print(f"bench_delta: {title}: {len(digests)} digest(s) identical "
+              f"to the baseline's ({digests[0]})")
     if checked == 0:
         problems.append("--verify-digests: no verification sweep "
                         f"(titles {VERIFICATION_TITLE_PREFIXES}) in "
@@ -277,41 +292,6 @@ def check_wall_ratio(baseline: dict, current: dict,
     return problems
 
 
-def check_term_ratio(current: dict, minimum: float) -> list[str]:
-    # Pair "<prefix> (cached)" with "<prefix> (direct)" and test the pair
-    # with the largest n in its title (the ISSUE's headline scenario).
-    sweeps = sweeps_by_title(current)
-    best_n, best_pair = -1, None
-    for title, sweep in sweeps.items():
-        if not title.endswith(" (cached)"):
-            continue
-        partner = sweeps.get(title[:-len(" (cached)")] + " (direct)")
-        if partner is None:
-            continue
-        match = re.search(r"n=(\d+)", title)
-        n = int(match.group(1)) if match else 0
-        if n > best_n:
-            best_n, best_pair = n, (title, sweep, partner)
-    if best_pair is None:
-        return ["--min-term-ratio: no (cached)/(direct) timing-sweep pair "
-                "in current run"]
-    title, cached, direct = best_pair
-    cached_terms = cached.get("metrics", {}).get(
-        "perf.sir_terms_evaluated{engine=cached}")
-    direct_terms = direct.get("metrics", {}).get(
-        "perf.sir_terms_evaluated{engine=direct}")
-    if not cached_terms or not direct_terms:
-        return [f"{title}: perf.sir_terms_evaluated missing from metrics"]
-    ratio = direct_terms / cached_terms
-    print(f"bench_delta: {title}: direct/cached SIR terms "
-          f"{direct_terms}/{cached_terms} = {ratio:.2f}x "
-          f"(required >= {minimum:g}x)")
-    if ratio < minimum:
-        return [f"{title}: term ratio {ratio:.2f}x below required "
-                f"{minimum:g}x"]
-    return []
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -327,7 +307,6 @@ def main() -> int:
                         help="fractional budget slack (default 0: the "
                              "counters are deterministic)")
     parser.add_argument("--verify-digests", action="store_true")
-    parser.add_argument("--min-term-ratio", type=float, default=0.0)
     parser.add_argument("--max-wall-ratio", type=float, default=0.0,
                         help="gate: current/baseline wall_seconds per shared "
                              "sweep title must not exceed this (0 = wall "
@@ -345,9 +324,7 @@ def main() -> int:
     if arguments.exact:
         problems += check_exact(baseline, current, arguments.exact)
     if arguments.verify_digests:
-        problems += check_digests(current)
-    if arguments.min_term_ratio > 0.0:
-        problems += check_term_ratio(current, arguments.min_term_ratio)
+        problems += check_digests(baseline, current)
     if arguments.max_wall_ratio > 0.0:
         problems += check_wall_ratio(baseline, current,
                                      arguments.max_wall_ratio)
