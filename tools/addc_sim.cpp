@@ -9,6 +9,7 @@
 //   addc_sim --algorithm=addc --trace=/tmp/run.csv --seed=7
 //   addc_sim --continuous-interval-ms=5000 --snapshots=6
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -51,8 +52,8 @@ Scenario (defaults: the paper's Fig. 6 configuration scaled by --scale):
   --area=F                area side in meters (overrides scale)
   --num-pus=INT           number of PUs (overrides scale)
   --pt=F                  PU per-slot activity p_t (default 0.3)
-  --pu-burst=F            Markov mean burst slots (0 = i.i.d., default 0)
-  --alpha=F               path-loss exponent (default 4.0)
+  --pu-burst=F            Markov mean burst slots, >= 1 (0 = i.i.d., default 0)
+  --alpha=F               path-loss exponent, > 2 (default 4.0)
   --pu-power=F --su-power=F --pu-radius=F --su-radius=F
   --eta-p-db=F --eta-s-db=F
   --c2=paper|corrected    PCR constant variant (default paper; see DESIGN.md)
@@ -177,9 +178,9 @@ int main(int argc, char** argv) {
   const bool scale_valid = scale > 0.0 && scale <= 1.0;  // false for NaN too
   core::ScenarioConfig config =
       core::ScenarioConfig::ScaledDefaults(scale_valid ? scale : 1.0);
-  config.num_sus = static_cast<std::int32_t>(flags.GetInt("n", config.num_sus));
+  const std::int64_t n_arg = flags.GetInt("n", config.num_sus);
   config.area_side = flags.GetDouble("area", config.area_side);
-  config.num_pus = static_cast<std::int32_t>(flags.GetInt("num-pus", config.num_pus));
+  const std::int64_t num_pus_arg = flags.GetInt("num-pus", config.num_pus);
   config.pu_activity = flags.GetDouble("pt", config.pu_activity);
   config.alpha = flags.GetDouble("alpha", config.alpha);
   config.pu_power = flags.GetDouble("pu-power", config.pu_power);
@@ -257,7 +258,8 @@ int main(int argc, char** argv) {
     std::int64_t min;
   };
   for (const Count& count :
-       {Count{"--reps", reps_arg, 1}, Count{"--snapshots", snapshots_arg, 1},
+       {Count{"--n", n_arg, 1}, Count{"--num-pus", num_pus_arg, 0},
+        Count{"--reps", reps_arg, 1}, Count{"--snapshots", snapshots_arg, 1},
         Count{"--flight-recorder-depth", flight_depth, 1},
         Count{"--metrics-stride", metrics_stride_arg, 0},
         Count{"--jobs", jobs_arg, 0},
@@ -268,6 +270,50 @@ int main(int argc, char** argv) {
                 << " and <= 2147483647, got " << count.value << "\n";
       return 2;
     }
+  }
+  config.num_sus = static_cast<std::int32_t>(n_arg);
+  config.num_pus = static_cast<std::int32_t>(num_pus_arg);
+  // Scenario values the simulator CHECKs (or would run on as NaN), rejected
+  // as usage errors before any run: lengths and powers positive and finite,
+  // α > 2 (the path-loss law's bound), p_t a probability, finite SIR
+  // thresholds, and a Markov mean burst of at least one slot.
+  const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
+  const char* const kPositive = "finite and > 0";
+  struct Real {
+    const char* flag;
+    double value;
+    bool valid;
+    const char* range;
+  };
+  for (const Real& real : {
+           Real{"--area", config.area_side, positive(config.area_side), kPositive},
+           Real{"--pt", config.pu_activity,
+                config.pu_activity >= 0.0 && config.pu_activity <= 1.0, "in [0, 1]"},
+           Real{"--alpha", config.alpha,
+                std::isfinite(config.alpha) && config.alpha > 2.0, "finite and > 2"},
+           Real{"--pu-power", config.pu_power, positive(config.pu_power), kPositive},
+           Real{"--su-power", config.su_power, positive(config.su_power), kPositive},
+           Real{"--pu-radius", config.pu_radius, positive(config.pu_radius), kPositive},
+           Real{"--su-radius", config.su_radius, positive(config.su_radius), kPositive},
+           Real{"--eta-p-db", config.eta_p_db, std::isfinite(config.eta_p_db), "finite"},
+           Real{"--eta-s-db", config.eta_s_db, std::isfinite(config.eta_s_db), "finite"},
+           Real{"--pu-burst", burst,
+                burst == 0.0 || (std::isfinite(burst) && burst >= 1.0),
+                "0 (i.i.d.) or finite and >= 1"}}) {
+    if (!real.valid) {
+      std::cerr << "error: " << real.flag << " must be " << real.range << ", got "
+                << real.value << "\n";
+      return 2;
+    }
+  }
+  // The Markov chain reaches p_t only while its idle->active probability
+  // p_t / (burst · (1 − p_t)) stays at most 1 (pu/primary_network.cc).
+  if (burst > 0.0 && config.pu_activity < 1.0 &&
+      config.pu_activity / (burst * (1.0 - config.pu_activity)) > 1.0) {
+    std::cerr << "error: --pt=" << config.pu_activity
+              << " is unreachable with --pu-burst=" << burst
+              << ": p_t must be at most burst / (burst + 1) or exactly 1\n";
+    return 2;
   }
   const auto reps = static_cast<std::int32_t>(reps_arg);
   const auto jobs = static_cast<std::int32_t>(jobs_arg);
