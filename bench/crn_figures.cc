@@ -47,9 +47,19 @@ using harness::Table;
 // gets a Scenario on the shared prefab for that geometry, so the variants
 // of a repetition deploy it once between them (a variant that changes
 // geometry gets its own entry). Shared prefabs are bit-identical to
-// private ones (DESIGN.md §15).
+// private ones (DESIGN.md §15). Each cell deploys at most once, on the
+// base geometry, so the cache is told `variants` requests per repetition
+// up front and frees a repetition's geometry after its last cell.
 class Deployments {
  public:
+  Deployments(const core::ScenarioConfig& base, std::int64_t variants, std::int64_t reps) {
+    for (std::int64_t rep = 0; rep < reps; ++rep) {
+      for (std::int64_t v = 0; v < variants; ++v) {
+        prefabs_.Announce(base, static_cast<std::uint64_t>(rep));
+      }
+    }
+  }
+
   core::Scenario operator()(const core::ScenarioConfig& config, std::uint64_t rep) {
     return core::Scenario(config, rep, prefabs_.Get(config, rep));
   }
@@ -67,7 +77,7 @@ auto FanOut(const BenchOptions& options, std::int64_t variants, std::int64_t rep
             RunProfiler& profiler, Run run) {
   std::vector<std::invoke_result_t<Run&, std::int64_t, std::uint64_t, Deployments&>>
       cells(static_cast<std::size_t>(variants * reps));
-  Deployments deploy;
+  Deployments deploy(options.base, variants, reps);
   harness::ParallelRunner(options.jobs, options.grain)
       .ForEachIndex(variants * reps, [&](std::int64_t order) {
         const std::int64_t index = harness::CellAtDispatchSlot(order, variants, reps, 1);

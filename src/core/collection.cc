@@ -172,7 +172,8 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
 
   mac::CollectionMac mac(simulator, primary, scenario.su_positions(),
                          scenario.area(), scenario.sink(), std::move(next_hop),
-                         mac_config, scenario.MakeRunRng().Stream("mac"));
+                         mac_config, scenario.MakeRunRng().Stream("mac"),
+                         scenario.prefab()->SensingTable(mac_config.pcr));
   std::optional<InvariantAuditor> auditor;
   if (options.audit_report != nullptr) {
     AuditConfig audit_config = options.audit;

@@ -1,6 +1,7 @@
 #include "core/scenario_prefab.h"
 
 #include <bit>
+#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -25,6 +26,14 @@ PrefabKey PrefabKey::Of(const ScenarioConfig& config,
 
 std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::Build(
     const ScenarioConfig& config, std::uint64_t repetition) {
+  std::string error;
+  std::shared_ptr<const ScenarioPrefab> prefab = TryBuild(config, repetition, error);
+  CRN_CHECK(prefab != nullptr) << error;
+  return prefab;
+}
+
+std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::TryBuild(
+    const ScenarioConfig& config, std::uint64_t repetition, std::string& error) {
   CRN_CHECK(config.num_sus > 0);
   CRN_CHECK(config.num_pus >= 0);
   CRN_CHECK(config.area_side > 0.0);
@@ -43,11 +52,15 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::Build(
   // the attempt cap turns a mis-parameterized config into a clear error
   // instead of a hang.
   for (std::int32_t attempt = 0;; ++attempt) {
-    CRN_CHECK(attempt < config.max_deployment_attempts)
-        << "could not draw a connected secondary network in "
-        << config.max_deployment_attempts << " attempts; the configured "
-        << "density (n=" << config.num_sus << ", A=" << config.area()
-        << ", r=" << config.su_radius << ") is likely sub-critical";
+    if (attempt >= config.max_deployment_attempts) {
+      std::ostringstream message;
+      message << "could not draw a connected secondary network in "
+              << config.max_deployment_attempts << " attempts; the configured "
+              << "density (n=" << config.num_sus << ", A=" << config.area()
+              << ", r=" << config.su_radius << ") is likely sub-critical";
+      error = message.str();
+      return nullptr;
+    }
     prefab->su_positions.clear();
     prefab->su_positions.push_back(prefab->area.Center());  // base station
     auto sus = geom::UniformDeployment(config.num_sus, prefab->area, su_rng);
@@ -106,6 +119,31 @@ std::int64_t ScenarioPrefab::ApproxBytes() const {
   return bytes;
 }
 
+std::shared_ptr<const mac::PuSensingTable> ScenarioPrefab::SensingTable(
+    double pcr) const {
+  TableSlot* slot = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(tables_mutex_);
+    std::unique_ptr<TableSlot>& entry = tables_[std::bit_cast<std::uint64_t>(pcr)];
+    if (entry == nullptr) entry = std::make_unique<TableSlot>();
+    slot = entry.get();
+  }
+  std::call_once(slot->once, [&] {
+    slot->table = mac::BuildPuSensingTable(su_positions, pu_positions, area, pcr);
+  });
+  return slot->table;
+}
+
+void ScenarioPrefabCache::Announce(const ScenarioConfig& config,
+                                   std::uint64_t repetition) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_ptr<Entry>& slot = entries_[PrefabKey::Of(config, repetition)];
+  if (slot == nullptr) slot = std::make_unique<Entry>();
+  CRN_CHECK(!slot->requested) << "Announce after the key's first Get (seed="
+                              << config.seed << ", repetition=" << repetition << ")";
+  ++slot->announced;
+}
+
 std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
     const ScenarioConfig& config, std::uint64_t repetition) {
   const PrefabKey key = PrefabKey::Of(config, repetition);
@@ -114,17 +152,19 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::unique_ptr<Entry>& slot = entries_[key];
-    if (slot == nullptr) {
-      // Counted at insertion, not at build completion, so the split is a
-      // pure function of the request sequence's key set: misses = distinct
-      // keys, hits = requests - misses, at every jobs value.
-      slot = std::make_unique<Entry>();
-      first_request = true;
-      ++stats_.misses;
-    } else {
-      ++stats_.hits;
-    }
+    if (slot == nullptr) slot = std::make_unique<Entry>();
     entry = slot.get();
+    // Counted at the first request, not at build completion, so the split
+    // is a pure function of the request sequence's key set: misses =
+    // distinct keys, hits = requests - misses, at every jobs value.
+    first_request = !entry->requested;
+    entry->requested = true;
+    ++(first_request ? stats_.misses : stats_.hits);
+    CRN_CHECK(entry->announced == 0 || entry->claimed < entry->announced)
+        << "request " << entry->claimed + 1 << " for (seed=" << config.seed
+        << ", repetition=" << repetition << ") exceeds the "
+        << entry->announced << " announced; the prefab has been dropped";
+    ++entry->claimed;
   }
   std::call_once(entry->once, [&] {
     std::shared_ptr<const ScenarioPrefab> built =
@@ -133,17 +173,28 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
     stats_.bytes += built->ApproxBytes();
     entry->prefab = std::move(built);
   });
+  std::shared_ptr<const ScenarioPrefab> prefab;
+  {
+    // Served in any order: the request that is served last, not the one
+    // claimed last, drops the cache's reference, so no claimed request can
+    // find the prefab gone.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    prefab = entry->prefab;
+    if (entry->announced > 0 && ++entry->served == entry->announced) {
+      entry->prefab.reset();
+    }
+  }
   if (verify_ && !first_request) {
     const std::shared_ptr<const ScenarioPrefab> fresh =
         ScenarioPrefab::Build(config, repetition);
-    CRN_CHECK(fresh->GeometryDigest() == entry->prefab->GeometryDigest())
+    CRN_CHECK(fresh->GeometryDigest() == prefab->GeometryDigest())
         << "prefab cache equivalence violated (seed=" << config.seed
         << ", repetition=" << repetition
         << "): cached geometry differs from a fresh build";
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.verified;
   }
-  return entry->prefab;
+  return prefab;
 }
 
 ScenarioPrefabCache::Stats ScenarioPrefabCache::stats() const {

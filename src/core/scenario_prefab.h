@@ -13,9 +13,14 @@
 // axes (τ_c, p_a, PU power, SIR thresholds) map every point of a sweep to
 // the same prefab.
 //
-// Invalidation is by immutability: a prefab is never mutated after Build(),
-// so a cache needs no eviction or versioning — a key either names exactly
-// this geometry forever or is a different key.
+// Invalidation is by immutability: a prefab's geometry is never mutated
+// after Build(), so a key either names exactly this geometry forever or is
+// a different key. The one thing a prefab adds later is derived data — the
+// PU sensing table of each PCR a run asks for, memoized once per PCR bit
+// pattern — which is a pure function of that geometry and the PCR and
+// enters neither the key, the digest nor ApproxBytes. A cache therefore
+// needs no invalidation; it only drops its reference once every announced
+// request for a key has been served (ScenarioPrefabCache::Announce).
 #ifndef CRN_CORE_SCENARIO_PREFAB_H_
 #define CRN_CORE_SCENARIO_PREFAB_H_
 
@@ -23,11 +28,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "geom/vec2.h"
 #include "graph/cds_tree.h"
 #include "graph/unit_disk_graph.h"
+#include "mac/pu_sensing_table.h"
 
 namespace crn::core {
 
@@ -51,7 +58,8 @@ struct PrefabKey {
 };
 
 // One immutable deployed geometry. Shared across Scenario instances via
-// shared_ptr<const ScenarioPrefab>; nothing here is mutated after Build().
+// shared_ptr<const ScenarioPrefab>; nothing here is mutated after Build()
+// but the sensing-table memo, which is derived data.
 struct ScenarioPrefab {
   PrefabKey key;
   geom::Aabb area;
@@ -63,9 +71,15 @@ struct ScenarioPrefab {
 
   // Deploys (resampling until the secondary graph is connected), builds the
   // graph and the CDS tree. Pure function of the key fields — the CHECKed
-  // contract the cache's equivalence mode re-verifies.
+  // contract the cache's equivalence mode re-verifies. CRN_CHECKs that a
+  // connected draw came within config.max_deployment_attempts.
   static std::shared_ptr<const ScenarioPrefab> Build(
       const ScenarioConfig& config, std::uint64_t repetition);
+  // The same, but a deployment that stays disconnected for every attempt is
+  // an input error, not a contract violation: returns nullptr and says why
+  // in `error` (command-line front ends report it as a usage error).
+  static std::shared_ptr<const ScenarioPrefab> TryBuild(
+      const ScenarioConfig& config, std::uint64_t repetition, std::string& error);
 
   // FNV-1a digest over positions, graph CSR, and tree structure; equal
   // digests certify a bit-identical prefab.
@@ -73,7 +87,22 @@ struct ScenarioPrefab {
 
   // Heap footprint estimate for the prefab.bytes counter: vector payloads
   // and CSR arrays, not allocator overhead. Deterministic given the key.
+  // Sensing tables are not counted: they depend on which PCRs runs ask for.
   [[nodiscard]] std::int64_t ApproxBytes() const;
+
+  // The PUs within `pcr` of every node (mac/pu_sensing_table.h), built on
+  // the first request for that PCR's bit pattern — never in Build() — and
+  // shared by every later one. Thread-safe: concurrent first requests for
+  // one PCR block on a single build.
+  [[nodiscard]] std::shared_ptr<const mac::PuSensingTable> SensingTable(double pcr) const;
+
+ private:
+  struct TableSlot {
+    std::once_flag once;
+    std::shared_ptr<const mac::PuSensingTable> table;
+  };
+  mutable std::mutex tables_mutex_;
+  mutable std::map<std::uint64_t, std::unique_ptr<TableSlot>> tables_;
 };
 
 // Content-addressed, thread-safe prefab cache for sweep engines. Each
@@ -83,6 +112,12 @@ struct ScenarioPrefab {
 // misses, bytes = sum of ApproxBytes over built prefabs — all independent
 // of scheduling, so they are safe to export through the digest-compared
 // MetricsRegistry.
+//
+// Lifetime: a caller that knows its requests up front Announce()s each one
+// before its first Get; the cache then drops its reference to a key's
+// prefab as soon as the last announced request for it has been served, so
+// a sweep holds each geometry only while a cell still needs it. A key that
+// was never announced stays cached for the cache's lifetime.
 class ScenarioPrefabCache {
  public:
   struct Stats {
@@ -102,6 +137,11 @@ class ScenarioPrefabCache {
   ScenarioPrefabCache(const ScenarioPrefabCache&) = delete;
   ScenarioPrefabCache& operator=(const ScenarioPrefabCache&) = delete;
 
+  // Declares one future Get(config, repetition). Call it for every request
+  // before the first Get of that key; a key's announced requests may not be
+  // exceeded (CRN_CHECK), since its prefab is gone after the last of them.
+  void Announce(const ScenarioConfig& config, std::uint64_t repetition);
+
   // Returns the shared prefab for (config, repetition), building it if this
   // is the first request for its key.
   std::shared_ptr<const ScenarioPrefab> Get(const ScenarioConfig& config,
@@ -113,6 +153,12 @@ class ScenarioPrefabCache {
   struct Entry {
     std::once_flag once;
     std::shared_ptr<const ScenarioPrefab> prefab;
+    bool requested = false;  // the first Get counted this key's miss
+    // Requests announced, claimed (counted on entry to Get) and served (the
+    // prefab handed out); an entry never announced keeps its prefab.
+    std::int64_t announced = 0;
+    std::int64_t claimed = 0;
+    std::int64_t served = 0;
   };
 
   bool verify_;

@@ -29,7 +29,9 @@ inline std::int32_t ClampedCell(double raw, std::int32_t limit) {
 // Immutable point index. Query cost is O(points in the covering cells).
 class SpatialGrid {
  public:
-  // `cell_size` should be on the order of the typical query radius.
+  // `cell_size` should be on the order of the typical query radius. A grid
+  // whose area would need more than max(4 · points, 2^20) cells of that
+  // size uses larger cells instead (spatial_grid.cc).
   SpatialGrid(std::vector<Vec2> points, Aabb bounds, double cell_size);
 
   // Calls visit(index) for every point with Distance(point, center) <= radius,
@@ -82,7 +84,7 @@ class SpatialGrid {
 
   std::vector<Vec2> points_;
   Aabb bounds_;
-  double cell_size_;
+  double cell_size_ = 0.0;
   std::int32_t cols_ = 0;
   std::int32_t rows_ = 0;
   // CSR layout: cell_start_[c]..cell_start_[c+1] indexes into cell_points_.
@@ -96,6 +98,7 @@ class SpatialGrid {
 // progresses.
 class DynamicSpatialGrid {
  public:
+  // Cell size and cap as for SpatialGrid.
   DynamicSpatialGrid(std::vector<Vec2> points, Aabb bounds, double cell_size);
 
   void Insert(std::int32_t index);
@@ -143,7 +146,7 @@ class DynamicSpatialGrid {
 
   std::vector<Vec2> points_;
   Aabb bounds_;
-  double cell_size_;
+  double cell_size_ = 0.0;
   std::int32_t cols_ = 0;
   std::int32_t rows_ = 0;
   std::vector<std::vector<std::int32_t>> cells_;

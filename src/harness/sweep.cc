@@ -70,10 +70,17 @@ SweepResult RunSweep(const SweepSpec& spec) {
 
   // Geometry sharing across cells (DESIGN.md §15): the cache hands every
   // cell whose (geometry key, rep) matches the same immutable prefab, so
-  // points varying only MAC/spectrum parameters skip the rebuild.
-  // Deployment is a pure function of (config, rep), so shared and rebuilt
-  // geometry are bit-identical (verify_prefabs re-proves it per hit).
+  // points varying only MAC/spectrum parameters skip the rebuild, and cells
+  // on one PCR share its sensing table too. Deployment is a pure function
+  // of (config, rep), so shared and rebuilt geometry are bit-identical
+  // (verify_prefabs re-proves it per hit). Every cell's request is
+  // announced, so each geometry is freed once its last cell has taken it.
   core::ScenarioPrefabCache prefab_cache(spec.verify_prefabs);
+  for (const SweepPoint& point : spec.points) {
+    for (std::int64_t cell = 0; cell < cells_per_point; ++cell) {
+      prefab_cache.Announce(point.config, static_cast<std::uint64_t>(cell / algorithms));
+    }
+  }
   const ParallelRunner runner(spec.jobs, spec.grain);
   sweep.pool = runner.ForEachIndex(
       cell_count,

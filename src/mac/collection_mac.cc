@@ -87,7 +87,8 @@ const MacConfig& CollectionMac::ValidatedConfig(const MacConfig& config) {
 CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& primary,
                              std::vector<geom::Vec2> positions, geom::Aabb area,
                              NodeId sink, std::vector<NodeId> next_hop,
-                             const MacConfig& config, Rng rng)
+                             const MacConfig& config, Rng rng,
+                             std::shared_ptr<const PuSensingTable> pu_table)
     : simulator_(simulator),
       primary_(primary),
       positions_(std::move(positions)),
@@ -102,12 +103,22 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
       path_loss_(config.alpha),
       field_(path_loss_, positions_, config.su_power, primary.positions(),
              primary.config().power),
+      pu_table_(pu_table != nullptr
+                    ? std::move(pu_table)
+                    : BuildPuSensingTable(positions_, primary.positions(), area,
+                                          config_.pcr)),
       sensing_grid_(positions_, area, SensingCellSize(config.pcr)),
       carrier_grid_(positions_, area, SensingCellSize(config.pcr)) {
   const auto n = node_count();
   CRN_CHECK(n > 0);
   CRN_CHECK(sink_ >= 0 && sink_ < n);
   CRN_CHECK(static_cast<std::int32_t>(next_hop_.size()) == n);
+  CRN_CHECK(pu_table_->node_count() == n && pu_table_->pu_count == primary_.count() &&
+            pu_table_->pcr == config_.pcr)
+      << "the PU sensing table was built for " << pu_table_->node_count()
+      << " nodes, " << pu_table_->pu_count << " PUs and pcr=" << pu_table_->pcr
+      << ", not this run's " << n << ", " << primary_.count() << " and "
+      << config_.pcr;
 
   route_depths_ = RouteDepths(next_hop_, sink_);
 
@@ -125,15 +136,10 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
   delivered_per_origin_.assign(n, 0);
   success_tx_count_.assign(n, 0);
 
-  // Precompute each node's static "PUs within my PCR" list (carrier sensing
-  // targets, Lemma 7's disk of radius κ·r), and bind each agent's two
-  // timers once — arming/cancelling them later is O(1) and allocation-free.
-  nearby_pu_begin_.reserve(static_cast<std::size_t>(n) + 1);
+  // Bind each agent's two timers once — arming/cancelling them later is
+  // O(1) and allocation-free.
   pu_sense_.assign(n, PuSense{});
   for (NodeId v = 0; v < n; ++v) {
-    nearby_pu_begin_.push_back(static_cast<std::int32_t>(nearby_pus_.size()));
-    primary_.grid().ForEachInDisk(positions_[v], config_.pcr,
-                                  [&](pu::PuId p) { nearby_pus_.push_back(p); });
     agents_[v].expiry_timer.Bind(simulator_, sim::EventPriority::kTimerExpiry,
                                  "mac.backoff_expiry", v,
                                  [this, v] { OnBackoffExpired(v); });
@@ -141,7 +147,6 @@ CollectionMac::CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& prim
                                "mac.post_tx_wait", v,
                                [this, v] { OnPostTxWaitDone(v); });
   }
-  nearby_pu_begin_.push_back(static_cast<std::int32_t>(nearby_pus_.size()));
 }
 
 void CollectionMac::StartCollection(const std::vector<NodeId>& producers) {
@@ -401,8 +406,8 @@ bool CollectionMac::ComputePuBusy(NodeId node) {
   PuSense& sense = pu_sense_[node];
   if (sense.epoch != primary_.window_epoch()) {
     std::uint64_t word = 0;
-    for (std::int32_t i = nearby_pu_begin_[node]; i < nearby_pu_begin_[node + 1]; ++i) {
-      word |= primary_.window_word(nearby_pus_[static_cast<std::size_t>(i)]);
+    for (const pu::PuId p : pu_table_->PusOf(node)) {
+      word |= primary_.window_word(p);
     }
     sense = {word, primary_.window_epoch()};
   }

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,6 +37,7 @@
 #include "geom/vec2.h"
 #include "mac/fifo.h"
 #include "mac/packet.h"
+#include "mac/pu_sensing_table.h"
 #include "pu/activity_stream.h"
 #include "pu/primary_network.h"
 #include "sim/simulator.h"
@@ -156,9 +158,13 @@ class CollectionMac {
   // `positions[sink]` is the base station; `next_hop[v]` must eventually
   // lead every packet-producing node to `sink` (validated). The MAC keeps
   // references to `simulator` and `primary` — both must outlive it.
+  // `pu_table` lists the PUs within config.pcr of each node (shared by every
+  // run on the same geometry and PCR); without one the MAC builds its own
+  // with the same BuildPuSensingTable.
   CollectionMac(sim::Simulator& simulator, pu::PrimaryNetwork& primary,
                 std::vector<geom::Vec2> positions, geom::Aabb area, NodeId sink,
-                std::vector<NodeId> next_hop, const MacConfig& config, Rng rng);
+                std::vector<NodeId> next_hop, const MacConfig& config, Rng rng,
+                std::shared_ptr<const PuSensingTable> pu_table = nullptr);
 
   // Seeds one packet per entry of `producers` (created at current sim
   // time) and schedules the network to run; a node listed k times produces
@@ -415,11 +421,9 @@ class CollectionMac {
   std::vector<std::uint8_t> agent_frozen_;
   std::vector<std::uint8_t> agent_pu_busy_;
   std::vector<std::int32_t> agent_su_busy_;
-  // The PUs within each agent's PCR (static; agent v's run is
-  // nearby_pus_[nearby_pu_begin_[v], nearby_pu_begin_[v + 1])), and the OR
-  // of their activity-window words, cached for the window it was built in.
-  std::vector<std::int32_t> nearby_pu_begin_;
-  std::vector<pu::PuId> nearby_pus_;
+  // The PUs within each agent's PCR (static, shared across runs), and the
+  // OR of their activity-window words, cached for the window it was built in.
+  std::shared_ptr<const PuSensingTable> pu_table_;
   struct PuSense {
     std::uint64_t word = 0;
     std::uint64_t epoch = ~std::uint64_t{0};  // PrimaryNetwork::window_epoch()

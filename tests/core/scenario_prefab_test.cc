@@ -1,12 +1,14 @@
 // Scenario-prefab cache contracts: the geometry keying rule (which
 // ScenarioConfig fields key a prefab and which must not), build-once
 // sharing with deterministic hit/miss/bytes accounting, cached ≡ rebuilt
-// bit-identity, and the key-mismatch guard on prefab-sharing Scenarios.
+// bit-identity, the key-mismatch guard on prefab-sharing Scenarios, the
+// per-PCR sensing-table memo, and the announced-request lifetime.
 #include "core/scenario_prefab.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/check.h"
 #include "core/collection.h"
@@ -121,6 +123,124 @@ TEST(ScenarioPrefabCacheTest, CachedScenarioRunsBitIdenticalToRebuilt) {
   const CollectionResult from_cached = RunAddc(cached, options);
   EXPECT_EQ(rebuilt_report.trace_digest, cached_report.trace_digest);
   EXPECT_DOUBLE_EQ(from_rebuilt.delay_ms, from_cached.delay_ms);
+}
+
+TEST(ScenarioPrefabTest, SensingTablesAreMemoizedPerPcrAndLeaveTheGeometryAlone) {
+  const ScenarioConfig config = TinyConfig();
+  const auto prefab = ScenarioPrefab::Build(config, 0);
+  const std::uint64_t digest = prefab->GeometryDigest();
+  const std::int64_t bytes = prefab->ApproxBytes();
+  const Scenario scenario(config, 0, prefab);
+  const auto table = prefab->SensingTable(scenario.pcr());
+  EXPECT_EQ(prefab->SensingTable(scenario.pcr()).get(), table.get());
+  const auto wider = prefab->SensingTable(2.0 * scenario.pcr());
+  EXPECT_NE(wider.get(), table.get());
+  EXPECT_EQ(table->pcr, scenario.pcr());
+  EXPECT_EQ(wider->pcr, 2.0 * scenario.pcr());
+  // The same builder a MAC without a table uses, on the same positions.
+  const auto fresh = mac::BuildPuSensingTable(prefab->su_positions, prefab->pu_positions,
+                                              prefab->area, scenario.pcr());
+  EXPECT_EQ(table->begin, fresh->begin);
+  EXPECT_EQ(table->pus, fresh->pus);
+  // Derived data: neither the digest nor the byte count moves.
+  EXPECT_EQ(prefab->GeometryDigest(), digest);
+  EXPECT_EQ(prefab->ApproxBytes(), bytes);
+}
+
+// A sweep's request pattern: `points` cells per repetition, each holding its
+// prefab while it "runs". The cache's reference to a repetition's prefab
+// must go with the last announced request, not before.
+TEST(ScenarioPrefabCacheTest, AnnouncedPrefabsExpireAfterTheirLastRequest) {
+  const ScenarioConfig base = TinyConfig();
+  ScenarioPrefabCache cache;
+  constexpr int kReps = 3;
+  constexpr int kPoints = 4;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int point = 0; point < kPoints; ++point) cache.Announce(base, rep);
+  }
+  std::int64_t bytes = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::weak_ptr<const ScenarioPrefab> watch;
+    for (int point = 0; point < kPoints; ++point) {
+      ScenarioConfig config = base;
+      config.pu_activity = 0.1 * (point + 1);  // not geometry: one key per rep
+      std::shared_ptr<const ScenarioPrefab> prefab = cache.Get(config, rep);
+      if (point == 0) {
+        watch = prefab;
+        bytes += prefab->ApproxBytes();
+      }
+      EXPECT_EQ(prefab.get(), watch.lock().get());
+      prefab.reset();  // the cell is done
+      EXPECT_EQ(watch.expired(), point == kPoints - 1) << "rep " << rep << " point " << point;
+    }
+  }
+  const ScenarioPrefabCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, kReps);
+  EXPECT_EQ(stats.hits, kReps * kPoints - kReps);
+  EXPECT_EQ(stats.bytes, bytes);
+  // Past its announced requests the key's prefab is gone: a contract error.
+  EXPECT_THROW(cache.Get(base, 0), ContractViolation);
+}
+
+TEST(ScenarioPrefabCacheTest, AnnouncingChangesNoCounter) {
+  const ScenarioConfig base = TinyConfig();
+  ScenarioPrefabCache plain;
+  ScenarioPrefabCache announced;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int point = 0; point < 3; ++point) announced.Announce(base, rep);
+  }
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int point = 0; point < 3; ++point) {
+      EXPECT_EQ(plain.Get(base, rep)->GeometryDigest(),
+                announced.Get(base, rep)->GeometryDigest());
+    }
+  }
+  EXPECT_EQ(plain.stats().hits, announced.stats().hits);
+  EXPECT_EQ(plain.stats().misses, announced.stats().misses);
+  EXPECT_EQ(plain.stats().bytes, announced.stats().bytes);
+  EXPECT_EQ(announced.stats().misses, 2);
+  EXPECT_EQ(announced.stats().hits, 4);
+}
+
+TEST(ScenarioPrefabCacheTest, VerifyModeRechecksEveryAnnouncedHit) {
+  ScenarioPrefabCache cache(/*verify=*/true);
+  const ScenarioConfig config = TinyConfig();
+  for (int request = 0; request < 3; ++request) cache.Announce(config, 0);
+  std::weak_ptr<const ScenarioPrefab> watch = cache.Get(config, 0);
+  cache.Get(config, 0);
+  EXPECT_FALSE(watch.expired());
+  cache.Get(config, 0);  // the last request: verified, then dropped
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(cache.stats().verified, 2);
+}
+
+TEST(ScenarioPrefabCacheTest, UnannouncedRequestsKeepTheirEntries) {
+  const ScenarioConfig config = TinyConfig();
+  ScenarioPrefabCache cache;
+  cache.Announce(config, 1);  // another key's announcement changes nothing here
+  std::weak_ptr<const ScenarioPrefab> watch = cache.Get(config, 0);
+  EXPECT_FALSE(watch.expired());
+  const auto again = cache.Get(config, 0);
+  EXPECT_EQ(again.get(), watch.lock().get());
+  EXPECT_FALSE(watch.expired());
+  // Announcing a key after its first request would miscount its lifetime.
+  EXPECT_THROW(cache.Announce(config, 0), ContractViolation);
+}
+
+TEST(ScenarioPrefabTest, TryBuildReportsAnUnconnectableDeployment) {
+  ScenarioConfig config = TinyConfig();
+  config.num_sus = 2;
+  config.area_side = 5000.0;
+  config.max_deployment_attempts = 20;
+  std::string error;
+  EXPECT_EQ(ScenarioPrefab::TryBuild(config, 0, error), nullptr);
+  EXPECT_NE(error.find("could not draw a connected secondary network in 20 attempts"),
+            std::string::npos)
+      << error;
+  EXPECT_THROW(ScenarioPrefab::Build(config, 0), ContractViolation);
+  error.clear();
+  EXPECT_NE(ScenarioPrefab::TryBuild(TinyConfig(), 0, error), nullptr);
+  EXPECT_TRUE(error.empty());
 }
 
 TEST(ScenarioTest, PrefabKeyMismatchIsAContractViolation) {

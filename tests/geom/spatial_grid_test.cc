@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -146,6 +147,43 @@ TEST(SpatialGridTest, HugeRadiiReachEveryPoint) {
                                 [&](std::int32_t i) { hits.push_back(i); });
     EXPECT_EQ(hits, (std::vector<std::int32_t>{0, 1})) << "r=" << radius;
   }
+}
+
+// A grid's cell count follows its points, not its area: 10^14 cells of 1 m
+// over a 10,000 km square (past the int32 range per side, let alone in
+// total) become at most 2^20 larger cells, and queries stay exact.
+TEST(SpatialGridTest, HugeAreasCapTheCellCount) {
+  const Aabb area = Aabb::Square(1e7);
+  Rng rng(9);
+  auto points = RandomPoints(50, area, 9);
+  points.push_back({0.0, 0.0});
+  points.push_back({1e7, 1e7});
+  const SpatialGrid grid(points, area, 1.0);
+  DynamicSpatialGrid members(points, area, 1.0);
+  for (std::int32_t i = 0; i < static_cast<std::int32_t>(points.size()); ++i) {
+    members.Insert(i);
+  }
+  for (int q = 0; q < 50; ++q) {
+    const Vec2 center{rng.UniformDouble(0.0, 1e7), rng.UniformDouble(0.0, 1e7)};
+    const double radius = rng.UniformDouble(1.0, 3e6);
+    auto got = grid.QueryDisk(center, radius);
+    std::vector<std::int32_t> member_hits;
+    members.ForEachMemberInDisk(center, radius,
+                                [&](std::int32_t i) { member_hits.push_back(i); });
+    const auto want = BruteForceDisk(points, center, radius);
+    std::sort(got.begin(), got.end());
+    std::sort(member_hits.begin(), member_hits.end());
+    ASSERT_EQ(got, want) << "r=" << radius;
+    ASSERT_EQ(member_hits, want) << "r=" << radius;
+  }
+  EXPECT_EQ(grid.QueryDisk({1e7, 1e7}, 0.0), (std::vector<std::int32_t>{51}));
+}
+
+TEST(SpatialGridTest, RejectsNonFiniteBounds) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(SpatialGrid({}, Aabb{{0.0, 0.0}, {inf, 10.0}}, 1.0), ContractViolation);
+  EXPECT_THROW(DynamicSpatialGrid({}, Aabb{{0.0, 0.0}, {10.0, inf}}, 1.0),
+               ContractViolation);
 }
 
 TEST(SpatialGridTest, EmptyPointSet) {

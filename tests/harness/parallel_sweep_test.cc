@@ -325,12 +325,12 @@ TEST(ParallelSweepTest, DigestsAndMetricsArePinnedAcrossJobsAndGrain) {
   EXPECT_GT(reference_metrics.GetCounter("prefab.bytes").value(), 0);
 }
 
-TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
-  // RunSweep shares one immutable prefab between the cells of a geometry;
-  // the oracle is the same cells run one by one, each Scenario building its
-  // own geometry. Digests and every delay must be bit-identical — the cache
-  // is a pure memoization of a deterministic build.
-  const SweepSpec spec = TinySpec(4);
+// RunSweep shares one immutable prefab between the cells of a geometry, and
+// one PU sensing table between the cells of a geometry and PCR; the oracle
+// is the same cells run one by one, each Scenario building its own
+// geometry and tables. Digests and every delay must be bit-identical — the
+// cache and the table memo are pure memoizations of deterministic builds.
+void ExpectSweepMatchesFreshScenarios(const SweepSpec& spec) {
   const SweepResult cached = RunSweep(spec);
   ASSERT_NE(cached.trace_digest, 0u);
   ASSERT_EQ(cached.summaries.size(), spec.points.size());
@@ -364,6 +364,25 @@ TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
                          core::Summarize(coolest_delay));
   }
   EXPECT_EQ(cached.trace_digest, sweep_digest);
+}
+
+TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
+  ExpectSweepMatchesFreshScenarios(TinySpec(4));
+  // Points on one geometry whose PCRs differ (η_p and the PU power set κ,
+  // and Coolest's range with them): each PCR gets a table of its own.
+  SweepSpec pcr_axis = TinySpec(4);
+  pcr_axis.parameter_name = "eta_p / P_p";
+  pcr_axis.points.resize(1);
+  core::ScenarioConfig config = pcr_axis.points.front().config;
+  config.eta_p_db = 11.0;
+  pcr_axis.points.push_back({"eta_p=11", config});
+  config.pu_power = 25.0;
+  pcr_axis.points.push_back({"eta_p=11 P_p=25", config});
+  ASSERT_NE(core::Scenario(pcr_axis.points[0].config, 0).pcr(),
+            core::Scenario(pcr_axis.points[1].config, 0).pcr());
+  ASSERT_NE(core::Scenario(pcr_axis.points[1].config, 0).pcr(),
+            core::Scenario(pcr_axis.points[2].config, 0).pcr());
+  ExpectSweepMatchesFreshScenarios(pcr_axis);
 }
 
 TEST(ParallelSweepTest, VerifyPrefabsModeRebuildsAndMatchesEveryHit) {

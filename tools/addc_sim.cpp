@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -339,6 +340,21 @@ int main(int argc, char** argv) {
     }
   }
 
+  // A deployment that stays disconnected for every attempt (a sub-critical
+  // density) is an input error too: deploy every repetition before any run,
+  // and hand each run its geometry.
+  std::vector<std::shared_ptr<const core::ScenarioPrefab>> prefabs(
+      static_cast<std::size_t>(reps));
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
+    std::string error;
+    prefabs[static_cast<std::size_t>(rep)] =
+        core::ScenarioPrefab::TryBuild(config, static_cast<std::uint64_t>(rep), error);
+    if (prefabs[static_cast<std::size_t>(rep)] == nullptr) {
+      std::cerr << "error: repetition " << rep << ": " << error << "\n";
+      return 2;
+    }
+  }
+
   const bool continuous = continuous_ms > 0.0;
   const bool checkpointing = !checkpoint_out.empty() || !restore_path.empty();
   if (checkpointing) {
@@ -383,7 +399,7 @@ int main(int argc, char** argv) {
                  "attempts,pu_violations\n";
   }
   if (!svg_path.empty()) {
-    const core::Scenario scenario(config, 0);
+    const core::Scenario scenario(config, 0, prefabs.front());
     const graph::CdsTree& tree = scenario.collection_tree();
     std::ostringstream out;
     harness::SvgOptions svg_options;
@@ -423,7 +439,8 @@ int main(int argc, char** argv) {
   const sim::TimeNs interval = sim::FromMilliseconds(continuous_ms);
   const auto run_rep = [&](std::int64_t rep) {
     RepOutcome& outcome = outcomes[static_cast<std::size_t>(rep)];
-    const core::Scenario scenario(config, static_cast<std::uint64_t>(rep));
+    const core::Scenario scenario(config, static_cast<std::uint64_t>(rep),
+                                  std::move(prefabs[static_cast<std::size_t>(rep)]));
     outcome.pcr = scenario.pcr();
     if (run_addc) {
       core::RunOptions options;
