@@ -3,7 +3,11 @@
 // with a small n), i.i.d. and Markov activity (mean bursts 4 and 1),
 // imperfect sensing, a fault-plan PU-activity override, the degenerate duty
 // cycles p_t = 0 and p_t = 1, and a checkpoint resumed from the middle of
-// a 64-slot run. Every value below is exact: a change to how or when PU
+// a 64-slot run. Further cells cover the regimes in which most slot
+// boundaries change no busy flag: a long p_t = 0.45 run over hundreds of
+// windows, a sensing-error burst that starts and ends inside one window,
+// the fairness wait switched off, continuous collection, and a Coolest run
+// at p_t = 0.45. Every value below is exact: a change to how or when PU
 // activity is drawn or sensed moves at least one of them.
 #include <gtest/gtest.h>
 
@@ -40,6 +44,9 @@ struct Cell {
   const char* plan;  // fault-plan text, or nullptr
   sim::TimeNs max_sim_time;
   std::int64_t checkpoint_every;  // events between checkpoints
+  bool fairness_wait = true;
+  std::int32_t snapshots = 1;  // > 1: continuous collection, one per interval
+  sim::TimeNs snapshot_interval = 0;
 };
 
 struct Pins {
@@ -72,6 +79,7 @@ ScenarioConfig Config(const Cell& cell) {
   config.pu_activity_process = cell.process;
   config.pu_mean_burst_slots = cell.burst;
   config.max_sim_time = cell.max_sim_time;
+  config.fairness_wait = cell.fairness_wait;
   return config;
 }
 
@@ -109,6 +117,8 @@ Outcome Run(const Cell& cell, std::int64_t checkpoint_every,
   RunOptions options;
   options.sensing_false_alarm = cell.false_alarm;
   options.sensing_missed_detection = cell.missed_detection;
+  options.snapshot_interval = cell.snapshot_interval;
+  options.snapshot_count = cell.snapshots;
   options.audit_report = &out.audit;
   options.metrics = &metrics;
   options.flight_recorder = &recorder;
@@ -247,6 +257,61 @@ TEST(PuSensingPinTest, LargePopulationMarkovBurst1) {
                {0xd004b56048e276c8ULL, 0xe531ea7cb9c55603ULL,
                 0x64215ab2887c2fedULL, 0x1.7df8e4a7b4e55p+9,
                 14436, 3508, 2, 0x82a547eafb30c993ULL});
+}
+
+// p_t = 0.45 without sensing errors, Fig. 6(c)'s slot-bound point at the
+// scaled defaults: nearly every boundary leaves every busy flag as it was.
+// The collection cannot finish, so the run goes to its 14 s horizon, 218
+// windows of 64 slots.
+TEST(PuSensingPinTest, LongIidHighDutyCycle) {
+  ExpectPinned({"long-iid-pt45", 500, 100, kSide, 0.45, kIid, 4.0, 0.0, 0.0,
+                nullptr, 14 * sim::kSecond, 5000},
+               {0x2e01e56886a94ba9ULL, 0x1004ca43498f69d7ULL,
+                0x6985fcbb4daa99a3ULL, 0x1.b58p+13,
+                2492047, 3260, 4, 0xfe021f6c8736a4beULL});
+}
+
+// Sensing errors switch on at 70 ms and off at 90 ms, both inside the
+// window of slots 64..127.
+TEST(PuSensingPinTest, SensingBurstInsideOneWindow) {
+  ExpectPinned({"burst-in-window", 500, 100, kSide, 0.1, kIid, 4.0, 0.0, 0.0,
+                "at 70 sensing_burst 0.2 0.1 20\n", kHorizon, 4000},
+               {0x5896c0896b049c0eULL, 0x594325dd5c255a1dULL,
+                0xe7c13ff9fb5abecfULL, 0x1.a9fe9dd3bafd9p+10,
+                50186, 14152, 4, 0xa389a8a026dc6eb3ULL});
+}
+
+TEST(PuSensingPinTest, WithoutFairnessWait) {
+  ExpectPinned({"no-fairness", 500, 100, kSide, 0.1, kIid, 4.0, 0.0, 0.0, nullptr,
+                kHorizon, 4000, /*fairness_wait=*/false},
+               {0x36d943a34f61c852ULL, 0xf7a3458c48397c73ULL,
+                0x4b799d7c8bca1badULL, 0x1.9d2p+10,
+                49796, 14073, 4, 0x1203549dabaa3f87ULL});
+}
+
+// Three snapshots, 200 ms apart.
+TEST(PuSensingPinTest, ContinuousCollection) {
+  ExpectPinned({"continuous", 200, 100, kLargeSide, 0.1, kIid, 4.0, 0.0, 0.0, nullptr,
+                kHorizon, 4000, true, 3, 200 * sim::kMillisecond},
+               {0xdac153757841cc2eULL, 0xfd34a9490813f6adULL,
+                0x631ac1ec9bed7f60ULL, 0x1.f4p+10,
+                94566, 6396, 2, 0xbdf470897f6fcd6cULL});
+}
+
+// Coolest routing at p_t = 0.45 (RunCoolest takes no options, so no sinks).
+TEST(PuSensingPinTest, CoolestHighDutyCycle) {
+  const Cell cell{"coolest-pt45", 500, 100, kSide, 0.45, kIid, 4.0, 0.0, 0.0,
+                  nullptr, 6 * sim::kSecond, 0};
+  const CollectionResult result = RunCoolest(Scenario(Config(cell), 0));
+  const auto& mac = result.mac;
+  std::printf("[ pins     ] %s: {%a, %lld, %lld, %lld}\n", cell.name, result.delay_ms,
+              static_cast<long long>(mac.attempts),
+              static_cast<long long>(mac.slot_checks_total),
+              static_cast<long long>(mac.slot_checks_free));
+  EXPECT_EQ(result.delay_ms, 0x1.77p+12);
+  EXPECT_EQ(mac.attempts, 1077);
+  EXPECT_EQ(mac.slot_checks_total, 1906170);
+  EXPECT_EQ(mac.slot_checks_free, 1751);
 }
 
 }  // namespace
