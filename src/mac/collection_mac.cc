@@ -356,7 +356,11 @@ void CollectionMac::BeginContention(NodeId node) {
   sensing_grid_.Insert(node);
 
   // Fresh busy snapshot: stored counts are stale after an absence.
-  agent_pu_busy_[node] = SensePuBusy(node) ? 1 : 0;
+  const bool pu_busy = SensePuBusy(node);
+  agent_pu_busy_[node] = pu_busy ? 1 : 0;
+  const std::uint64_t word = pu_sense_[node].word;  // this window's, just sensed
+  sense_mismatch_ |= pu_busy ? ~word : word;
+  sense_busy_ += pu_busy ? 1 : 0;
   agent_su_busy_[node] = ComputeSuBusyCount(node);
   UpdateFreezeState(node);
 }
@@ -371,6 +375,7 @@ void CollectionMac::LeaveContention(NodeId node) {
   contending_list_.pop_back();
   contending_slot_[node] = -1;
   sensing_grid_.Erase(node);
+  sense_busy_ -= agent_pu_busy_[node];
 }
 
 void CollectionMac::FreezeTimer(NodeId node) {
@@ -799,20 +804,10 @@ void CollectionMac::OnSlotBoundary() {
     for (NodeId node : to_abort_) AbortOnPuReturn(node);
   }
 
-  // Refresh every contending SU's PU-side busy flag; each check doubles as
-  // one spectrum-opportunity observation (Lemma 7 validation).
-  for (NodeId node : contending_list_) {
-    const bool pu_busy = SensePuBusy(node);
-    ++stats_.slot_checks_total;
-    if (!pu_busy) ++stats_.slot_checks_free;
-    if (pu_busy != (agent_pu_busy_[node] != 0)) {
-      agent_pu_busy_[node] = pu_busy ? 1 : 0;
-      UpdateFreezeState(node);
-    }
-  }
+  RefreshContenderPuBusy();
 
   // The interference field changed wholesale; refresh reception SIR floors.
-  ReevaluateOngoingSirs();
+  if (!active_tx_.empty()) ReevaluateOngoingSirs();
 
   // The audit snapshots the air mid-slot: deferred SUs transmit right after
   // the boundary and direct expiries within the first τ − tx_duration, so
@@ -823,6 +818,51 @@ void CollectionMac::OnSlotBoundary() {
   }
   // slot_timer_ re-arms the next boundary after this body returns, taking
   // the same sequence number the explicit self-reschedule used to.
+}
+
+void CollectionMac::RefreshContenderPuBusy() {
+  // Refresh every contending SU's PU-side busy flag; each check doubles as
+  // one spectrum-opportunity observation (Lemma 7 validation). With exact
+  // sensing, a slot the summary clears changes no flag: book the
+  // observations and skip the loop. Sensing errors draw per contender, in
+  // list order, so then the loop always runs.
+  const std::uint64_t epoch = primary_.window_epoch();
+  const bool exact =
+      config_.sensing_false_alarm <= 0.0 && config_.sensing_missed_detection <= 0.0;
+  if (exact && sense_epoch_ == epoch &&
+      ((sense_mismatch_ >> primary_.window_slot()) & 1) == 0) {
+    CRN_DCHECK(SenseSummaryHolds());
+    const auto contenders = static_cast<std::int64_t>(contending_list_.size());
+    stats_.slot_checks_total += contenders;
+    stats_.slot_checks_free += contenders - sense_busy_;
+    return;
+  }
+  std::uint64_t mismatch = 0;
+  std::int64_t busy = 0;
+  for (NodeId node : contending_list_) {
+    const bool pu_busy = SensePuBusy(node);
+    ++stats_.slot_checks_total;
+    if (!pu_busy) ++stats_.slot_checks_free;
+    if (pu_busy != (agent_pu_busy_[node] != 0)) {
+      agent_pu_busy_[node] = pu_busy ? 1 : 0;
+      UpdateFreezeState(node);
+    }
+    const std::uint64_t word = pu_sense_[node].word;
+    mismatch |= pu_busy ? ~word : word;
+    busy += pu_busy ? 1 : 0;
+  }
+  sense_mismatch_ = mismatch;
+  sense_busy_ = busy;
+  sense_epoch_ = epoch;
+}
+
+bool CollectionMac::SenseSummaryHolds() {
+  std::int64_t busy = 0;
+  for (NodeId node : contending_list_) {
+    if (ComputePuBusy(node) != (agent_pu_busy_[node] != 0)) return false;
+    busy += agent_pu_busy_[node];
+  }
+  return busy == sense_busy_;
 }
 
 void CollectionMac::AuditPrimaryReceptions() {
@@ -940,6 +980,7 @@ void CollectionMac::SaveState(sim::StateWriter& writer) const {
 
 void CollectionMac::LoadState(sim::StateReader& reader) {
   Transfer(*this, reader);
+  sense_epoch_ = kNoEpoch;  // the loaded flags and contenders are new
 }
 
 template <class Self, class Ar>

@@ -363,6 +363,12 @@ class CollectionMac {
   // What the detector reports: ground truth filtered through the
   // false-alarm / missed-detection probabilities.
   [[nodiscard]] bool SensePuBusy(NodeId node);
+  // The slot boundary's re-sense of every contender's PU-busy flag, skipped
+  // when the sensing summary (below) shows that none can change.
+  void RefreshContenderPuBusy();
+  // Debug check of a skipped re-sense: every contender's flag is its ground
+  // truth, and sense_busy_ counts the set flags.
+  [[nodiscard]] bool SenseSummaryHolds();
   [[nodiscard]] std::int32_t ComputeSuBusyCount(NodeId node) const;
 
   // --- transmissions ----------------------------------------------------
@@ -424,11 +430,24 @@ class CollectionMac {
   // The PUs within each agent's PCR (static, shared across runs), and the
   // OR of their activity-window words, cached for the window it was built in.
   std::shared_ptr<const PuSensingTable> pu_table_;
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   struct PuSense {
     std::uint64_t word = 0;
-    std::uint64_t epoch = ~std::uint64_t{0};  // PrimaryNetwork::window_epoch()
+    std::uint64_t epoch = kNoEpoch;  // PrimaryNetwork::window_epoch()
   };
   std::vector<PuSense> pu_sense_;
+  // Contender sensing summary. A contender's flag can change in window slot
+  // s only if bit s of its PuSense word differs from agent_pu_busy_, so bit
+  // s of sense_mismatch_ is the OR of that over contenders, and sense_busy_
+  // counts the contenders whose flag is set. The boundary's re-sense loop
+  // rebuilds both for window sense_epoch_; until the window changes, a
+  // joining contender ORs itself in and a leaving one keeps its bits (a
+  // superset still says which slots need the loop). A boundary whose bit is
+  // clear, with exact sensing, changes no flag and skips the loop. A cache:
+  // not checkpointed, invalidated by LoadState.
+  std::uint64_t sense_mismatch_ = 0;
+  std::int64_t sense_busy_ = 0;
+  std::uint64_t sense_epoch_ = kNoEpoch;
   std::vector<char> failed_;
   // Sensing set: nodes currently in kContending, as both an iterable list
   // (slot-boundary PU refresh) and a spatial grid (tx start/stop

@@ -301,6 +301,185 @@ TEST(CollectionMacCheckpointTest, RoundTripsNonEmptyQueues) {
   EXPECT_EQ(restored.delivery_time(), original.mac.delivery_time());
 }
 
+// Watches a MAC's contenders through its event feed and checks, at every
+// slot boundary with exact sensing, the slot-check counts the previous
+// boundary booked (one per contender, free when no PU in its PCR was
+// active) and that every contender whose PCR held an active PU stayed
+// frozen. The MAC skips its per-contender re-sense at boundaries where its
+// sensing summary says no flag can change; in Debug builds a CRN_DCHECK in
+// that branch also re-senses every contender.
+struct SenseLedger {
+  struct Boundary {
+    bool valid = false;  // exact sensing since this boundary
+    std::int64_t total_before = 0;
+    std::int64_t free_before = 0;
+    std::int64_t contenders = 0;
+    std::int64_t expected_free = 0;
+    std::vector<NodeId> pu_busy;
+  };
+
+  // A copy attached to a restored MAC carries the original's state over.
+  void Attach(CollectionMac& observed) {
+    mac = &observed;
+    if (contending.empty()) {
+      contending.assign(static_cast<std::size_t>(observed.node_count()), 0);
+      frozen.assign(static_cast<std::size_t>(observed.node_count()), 1);
+    }
+    observed.AddObserver([this](const MacEvent& event) { Observe(event); });
+  }
+  [[nodiscard]] bool Exact() const {
+    return mac->config().sensing_false_alarm == 0.0 &&
+           mac->config().sensing_missed_detection == 0.0;
+  }
+  // Sensing errors from now on: the current slot's flags may differ from
+  // the ground truth.
+  void NoteSensingErrors() { last.valid = false; }
+
+  void Observe(const MacEvent& event) {
+    const NodeId v = event.node;
+    switch (event.kind) {
+      case MacEvent::Kind::kContentionStarted:
+        contending[v] = 1;
+        frozen[v] = 1;
+        if (mac->ComputePuBusy(v)) last.pu_busy.push_back(v);
+        if (!Exact()) last.valid = false;
+        break;
+      case MacEvent::Kind::kFrozen:
+        frozen[v] = 1;
+        break;
+      case MacEvent::Kind::kResumed:
+      case MacEvent::Kind::kDeferred:
+        frozen[v] = 0;
+        break;
+      case MacEvent::Kind::kTxStart:
+        contending[v] = 0;
+        break;
+      case MacEvent::Kind::kSlotBoundary:
+        CheckLastSlot(event.time);
+        StartSlot();
+        break;
+      default:
+        break;
+    }
+  }
+
+  void CheckLastSlot(sim::TimeNs now) {
+    if (!last.valid) return;
+    ++checked_slots;
+    const MacStats& stats = mac->stats();
+    EXPECT_EQ(stats.slot_checks_total - last.total_before, last.contenders)
+        << "the slot before " << now << " ns";
+    EXPECT_EQ(stats.slot_checks_free - last.free_before, last.expected_free)
+        << "the slot before " << now << " ns";
+    for (const NodeId v : last.pu_busy) {
+      EXPECT_TRUE(contending[v] == 0 || frozen[v] != 0)
+          << "node " << v << " in the slot before " << now << " ns";
+    }
+  }
+
+  void StartSlot() {
+    last = Boundary{};
+    last.valid = Exact();
+    last.total_before = mac->stats().slot_checks_total;
+    last.free_before = mac->stats().slot_checks_free;
+    for (NodeId v = 0; v < mac->node_count(); ++v) {
+      if (contending[v] == 0) continue;
+      ++last.contenders;
+      if (mac->ComputePuBusy(v)) {
+        last.pu_busy.push_back(v);
+      } else {
+        ++last.expected_free;
+      }
+    }
+  }
+
+  // The node leaves the sensing set without an event of its own.
+  void NoteFailed(NodeId v) { contending[v] = 0; }
+
+  CollectionMac* mac = nullptr;
+  std::vector<std::uint8_t> contending;  // by node
+  std::vector<std::uint8_t> frozen;
+  Boundary last;
+  std::int64_t checked_slots = 0;
+};
+
+TEST(CollectionMacTest, SenseSummaryFollowsEveryInvalidationInsideOneWindow) {
+  // A 12-node chain under four PUs at p_t = 0.9: busy flags flip, but
+  // rarely enough that most boundaries take the summary's skip. The window
+  // of slots 64..127 sees a leave (a PU-busy contender fails), joins,
+  // sensing errors switched on and off, a PU-activity override and, from
+  // 95.5 ms on, a restored copy of the run.
+  MacConfig config = BasicConfig();
+  std::vector<Vec2> sus;
+  std::vector<NodeId> next_hop;
+  for (int i = 0; i < 12; ++i) {
+    sus.push_back({10.0 + 7.0 * i, 50.0});
+    next_hop.push_back(i == 0 ? 0 : i - 1);
+  }
+  const std::vector<Vec2> pus{{25, 75}, {50, 28}, {75, 72}, {90, 30}};
+  std::vector<NodeId> producers;
+  for (int k = 0; k < 20; ++k) {
+    for (NodeId v = 1; v < 12; ++v) producers.push_back(v);
+  }
+  Harness h(sus, next_hop, pus, 0.9, config);
+  SenseLedger ledger;
+  ledger.Attach(h.mac);
+  h.mac.StartCollection(producers);
+  h.simulator.RunUntil(sim::FromMilliseconds(66.5));
+  NodeId failed = graph::kInvalidNode;
+  for (NodeId v = 1; v < 12 && failed == graph::kInvalidNode; ++v) {
+    if (ledger.contending[v] != 0 && h.mac.ComputePuBusy(v)) failed = v;
+  }
+  ASSERT_NE(failed, graph::kInvalidNode) << "no PU-busy contender at 66.5 ms";
+  h.mac.FailNode(failed);
+  ledger.NoteFailed(failed);
+  h.simulator.RunUntil(sim::FromMilliseconds(70.5));
+  h.mac.RecoverNode(failed);
+
+  h.simulator.RunUntil(sim::FromMilliseconds(75.5));
+  h.mac.SetSensingErrorRates(0.3, 0.3);
+  ledger.NoteSensingErrors();
+  h.simulator.RunUntil(sim::FromMilliseconds(80.5));
+  h.mac.SetSensingErrorRates(0.0, 0.0);
+
+  h.simulator.RunUntil(sim::FromMilliseconds(85.5));
+  h.primary.OverrideActivity(0.3);
+  h.simulator.RunUntil(sim::FromMilliseconds(90.5));
+  h.primary.OverrideActivity(0.9);
+  h.simulator.RunUntil(sim::FromMilliseconds(95.5));
+
+  sim::StateWriter writer;
+  h.simulator.SaveState(writer);
+  h.primary.SaveState(writer);
+  h.mac.SaveState(writer);
+  const std::string blob = writer.Finish();
+  sim::StateReader reader(blob);
+  sim::Simulator simulator;
+  simulator.LoadRegistry(reader);
+  simulator.BeginRestore(reader);
+  const Aabb area = Aabb::Square(100.0);
+  pu::PrimaryNetwork primary = Harness::MakePrimary(pus, 0.9, config, area);
+  CollectionMac restored(simulator, primary, sus, area, /*sink=*/0, next_hop, config,
+                         Rng(99));
+  primary.LoadState(reader);
+  restored.LoadState(reader);
+  ASSERT_TRUE(reader.ok()) << reader.error();
+  simulator.FinishRestore();
+  SenseLedger restored_ledger = ledger;
+  restored_ledger.Attach(restored);
+
+  h.simulator.RunUntil(sim::FromMilliseconds(300.5));
+  simulator.RunUntil(sim::FromMilliseconds(300.5));
+  EXPECT_GT(ledger.checked_slots, 250);
+  EXPECT_EQ(restored_ledger.checked_slots, ledger.checked_slots);
+  EXPECT_EQ(restored.stats().slot_checks_total, h.mac.stats().slot_checks_total);
+  EXPECT_EQ(restored.stats().slot_checks_free, h.mac.stats().slot_checks_free);
+  EXPECT_EQ(restored.stats().attempts, h.mac.stats().attempts);
+  EXPECT_EQ(restored.stats().delivered, h.mac.stats().delivered);
+  EXPECT_GT(h.mac.stats().slot_checks_free, 0);
+  EXPECT_LT(h.mac.stats().slot_checks_free, h.mac.stats().slot_checks_total);
+}
+
 // Every MacConfig field is validated at construction with a message naming
 // the offending field and value, so a bad sweep axis fails at the source
 // instead of corrupting a run. One test per rejected parameter.
