@@ -386,6 +386,31 @@ TEST(ActivityWindowTest, DrawsNoSlotPastTheHorizon) {
   }
 }
 
+// Positions on both sides of lane boundaries, and the last draw of a block's
+// last lane: StateAt jumps whole lanes, then steps the rest.
+TEST(ActivityStreamTest, StateAtMatchesSerialSteppingAtEveryWidth) {
+  constexpr std::int64_t kL = ActivityStream::kLaneDraws;
+  const std::uint64_t threshold = Rng::BernoulliThreshold(0.4);
+  const Rng base(31337);
+  for (const std::int64_t pos : {std::int64_t{0}, kL - 1, kL, 3 * kL + 17, 7 * kL + 2047}) {
+    SCOPED_TRACE(::testing::Message() << "position " << pos);
+    Rng serial = base;
+    for (std::int64_t i = 0; i < pos; ++i) serial();
+    EXPECT_TRUE(SameState(serial, ActivityStream::StateAt({base, pos})));
+    for (const int width : simd::SupportedWidths()) {
+      SCOPED_TRACE(::testing::Message() << "width " << width);
+      ActivityStream stream(base, width);
+      stream.SetThresholds(threshold, threshold);
+      stream.Seek({base, pos});
+      EXPECT_TRUE(SameState(serial, stream.State()));
+      Rng expected = serial;
+      for (std::int32_t draw = 0; draw < ActivityStream::kBlockDraws + 100; ++draw) {
+        ASSERT_EQ(stream.Next(0), (expected() >> 11) < threshold) << "draw " << draw;
+      }
+    }
+  }
+}
+
 TEST(ActivityStreamTest, RejectsWidthsTheHostCannotRun) {
   EXPECT_THROW(ActivityStream(Rng(1), 3), ContractViolation);
 }
