@@ -74,7 +74,8 @@ Execution:
                           fallback: CRN_GRAIN.
   --continuous-interval-ms=F      run continuous collection (ADDC only; takes
                                   --audit/--faults/--metrics-out/--trace/--jobs
-                                  like a snapshot run)
+                                  like a snapshot run); F finite, > 0 and
+                                  below 2^63 ns
   --snapshots=INT                 rounds for continuous mode (default 6)
   --faults=FILE           inject the fault plan in FILE into every ADDC run
                           (crashes + self-healing repair, sensing bursts, PU
@@ -123,7 +124,8 @@ Checkpoint / restore (DESIGN.md §14; single ADDC rep only):
   --crash-after-events=INT  test hook for the crash-recovery soak: SIGKILL
                           this process at the first checkpoint boundary at or
                           after INT events, *before* that checkpoint is
-                          written (the on-disk file stays the previous one)
+                          written (the on-disk file stays the previous one);
+                          INT >= 0, needs --checkpoint-out
 
 Sweep journal (crash-safe repetition fan-out):
   --journal=DIR           record one atomic completion record per repetition
@@ -300,7 +302,13 @@ int main(int argc, char** argv) {
            Real{"--eta-s-db", config.eta_s_db, std::isfinite(config.eta_s_db), "finite"},
            Real{"--pu-burst", burst,
                 burst == 0.0 || (std::isfinite(burst) && burst >= 1.0),
-                "0 (i.i.d.) or finite and >= 1"}}) {
+                "0 (i.i.d.) or finite and >= 1"},
+           // Its nanoseconds must fit the int64 clock (sim::FromMilliseconds).
+           Real{"--continuous-interval-ms", continuous_ms,
+                !flags.Has("continuous-interval-ms") ||
+                    (positive(continuous_ms) &&
+                     continuous_ms * static_cast<double>(sim::kMillisecond) < 0x1p63),
+                "finite, > 0 and below 2^63 ns"}}) {
     if (!real.valid) {
       std::cerr << "error: " << real.flag << " must be " << real.range << ", got "
                 << real.value << "\n";
@@ -314,6 +322,14 @@ int main(int argc, char** argv) {
     std::cerr << "error: --pt=" << config.pu_activity
               << " is unreachable with --pu-burst=" << burst
               << ": p_t must be at most burst / (burst + 1) or exactly 1\n";
+    return 2;
+  }
+  // The crash hook fires only at a checkpoint it would write.
+  if (flags.Has("crash-after-events") && (crash_after < 0 || checkpoint_out.empty())) {
+    std::cerr << "error: --crash-after-events must be >= 0 and needs --checkpoint-out, "
+                 "got "
+              << crash_after << (checkpoint_out.empty() ? " without --checkpoint-out" : "")
+              << "\n";
     return 2;
   }
   const auto reps = static_cast<std::int32_t>(reps_arg);
