@@ -112,6 +112,13 @@ template <int kWidth>
 }
 
 #if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx512f")]] double SumLanes8(const double* xs, const double* ys,
+                                            std::size_t count, geom::Vec2 rx,
+                                            double power,
+                                            const spectrum::PathLoss& loss) {
+  return SumLanes<8>(xs, ys, count, rx, power, loss);
+}
+
 [[gnu::target("avx2")]] double SumLanes4(const double* xs, const double* ys,
                                          std::size_t count, geom::Vec2 rx, double power,
                                          const spectrum::PathLoss& loss) {
@@ -126,9 +133,10 @@ double ApproxInterference(const double* xs, const double* ys, std::size_t count,
                           int width) {
   CRN_DCHECK(count % kLanes == 0);
 #if defined(__x86_64__) || defined(__i386__)
+  if (width == 8) return SumLanes8(xs, ys, count, rx, power, loss);
   if (width == 4) return SumLanes4(xs, ys, count, rx, power, loss);
 #endif
-  CRN_DCHECK(width == 2) << "lane width " << width;
+  CRN_CHECK(width == 2) << "no lane sum of width " << width;
   return SumLanes<2>(xs, ys, count, rx, power, loss);
 }
 

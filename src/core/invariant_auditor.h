@@ -83,7 +83,7 @@ enum class Verdict : std::uint8_t {
 
 // ApproxInterference's arrays are padded to a multiple of this many
 // doubles, a multiple of every lane width.
-inline constexpr std::size_t kLanes = 4;
+inline constexpr std::size_t kLanes = 8;
 
 // Σ_q P·d(q, rx)^{-α} over the `count` positions (xs[q], ys[q]), each term
 // the same expression as PathLoss::ReceivedPowerSquared, summed in `width`

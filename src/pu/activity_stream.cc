@@ -13,12 +13,15 @@ constexpr std::int32_t kWordsPerLane = ActivityStream::kLaneDraws / 64;
 
 using LaneStates = std::uint64_t[ActivityStream::kLanes][4];
 
-// M^L, the xoshiro256** state transition taken L = kLaneDraws times, stored
-// by columns: column j is the state L steps after the basis state e_j.
-// Stepping each basis state through Rng is exact because the transition is
-// linear over GF(2); 256 · L steps take about half a millisecond.
+// M^L, the xoshiro256** state transition taken L = kLaneDraws times, as 64
+// tables of 16 entries, one table per 4-bit group of the state: entry v of
+// table g is M^L applied to the state whose group g is v and whose other
+// bits are 0. The transition is linear over GF(2), so M^L applied to any
+// state is the XOR of one entry per group. Each basis state's image comes
+// from stepping it through Rng (256 · L steps, about half a millisecond);
+// the tables take 32 KiB.
 struct LaneJump {
-  std::uint64_t column[kStateBits][4];
+  std::uint64_t entry[kStateBits / 4][16][4];
 };
 
 LaneJump BuildLaneJump() {
@@ -29,7 +32,12 @@ LaneJump BuildLaneJump() {
     Rng rng;
     rng.RestoreState(basis[0], basis[1], basis[2], basis[3]);
     for (std::int32_t step = 0; step < ActivityStream::kLaneDraws; ++step) rng();
-    for (int i = 0; i < 4; ++i) jump.column[j][i] = rng.state_word(i);
+    // Bit j is bit j % 4 of group j / 4: add its image to every entry that
+    // has that bit set.
+    for (int v = 0; v < 16; ++v) {
+      if (((v >> (j & 3)) & 1) == 0) continue;
+      for (int i = 0; i < 4; ++i) jump.entry[j >> 2][v][i] ^= rng.state_word(i);
+    }
   }
   return jump;
 }
@@ -39,14 +47,14 @@ const LaneJump& LaneJumpMatrix() {
   return jump;
 }
 
-// to = M^L · from over GF(2): the XOR of the columns of from's set bits.
+// to = M^L · from over GF(2): one table entry per 4-bit group of from.
 void ApplyJump(const LaneJump& jump, const std::uint64_t (&from)[4],
                std::uint64_t (&to)[4]) {
   std::uint64_t acc[4] = {0, 0, 0, 0};
   for (int w = 0; w < 4; ++w) {
-    for (std::uint64_t bits = from[w]; bits != 0; bits &= bits - 1) {
-      const std::uint64_t* column = jump.column[w * 64 + __builtin_ctzll(bits)];
-      for (int i = 0; i < 4; ++i) acc[i] ^= column[i];
+    for (int g = 0; g < 16; ++g) {
+      const std::uint64_t* entry = jump.entry[w * 16 + g][(from[w] >> (4 * g)) & 15];
+      for (int i = 0; i < 4; ++i) acc[i] ^= entry[i];
     }
   }
   for (int i = 0; i < 4; ++i) to[i] = acc[i];
@@ -55,6 +63,10 @@ void ApplyJump(const LaneJump& jump, const std::uint64_t (&from)[4],
 // kWidth 64-bit lanes in one register (GCC/Clang vector extensions).
 template <int kWidth>
 struct LaneVector;
+template <>
+struct LaneVector<8> {
+  typedef std::uint64_t type __attribute__((vector_size(64)));
+};
 template <>
 struct LaneVector<4> {
   typedef std::uint64_t type __attribute__((vector_size(32)));
@@ -136,31 +148,44 @@ using LaneKernel = void (*)(LaneStates&, std::uint64_t, std::uint64_t, bool,
 
 // One entry point per width, each compiled for its ISA. The x86 builtins and
 // target attributes are guarded so other architectures build width 2 only.
+// Inlined into each entry point, so it compiles for that entry's ISA.
+template <int kWidth>
+[[gnu::always_inline]] inline void RunLanesAt(LaneStates& lanes, std::uint64_t t0,
+                                              std::uint64_t t1, bool two_planes,
+                                              std::uint64_t* plane0,
+                                              std::uint64_t* plane1) {
+  if (two_planes) {
+    RunLanes<kWidth, true>(lanes, t0, t1, plane0, plane1);
+  } else {
+    RunLanes<kWidth, false>(lanes, t0, t1, plane0, plane1);
+  }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx512f")]] void RunLanes8(LaneStates& lanes, std::uint64_t t0,
+                                          std::uint64_t t1, bool two_planes,
+                                          std::uint64_t* plane0, std::uint64_t* plane1) {
+  RunLanesAt<8>(lanes, t0, t1, two_planes, plane0, plane1);
+}
+
 [[gnu::target("avx2")]] void RunLanes4(LaneStates& lanes, std::uint64_t t0,
                                        std::uint64_t t1, bool two_planes,
                                        std::uint64_t* plane0, std::uint64_t* plane1) {
-  if (two_planes) {
-    RunLanes<4, true>(lanes, t0, t1, plane0, plane1);
-  } else {
-    RunLanes<4, false>(lanes, t0, t1, plane0, plane1);
-  }
+  RunLanesAt<4>(lanes, t0, t1, two_planes, plane0, plane1);
 }
 #endif
 
 void RunLanes2(LaneStates& lanes, std::uint64_t t0, std::uint64_t t1, bool two_planes,
                std::uint64_t* plane0, std::uint64_t* plane1) {
-  if (two_planes) {
-    RunLanes<2, true>(lanes, t0, t1, plane0, plane1);
-  } else {
-    RunLanes<2, false>(lanes, t0, t1, plane0, plane1);
-  }
+  RunLanesAt<2>(lanes, t0, t1, two_planes, plane0, plane1);
 }
 
 LaneKernel KernelFor(int width) {
 #if defined(__x86_64__) || defined(__i386__)
+  if (width == 8) return RunLanes8;
   if (width == 4) return RunLanes4;
 #endif
+  CRN_CHECK(width == 2) << "no lane kernel of width " << width;
   return RunLanes2;
 }
 
@@ -173,15 +198,14 @@ ActivityStream::ActivityStream(const Rng& rng, int width)
       << "kernel width " << width << " is not runnable on this host";
 }
 
-void ActivityStream::SetThresholds(std::uint64_t plane0, std::uint64_t plane1) {
-  if (plane0 == thresholds_[0] && plane1 == thresholds_[1]) return;
+void ActivityStream::ChangeThresholds(std::uint64_t plane0, std::uint64_t plane1) {
   thresholds_[0] = plane0;
   thresholds_[1] = plane1;
   two_planes_ = plane0 != plane1;
   if (pos_ < kBlockDraws) Fill();
 }
 
-void ActivityStream::Take(std::int32_t count, std::uint64_t* out) {
+void ActivityStream::TakeAcrossBlocks(std::int32_t count, std::uint64_t* out) {
   std::fill(out, out + (count + 63) / 64, std::uint64_t{0});
   for (std::int32_t done = 0; done < count;) {
     if (pos_ == kBlockDraws) Refill();

@@ -46,7 +46,11 @@ class ActivityStream {
   // Sets the Bernoulli thresholds (Rng::BernoulliThreshold) the two bit
   // planes compare against. Free when unchanged; otherwise the unconsumed
   // rest of the current block is recomputed from its base state.
-  void SetThresholds(std::uint64_t plane0, std::uint64_t plane1);
+  void SetThresholds(std::uint64_t plane0, std::uint64_t plane1) {
+    if (plane0 != thresholds_[0] || plane1 != thresholds_[1]) {
+      ChangeThresholds(plane0, plane1);
+    }
+  }
 
   // Consumes one draw and returns its bit on `plane` (0 or 1).
   bool Next(int plane) {
@@ -60,7 +64,23 @@ class ActivityStream {
 
   // Consumes `count` draws and writes their plane-0 bits to `out`, bit i of
   // the run at bit i of the ⌈count/64⌉ words; bits past `count` are zero.
-  void Take(std::int32_t count, std::uint64_t* out);
+  // Draws inside the current block are shifted word copies; the spare plane
+  // word keeps the read of the word after the last in bounds.
+  void Take(std::int32_t count, std::uint64_t* out) {
+    if (count > kBlockDraws - pos_) {
+      TakeAcrossBlocks(count, out);
+      return;
+    }
+    const std::uint64_t* src = planes_[0].data() + (pos_ >> 6);
+    const int shift = pos_ & 63;
+    const std::int32_t words = (count + 63) >> 6;
+    for (std::int32_t w = 0; w < words; ++w) {
+      // (x << 1) << (63 − shift) is x << (64 − shift), and 0 when shift is 0.
+      out[w] = (src[w] >> shift) | ((src[w + 1] << 1) << (63 - shift));
+    }
+    if ((count & 63) != 0) out[words - 1] &= (std::uint64_t{1} << (count & 63)) - 1;
+    pos_ += count;
+  }
 
   // A position in the draw sequence: `pos` draws past the serial state
   // `base`. Tell() names the next draw; adding to `pos` names later ones.
@@ -88,6 +108,10 @@ class ActivityStream {
   // One spare word so a 64-bit read at any offset stays in bounds.
   static constexpr std::int32_t kPlaneWords = kBlockWords + 1;
 
+  void ChangeThresholds(std::uint64_t plane0, std::uint64_t plane1);
+  // Take for a run that does not fit in the current block, or before the
+  // first block: refills as it goes.
+  void TakeAcrossBlocks(std::int32_t count, std::uint64_t* out);
   // Starts the next block at next_base_.
   void Refill();
   // (Re)computes the block at base_ with the current thresholds.

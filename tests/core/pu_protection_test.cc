@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "core/invariant_auditor.h"
 #include "spectrum/interference.h"
@@ -226,6 +227,15 @@ TEST(PuProtectionTest, EveryHostRunsTheBaselineWidth) {
   std::string names;
   for (const int width : widths) names += " " + std::to_string(width);
   std::cout << "[ widths   ]" << names << "\n";
+}
+
+TEST(PuProtectionTest, RejectsWidthsWithoutASum) {
+  const spectrum::PathLoss loss(4.0);
+  const Layout layout({{1.0, 2.0}});
+  for (const int width : {0, 1, 3, 16}) {
+    EXPECT_THROW((void)layout.Approx({3.0, 4.0}, loss, width), ContractViolation)
+        << "width " << width;
+  }
 }
 
 }  // namespace

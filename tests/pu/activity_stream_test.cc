@@ -224,6 +224,18 @@ TEST(ActivityStreamTest, TakeMatchesNextBitForBit) {
       EXPECT_EQ(words[count >> 6] >> (count & 63), 0U) << "round " << round;
     }
   }
+  // Runs that end exactly on a block's last draw (the read of the word after
+  // it hits the spare word), that fill a whole block, and that cross one.
+  constexpr std::int32_t kBlock = ActivityStream::kBlockDraws;
+  std::vector<std::uint64_t> block(kBlock / 64);
+  const auto left = static_cast<std::int32_t>(kBlock - bulk.Tell().pos);
+  for (const std::int32_t count : {left, 37, kBlock - 37, kBlock, 1, kBlock, 64}) {
+    bulk.Take(count, block.data());
+    for (std::int32_t i = 0; i < count; ++i) {
+      ASSERT_EQ(((block[i >> 6] >> (i & 63)) & 1) != 0, single.Next(0))
+          << "run of " << count << ", bit " << i;
+    }
+  }
 }
 
 TEST(ActivityStreamTest, RestoreMidBlockContinuesTheSequence) {
@@ -411,8 +423,64 @@ TEST(ActivityStreamTest, StateAtMatchesSerialSteppingAtEveryWidth) {
   }
 }
 
+// The lane jump against its column form: M^L applied to a state is the XOR
+// of the images of its set bits, each image a basis state stepped L times.
+// StateAt at one lane's offset is exactly one jump.
+TEST(ActivityStreamTest, LaneJumpMatchesTheColumnForm) {
+  constexpr std::int64_t kL = ActivityStream::kLaneDraws;
+  const auto basis = [](int bit) {
+    std::uint64_t words[4] = {0, 0, 0, 0};
+    words[bit >> 6] = std::uint64_t{1} << (bit & 63);
+    Rng rng;
+    rng.RestoreState(words[0], words[1], words[2], words[3]);
+    return rng;
+  };
+  std::vector<Rng> column;
+  for (int bit = 0; bit < 256; ++bit) {
+    Rng rng = basis(bit);
+    for (std::int64_t step = 0; step < kL; ++step) rng();
+    column.push_back(rng);
+  }
+  const auto column_jump = [&column](const Rng& from) {
+    std::uint64_t acc[4] = {0, 0, 0, 0};
+    for (int bit = 0; bit < 256; ++bit) {
+      if (((from.state_word(bit >> 6) >> (bit & 63)) & 1) == 0) continue;
+      for (int i = 0; i < 4; ++i) acc[i] ^= column[static_cast<std::size_t>(bit)].state_word(i);
+    }
+    Rng to;
+    to.RestoreState(acc[0], acc[1], acc[2], acc[3]);
+    return to;
+  };
+  // Every basis state, then random ones.
+  Rng source(2024);
+  for (int trial = 0; trial < 256 + 1000; ++trial) {
+    Rng state = basis(trial % 256);
+    if (trial >= 256) {
+      std::uint64_t words[4];
+      for (std::uint64_t& word : words) word = source();
+      state.RestoreState(words[0], words[1], words[2], words[3]);
+    }
+    ASSERT_TRUE(SameState(column_jump(state), ActivityStream::StateAt({state, kL})))
+        << "trial " << trial;
+  }
+}
+
 TEST(ActivityStreamTest, RejectsWidthsTheHostCannotRun) {
   EXPECT_THROW(ActivityStream(Rng(1), 3), ContractViolation);
+  EXPECT_THROW(ActivityStream(Rng(1), 16), ContractViolation);
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx512f")) {
+    EXPECT_THROW(ActivityStream(Rng(1), 8), ContractViolation);
+  }
+#endif
+  // Strictly descending, and every host runs the baseline.
+  const std::vector<int> widths = simd::SupportedWidths();
+  ASSERT_FALSE(widths.empty());
+  for (std::size_t i = 1; i < widths.size(); ++i) {
+    EXPECT_GT(widths[i - 1], widths[i]) << "position " << i;
+  }
+  EXPECT_EQ(widths.back(), 2);
 }
 
 }  // namespace

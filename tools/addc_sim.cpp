@@ -113,7 +113,8 @@ Checkpoint / restore (DESIGN.md §14; single ADDC rep only):
                           CRNCKPT1 format); requires --algorithm=addc and
                           --reps=1, and no --trace/--trace-out/
                           --continuous-interval-ms/--journal
-  --checkpoint-every-events=INT   events between checkpoints (default 100000)
+  --checkpoint-every-events=INT   events between checkpoints (default 100000);
+                          INT > 0, needs --checkpoint-out
   --restore=FILE          resume from a checkpoint written by
                           --checkpoint-out. Pass the same scenario flags and
                           attachment set as the checkpointed run — mismatches
@@ -332,6 +333,15 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
+  // The cadence, too, applies only to checkpoints it would write.
+  if (flags.Has("checkpoint-every-events") &&
+      (checkpoint_every <= 0 || checkpoint_out.empty())) {
+    std::cerr << "error: --checkpoint-every-events must be > 0 and needs --checkpoint-out, "
+                 "got "
+              << checkpoint_every
+              << (checkpoint_out.empty() ? " without --checkpoint-out" : "") << "\n";
+    return 2;
+  }
   const auto reps = static_cast<std::int32_t>(reps_arg);
   const auto jobs = static_cast<std::int32_t>(jobs_arg);
   const auto snapshots = static_cast<std::int32_t>(snapshots_arg);
@@ -379,10 +389,6 @@ int main(int argc, char** argv) {
       std::cerr << "error: --checkpoint-out/--restore support exactly one ADDC "
                    "repetition (--algorithm=addc --reps=1) without --trace/"
                    "--trace-out/--continuous-interval-ms/--journal\n";
-      return 2;
-    }
-    if (!checkpoint_out.empty() && checkpoint_every <= 0) {
-      std::cerr << "error: --checkpoint-every-events must be positive\n";
       return 2;
     }
   }
