@@ -1,6 +1,7 @@
 #include "core/collection.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -436,30 +437,44 @@ CollectionResult RunAddc(const Scenario& scenario, const RunOptions& options) {
   return result;
 }
 
+double CoolestSensingRange(const ScenarioConfig& config) {
+  // PU protection is mandatory; lacking Lemma 2/3's tight packing bound the
+  // baseline budgets a safety margin on aggregate interference when sizing
+  // its sensing range (see ScenarioConfig). The ablation knob can override
+  // it to a bare factor·r instead.
+  return config.coolest_sensing_factor > 0.0
+             ? config.coolest_sensing_factor * config.su_radius
+             : ProperCarrierSensingRange(config.MakePcrParams(), config.c2_variant,
+                                         config.baseline_interference_margin);
+}
+
+std::vector<double> CoolestTemperatures(const Scenario& scenario) {
+  const std::shared_ptr<const mac::PuSensingTable> table =
+      scenario.prefab()->SensingTable(CoolestSensingRange(scenario.config()));
+  const double activity = scenario.config().pu_activity;
+  std::vector<double> temperatures(static_cast<std::size_t>(table->node_count()));
+  for (std::int32_t v = 0; v < table->node_count(); ++v) {
+    temperatures[static_cast<std::size_t>(v)] = routing::NodeTemperature(
+        static_cast<std::int32_t>(table->PusOf(v).size()), activity);
+  }
+  return temperatures;
+}
+
 CollectionResult RunCoolest(const Scenario& scenario,
                             routing::TemperatureMetric metric) {
   const ScenarioConfig& config = scenario.config();
   RunOptions options;
-  // PU protection is mandatory; lacking Lemma 2/3's tight packing bound the
-  // baseline budgets a safety margin on aggregate interference when sizing
-  // its sensing range (see ScenarioConfig). The ablation knob can override
-  // it to a bare factor·r instead. Its conventional MAC contends in
-  // discrete slots with a carrier-detection lag and no PU-slot awareness.
-  options.sensing_range =
-      config.coolest_sensing_factor > 0.0
-          ? config.coolest_sensing_factor * config.su_radius
-          : ProperCarrierSensingRange(config.MakePcrParams(), config.c2_variant,
-                                      config.baseline_interference_margin);
+  options.sensing_range = CoolestSensingRange(config);
+  // Its conventional MAC contends in discrete slots with a carrier-detection
+  // lag and no PU-slot awareness.
   options.backoff_granularity = config.baseline_backoff_granularity;
   options.sensing_latency = config.baseline_sensing_latency;
   // A conventional MAC is oblivious to the primary network's slot phase.
   options.slot_aware_defer = false;
 
-  const pu::PrimaryNetwork primary = scenario.MakePrimaryNetwork();
-  const std::vector<double> temperatures = routing::NodeTemperatures(
-      scenario.su_positions(), primary, options.sensing_range);
   std::vector<graph::NodeId> next_hop = routing::CoolestNextHops(
-      scenario.secondary_graph(), temperatures, scenario.sink(), metric);
+      scenario.secondary_graph(), CoolestTemperatures(scenario), scenario.sink(),
+      metric);
   std::string label = std::string("Coolest/") + routing::ToString(metric);
   return RunWithNextHops(scenario, std::move(next_hop), label, options);
 }

@@ -157,6 +157,15 @@ std::string CheckFaultPlan(const faults::FaultPlan& plan, const ScenarioConfig& 
 // overrides and (via audit_report) attaches the runtime invariant auditor.
 CollectionResult RunAddc(const Scenario& scenario, const RunOptions& options = {});
 
+// The Coolest baseline's carrier-sensing range for `config` (see
+// ScenarioConfig's baseline fields), which is also its temperature range.
+double CoolestSensingRange(const ScenarioConfig& config);
+
+// Every node's spectrum temperature at the Coolest sensing range, from the
+// row sizes of the prefab's sensing table for that range — the table the
+// Coolest run's MAC reads. Equal to routing::NodeTemperatures at that range.
+std::vector<double> CoolestTemperatures(const Scenario& scenario);
+
 // Runs the Coolest-path baseline on the same deployment/MAC.
 CollectionResult RunCoolest(const Scenario& scenario,
                             routing::TemperatureMetric metric =

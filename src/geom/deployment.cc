@@ -1,7 +1,8 @@
 #include "geom/deployment.h"
 
+#include <algorithm>
 #include <cmath>
-#include <queue>
+#include <vector>
 
 #include "common/check.h"
 #include "geom/spatial_grid.h"
@@ -66,22 +67,21 @@ bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radi
   CRN_CHECK(radius > 0.0);
   const SpatialGrid grid(points, area, radius);
   std::vector<char> visited(points.size(), 0);
-  std::queue<std::int32_t> frontier;
-  frontier.push(0);
+  // The frontier is every node reached so far, in discovery order; `next`
+  // walks it as a FIFO. Each node enters once, so one reserve covers it.
+  std::vector<std::int32_t> frontier;
+  frontier.reserve(points.size());
+  frontier.push_back(0);
   visited[0] = 1;
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const std::int32_t node = frontier.front();
-    frontier.pop();
-    grid.ForEachInDisk(points[node], radius, [&](std::int32_t neighbor) {
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    grid.ForEachInDisk(points[frontier[next]], radius, [&](std::int32_t neighbor) {
       if (!visited[neighbor]) {
         visited[neighbor] = 1;
-        ++reached;
-        frontier.push(neighbor);
+        frontier.push_back(neighbor);
       }
     });
   }
-  return reached == points.size();
+  return frontier.size() == points.size();
 }
 
 }  // namespace crn::geom

@@ -67,9 +67,12 @@ SpatialGrid::SpatialGrid(std::vector<Vec2> points, Aabb bounds, double cell_size
     cell_start_[c + 1] = cell_start_[c] + counts[c];
   }
   cell_points_.resize(points_.size());
+  cell_positions_.resize(points_.size());
   std::vector<std::int32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(points_.size()); ++i) {
-    cell_points_[cursor[CellOf(points_[i])]++] = i;
+    const std::int32_t at = cursor[CellOf(points_[i])]++;
+    cell_points_[at] = i;
+    cell_positions_[at] = points_[i];
   }
 }
 
@@ -81,34 +84,69 @@ std::vector<std::int32_t> SpatialGrid::QueryDisk(Vec2 center, double radius) con
 
 DynamicSpatialGrid::DynamicSpatialGrid(std::vector<Vec2> points, Aabb bounds,
                                        double cell_size)
-    : points_(std::move(points)), bounds_(bounds) {
-  const GridShape shape = ShapeOf(bounds, cell_size, points_.size());
+    : bounds_(bounds) {
+  const GridShape shape = ShapeOf(bounds, cell_size, points.size());
   cell_size_ = shape.cell_size;
   cols_ = shape.cols;
   rows_ = shape.rows;
-  cells_.resize(static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_));
-  slot_.assign(points_.size(), -1);
+  const auto n = static_cast<std::int32_t>(points.size());
+  const std::int32_t num_cells = cols_ * rows_;
+  // Each cell's capacity is the number of points in it, so a full grid
+  // exactly fills members_.
+  auto layout = std::make_shared<Layout>();
+  layout->cell_of.resize(points.size());
+  cell_fill_.assign(num_cells, 0);
+  for (std::int32_t i = 0; i < n; ++i) {
+    const std::int32_t cx = ClampedCell((points[i].x - bounds_.min.x) / cell_size_, cols_);
+    const std::int32_t cy = ClampedCell((points[i].y - bounds_.min.y) / cell_size_, rows_);
+    layout->cell_of[i] = cy * cols_ + cx;
+    ++cell_fill_[layout->cell_of[i]];
+  }
+  layout->cell_start.assign(num_cells + 1, 0);
+  for (std::int32_t c = 0; c < num_cells; ++c) {
+    layout->cell_start[c + 1] = layout->cell_start[c] + cell_fill_[c];
+    cell_fill_[c] = 0;
+  }
+  layout->points = std::move(points);
+  layout_ = std::move(layout);
+  members_.resize(layout_->points.size());
+  member_positions_.resize(layout_->points.size());
+  slot_.assign(layout_->points.size(), -1);
+}
+
+std::vector<std::int32_t> DynamicSpatialGrid::MembersInIterationOrder() const {
+  std::vector<std::int32_t> members;
+  members.reserve(member_count_);
+  for (std::size_t c = 0; c < cell_fill_.size(); ++c) {
+    const auto first = members_.begin() + layout_->cell_start[c];
+    members.insert(members.end(), first, first + cell_fill_[c]);
+  }
+  return members;
 }
 
 void DynamicSpatialGrid::Insert(std::int32_t index) {
-  CRN_DCHECK(index >= 0 && index < static_cast<std::int32_t>(points_.size()));
+  CRN_DCHECK(index >= 0 && index < static_cast<std::int32_t>(slot_.size()));
   if (slot_[index] >= 0) return;  // already a member
-  auto& cell = cells_[CellOf(points_[index])];
-  slot_[index] = static_cast<std::int32_t>(cell.size());
-  cell.push_back(index);
+  const std::int32_t cell = layout_->cell_of[index];
+  const std::int32_t pos = layout_->cell_start[cell] + cell_fill_[cell]++;
+  members_[pos] = index;
+  member_positions_[pos] = layout_->points[index];
+  slot_[index] = pos;
   ++member_count_;
 }
 
 void DynamicSpatialGrid::Erase(std::int32_t index) {
-  CRN_DCHECK(index >= 0 && index < static_cast<std::int32_t>(points_.size()));
+  CRN_DCHECK(index >= 0 && index < static_cast<std::int32_t>(slot_.size()));
   const std::int32_t pos = slot_[index];
   if (pos < 0) return;  // not a member
-  auto& cell = cells_[CellOf(points_[index])];
-  // Swap-erase, fixing the slot of the element moved into `pos`.
-  const std::int32_t moved = cell.back();
-  cell[pos] = moved;
+  // Swap-erase within the cell, fixing the slot of the member moved into
+  // `pos`.
+  const std::int32_t cell = layout_->cell_of[index];
+  const std::int32_t last = layout_->cell_start[cell] + --cell_fill_[cell];
+  const std::int32_t moved = members_[last];
+  members_[pos] = moved;
+  member_positions_[pos] = member_positions_[last];
   slot_[moved] = pos;
-  cell.pop_back();
   slot_[index] = -1;
   --member_count_;
 }

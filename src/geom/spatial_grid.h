@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -45,9 +46,8 @@ class SpatialGrid {
     for (std::int32_t row = range.first_row; row <= range.last_row; row += cols_) {
       const std::int32_t end = cell_start_[row + range.cx_hi + 1];
       for (std::int32_t i = cell_start_[row + range.cx_lo]; i < end; ++i) {
-        const std::int32_t point = cell_points_[i];
-        if (DistanceSquared(points_[point], center) <= r2) {
-          visit(point);
+        if (DistanceSquared(cell_positions_[i], center) <= r2) {
+          visit(cell_points_[i]);
         }
       }
     }
@@ -87,15 +87,26 @@ class SpatialGrid {
   double cell_size_ = 0.0;
   std::int32_t cols_ = 0;
   std::int32_t rows_ = 0;
-  // CSR layout: cell_start_[c]..cell_start_[c+1] indexes into cell_points_.
+  // CSR layout: cell_start_[c]..cell_start_[c+1] indexes into cell_points_,
+  // and cell_positions_[i] is points_[cell_points_[i]], so a disk query
+  // reads its candidates' positions as contiguous spans.
   std::vector<std::int32_t> cell_start_;
   std::vector<std::int32_t> cell_points_;
+  std::vector<Vec2> cell_positions_;
 };
 
 // Mutable membership grid over the same fixed positions: supports
 // Insert/Erase of point indices and radius queries over current members.
 // Used for the set of actively-sensing SUs, which shrinks as collection
 // progresses.
+//
+// Storage is a fixed-capacity CSR: cell c owns the range [cell_start[c],
+// cell_start[c + 1]), sized for every point that lies in it, and its
+// members fill the front of that range. Insert appends to the cell and
+// Erase swap-removes within it, so nothing allocates after construction,
+// and member positions sit next to their ids in visit order. A copy shares
+// the immutable layout (positions, cells, offsets) and owns only the
+// membership, so two grids over one point set cost one layout.
 class DynamicSpatialGrid {
  public:
   // Cell size and cap as for SpatialGrid.
@@ -110,15 +121,11 @@ class DynamicSpatialGrid {
   // visit them. In-cell order is history-dependent (Erase swap-removes), so
   // a checkpointed grid is rebuilt by re-Inserting members in this order
   // into a fresh grid (Insert appends, reproducing the layout bit-exactly).
-  [[nodiscard]] std::vector<std::int32_t> MembersInIterationOrder() const {
-    std::vector<std::int32_t> members;
-    members.reserve(member_count_);
-    for (const std::vector<std::int32_t>& cell : cells_) {
-      members.insert(members.end(), cell.begin(), cell.end());
-    }
-    return members;
-  }
+  [[nodiscard]] std::vector<std::int32_t> MembersInIterationOrder() const;
 
+  // Calls visit(index) for every member within `radius` of `center`, in
+  // cell-major order (rows bottom to top, cells left to right), then in
+  // in-cell order.
   template <typename Visitor>
   void ForEachMemberInDisk(Vec2 center, double radius, Visitor&& visit) const {
     const double r2 = radius * radius;
@@ -127,10 +134,12 @@ class DynamicSpatialGrid {
     const std::int32_t cy_lo = ClampedCell((center.y - radius - bounds_.min.y) / cell_size_, rows_);
     const std::int32_t cy_hi = ClampedCell((center.y + radius - bounds_.min.y) / cell_size_, rows_);
     for (std::int32_t cy = cy_lo; cy <= cy_hi; ++cy) {
-      for (std::int32_t cx = cx_lo; cx <= cx_hi; ++cx) {
-        for (std::int32_t member : cells_[cy * cols_ + cx]) {
-          if (DistanceSquared(points_[member], center) <= r2) {
-            visit(member);
+      for (std::int32_t c = cy * cols_ + cx_lo; c <= cy * cols_ + cx_hi; ++c) {
+        const std::int32_t begin = layout_->cell_start[c];
+        const std::int32_t end = begin + cell_fill_[c];
+        for (std::int32_t i = begin; i < end; ++i) {
+          if (DistanceSquared(member_positions_[i], center) <= r2) {
+            visit(members_[i]);
           }
         }
       }
@@ -138,19 +147,22 @@ class DynamicSpatialGrid {
   }
 
  private:
-  [[nodiscard]] std::int32_t CellOf(Vec2 p) const {
-    const std::int32_t cx = ClampedCell((p.x - bounds_.min.x) / cell_size_, cols_);
-    const std::int32_t cy = ClampedCell((p.y - bounds_.min.y) / cell_size_, rows_);
-    return cy * cols_ + cx;
-  }
+  struct Layout {
+    std::vector<Vec2> points;
+    std::vector<std::int32_t> cell_of;     // point -> its cell
+    std::vector<std::int32_t> cell_start;  // CSR offsets, size cells + 1
+  };
 
-  std::vector<Vec2> points_;
+  std::shared_ptr<const Layout> layout_;
   Aabb bounds_;
   double cell_size_ = 0.0;
   std::int32_t cols_ = 0;
   std::int32_t rows_ = 0;
-  std::vector<std::vector<std::int32_t>> cells_;
-  // slot_[i] = position of i within its cell vector, or -1 when absent.
+  std::vector<std::int32_t> cell_fill_;  // members in each cell
+  // Members and their positions, cell by cell in visit order.
+  std::vector<std::int32_t> members_;
+  std::vector<Vec2> member_positions_;
+  // slot_[i] = i's index in members_, or -1 when absent.
   std::vector<std::int32_t> slot_;
   std::size_t member_count_ = 0;
 };

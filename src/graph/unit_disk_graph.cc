@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
 #include <utility>
 
 #include "common/check.h"
@@ -19,26 +18,18 @@ UnitDiskGraph::UnitDiskGraph(std::vector<geom::Vec2> positions, geom::Aabb area,
   if (n == 0) return;
 
   const geom::SpatialGrid grid(positions_, area_, radius_);
-  // First pass: degrees; second pass: fill CSR.
-  std::vector<std::int32_t> degree(n, 0);
+  // One grid pass: each node's neighbours append to the CSR as its disk
+  // query finds them.
   for (NodeId v = 0; v < n; ++v) {
     grid.ForEachInDisk(positions_[v], radius_, [&](NodeId u) {
-      if (u != v) ++degree[v];
-    });
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    offsets_[v + 1] = offsets_[v] + degree[v];
-  }
-  adjacency_.resize(offsets_[n]);
-  std::vector<std::int32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    grid.ForEachInDisk(positions_[v], radius_, [&](NodeId u) {
-      if (u != v) adjacency_[cursor[v]++] = u;
+      if (u != v) adjacency_.push_back(u);
     });
     // Sorted neighbor lists make HasEdge O(log d) and iteration
     // deterministic regardless of grid cell order.
-    std::sort(adjacency_.begin() + offsets_[v], adjacency_.begin() + offsets_[v + 1]);
+    std::sort(adjacency_.begin() + offsets_[v], adjacency_.end());
+    offsets_[v + 1] = static_cast<std::int32_t>(adjacency_.size());
   }
+  adjacency_.shrink_to_fit();  // a cached graph holds no growth slack
 }
 
 bool UnitDiskGraph::HasEdge(NodeId a, NodeId b) const {
@@ -50,22 +41,21 @@ bool UnitDiskGraph::IsConnected(NodeId root) const {
   const auto n = node_count();
   if (n == 0) return true;
   std::vector<char> visited(n, 0);
-  std::queue<NodeId> frontier;
-  frontier.push(root);
+  // Every node reached so far, in discovery order; `next` walks it as a
+  // FIFO, and each node enters once.
+  std::vector<NodeId> frontier;
+  frontier.reserve(static_cast<std::size_t>(n));
+  frontier.push_back(root);
   visited[root] = 1;
-  std::int32_t reached = 1;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    for (NodeId u : Neighbors(v)) {
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    for (NodeId u : Neighbors(frontier[next])) {
       if (!visited[u]) {
         visited[u] = 1;
-        ++reached;
-        frontier.push(u);
+        frontier.push_back(u);
       }
     }
   }
-  return reached == n;
+  return static_cast<std::int32_t>(frontier.size()) == n;
 }
 
 namespace {
@@ -109,19 +99,18 @@ BfsLayering BreadthFirstLayering(const UnitDiskGraph& graph, NodeId root) {
   result.parent.assign(n, kInvalidNode);
   result.order.reserve(n);
 
-  std::queue<NodeId> frontier;
-  frontier.push(root);
+  // The visitation order is the FIFO frontier itself: a node is appended
+  // when discovered and expanded when `next` reaches it.
+  result.order.push_back(root);
   result.level[root] = 0;
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    result.order.push_back(v);
+  for (std::size_t next = 0; next < result.order.size(); ++next) {
+    const NodeId v = result.order[next];
     result.max_level = std::max(result.max_level, result.level[v]);
     for (NodeId u : graph.Neighbors(v)) {
       if (result.level[u] < 0) {
         result.level[u] = result.level[v] + 1;
         result.parent[u] = v;
-        frontier.push(u);
+        result.order.push_back(u);
       }
     }
   }

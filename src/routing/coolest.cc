@@ -27,13 +27,16 @@ std::vector<double> NodeTemperatures(const std::vector<geom::Vec2>& positions,
   CRN_CHECK(sensing_range > 0.0);
   std::vector<double> temperatures;
   temperatures.reserve(positions.size());
-  const double silence = 1.0 - primary.config().activity;
   for (const geom::Vec2& pos : positions) {
     std::int32_t nearby = 0;
     primary.grid().ForEachInDisk(pos, sensing_range, [&](pu::PuId) { ++nearby; });
-    temperatures.push_back(1.0 - std::pow(silence, static_cast<double>(nearby)));
+    temperatures.push_back(NodeTemperature(nearby, primary.config().activity));
   }
   return temperatures;
+}
+
+double NodeTemperature(std::int32_t pus_in_range, double activity) {
+  return 1.0 - std::pow(1.0 - activity, static_cast<double>(pus_in_range));
 }
 
 namespace {

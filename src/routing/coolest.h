@@ -44,6 +44,11 @@ std::vector<double> NodeTemperatures(const std::vector<geom::Vec2>& positions,
                                      const pu::PrimaryNetwork& primary,
                                      double sensing_range);
 
+// The temperature of a node with `pus_in_range` PUs inside its sensing
+// disk, at per-slot activity p_t = `activity` — the formula above, for
+// callers that already hold the counts (a PU sensing table's row sizes).
+double NodeTemperature(std::int32_t pus_in_range, double activity);
+
 // Computes a next-hop-toward-sink table over `graph` optimizing `metric`.
 // Ties are broken by hop count and then node id, making the result
 // deterministic. next_hop[sink] = sink.

@@ -11,20 +11,23 @@ namespace crn::sim {
 std::uint32_t Simulator::AllocSlot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    Slot& s = slots_[slot];
+    Slot& s = SlotAt(slot);
     free_head_ = s.next_free;
     s.next_free = kNoSlot;
     s.flags = kInUse;
     return slot;
   }
-  slots_.emplace_back();
-  const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
-  slots_[slot].flags = kInUse;
+  CRN_CHECK(slot_count_ < kNoSlot - kPageSize) << "timer arena full";
+  if (slot_count_ == pages_.size() * kPageSize) {
+    pages_.push_back(std::make_unique<Slot[]>(kPageSize));
+  }
+  const std::uint32_t slot = slot_count_++;
+  SlotAt(slot).flags = kInUse;
   return slot;
 }
 
 void Simulator::FreeSlotNow(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   s.fn.Reset();
   ++s.generation;  // any entry still in a queue is now stale
   s.flags = 0;
@@ -35,8 +38,9 @@ void Simulator::FreeSlotNow(std::uint32_t slot) {
 std::uint32_t Simulator::BindSlot(EventPriority priority, EventFn fn,
                                   std::uint16_t kind, std::int32_t owner) {
   CRN_CHECK(static_cast<bool>(fn));
+  CRN_DCHECK(kind < kind_names_.size()) << "unregistered event kind " << kind;
   const std::uint32_t slot = AllocSlot();
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   s.fn = std::move(fn);
   s.priority = priority;
   s.kind = kind;
@@ -49,7 +53,7 @@ void Simulator::ArmSlot(std::uint32_t slot, TimeNs when) {
   CRN_CHECK(!restoring_) << "ArmAt during restore — use RestoreArm";
   CRN_CHECK(when >= now_) << "cannot schedule in the past: when=" << when
                           << " now=" << now_;
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   const bool rearmed = (s.flags & kArmed) != 0;
   if (rearmed) {
     // Implicit reschedule: the old entry dies by generation bump.
@@ -73,7 +77,7 @@ void Simulator::ArmSlot(std::uint32_t slot, TimeNs when) {
 
 bool Simulator::DisarmSlot(std::uint32_t slot) {
   CRN_CHECK(!in_observer_) << "event observers must not schedule or cancel";
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   if ((s.flags & kArmed) == 0) return false;
   s.flags &= static_cast<std::uint8_t>(~kArmed);
   ++s.generation;
@@ -87,7 +91,7 @@ bool Simulator::DisarmSlot(std::uint32_t slot) {
 }
 
 void Simulator::ReleaseSlot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   if ((s.flags & kArmed) != 0) {
     s.flags &= static_cast<std::uint8_t>(~kArmed);
     ++s.generation;
@@ -115,13 +119,18 @@ EventId Simulator::ScheduleOnce(TimeNs when, EventPriority priority,
 EventId Simulator::ScheduleOnce(TimeNs when, EventPriority priority,
                                 std::string_view kind, std::int32_t owner,
                                 EventFn fn) {
+  return ScheduleOnce(when, priority, RegisterEventKind(kind), owner,
+                      std::move(fn));
+}
+
+EventId Simulator::ScheduleOnce(TimeNs when, EventPriority priority,
+                                EventKind kind, std::int32_t owner, EventFn fn) {
   CRN_CHECK(!in_observer_) << "event observers must not schedule or cancel";
   CRN_CHECK(!restoring_) << "ScheduleOnce during restore — use RestoreOnce";
   CRN_CHECK(when >= now_) << "cannot schedule in the past: when=" << when
                           << " now=" << now_;
-  const std::uint32_t slot =
-      BindSlot(priority, std::move(fn), RegisterEventKind(kind), owner);
-  Slot& s = slots_[slot];
+  const std::uint32_t slot = BindSlot(priority, std::move(fn), kind.id, owner);
+  Slot& s = SlotAt(slot);
   s.flags |= static_cast<std::uint8_t>(kArmed | kOneShot);
   const EventId seq = next_seq_++;
   s.pending_seq = seq;
@@ -135,16 +144,16 @@ EventId Simulator::ScheduleOnce(TimeNs when, EventPriority priority,
   return seq;
 }
 
-std::uint16_t Simulator::RegisterEventKind(std::string_view name) {
+EventKind Simulator::RegisterEventKind(std::string_view name) {
   CRN_CHECK(!name.empty()) << "event kind name must be non-empty";
   const auto it = kind_ids_.find(name);
-  if (it != kind_ids_.end()) return it->second;
+  if (it != kind_ids_.end()) return EventKind{it->second};
   CRN_CHECK(kind_names_.size() < 0xFFFFU) << "event-kind registry full";
   const auto id = static_cast<std::uint16_t>(kind_names_.size());
   kind_names_.emplace_back(name);
   kind_ids_.emplace(kind_names_.back(), id);
   if (recorder_ != nullptr) recorder_->OnKindRegistered(id, name);
-  return id;
+  return EventKind{id};
 }
 
 void Simulator::AttachFlightRecorder(FlightRecorder* recorder) {
@@ -199,7 +208,7 @@ void Simulator::RunObservers() {
 }
 
 void Simulator::Fire(const QEntry& entry) {
-  Slot& s = slots_[entry.slot];
+  Slot& s = SlotAt(entry.slot);
   now_ = entry.time;
   --pending_;
   // Capture recorder fields before the one-shot branch frees the slot.
@@ -226,8 +235,9 @@ void Simulator::Fire(const QEntry& entry) {
     s.flags |= kExecuting;
     RunObservers();
     s.fn();
-    // The arena is a deque, so `s` is still valid; the callback may have
-    // requested this slot's release (Timer destroyed from inside).
+    // Arena pages never move, so `s` is still valid even if the callback
+    // bound new pages; it may also have requested this slot's release
+    // (Timer destroyed from inside).
     s.flags &= static_cast<std::uint8_t>(~kExecuting);
     if ((s.flags & kReleaseDeferred) != 0) FreeSlotNow(entry.slot);
   }
@@ -357,7 +367,7 @@ void Simulator::SaveState(StateWriter& writer) const {
       const bool is_live = EntryLive(entry);
       if (is_live) ++live;
       entries.push_back({entry.time, entry.seq,
-                         is_live ? slots_[entry.slot].armed_parent : 0,
+                         is_live ? SlotAt(entry.slot).armed_parent : 0,
                          entry.priority, is_live});
     }
   }
@@ -382,7 +392,7 @@ void Simulator::LoadRegistry(StateReader& reader) {
     }
     // Pre-populating in saved order means components re-binding in the
     // original construction order get their original kind ids back.
-    const std::uint16_t id = RegisterEventKind(names[i]);
+    const std::uint16_t id = RegisterEventKind(names[i]).id;
     CRN_CHECK(id == i) << "kind registry restore produced id " << id
                        << " for '" << names[i] << "' (expected " << i << ")";
   }
@@ -400,7 +410,7 @@ void Simulator::RestoreArmSlot(std::uint32_t slot, EventId seq) {
       << "RestoreArm outside BeginRestore..FinishRestore";
   CRN_CHECK(seq != 0 && seq < next_seq_)
       << "RestoreArm seq " << seq << " out of checkpoint range";
-  Slot& s = slots_[slot];
+  Slot& s = SlotAt(slot);
   CRN_CHECK((s.flags & kArmed) == 0) << "RestoreArm on an armed timer";
   s.flags |= kArmed;
   s.pending_seq = seq;
@@ -414,15 +424,15 @@ void Simulator::RestoreOnce(EventId seq, EventPriority priority,
   CRN_CHECK(restoring_)
       << "RestoreOnce outside BeginRestore..FinishRestore";
   const std::uint32_t slot =
-      BindSlot(priority, std::move(fn), RegisterEventKind(kind), owner);
-  slots_[slot].flags |= kOneShot;
+      BindSlot(priority, std::move(fn), RegisterEventKind(kind).id, owner);
+  SlotAt(slot).flags |= kOneShot;
   RestoreArmSlot(slot, seq);
 }
 
 void Simulator::FinishRestore() {
   CRN_CHECK(restoring_) << "FinishRestore without BeginRestore";
   const std::uint64_t saved_tick = cal_tick_;
-  const std::uint32_t stale_gen = slots_[sentinel_slot_].generation + 1;
+  const std::uint32_t stale_gen = SlotAt(sentinel_slot_).generation + 1;
   std::size_t live_count = 0;
   for (const SavedEntry& saved : staged_entries_) {
     QEntry entry{saved.time, saved.seq, sentinel_slot_, stale_gen,
@@ -433,7 +443,7 @@ void Simulator::FinishRestore() {
           << "checkpoint queue entry seq " << saved.seq
           << " was never re-claimed — a component failed to restore its "
              "pending timer";
-      Slot& s = slots_[it->second];
+      Slot& s = SlotAt(it->second);
       CRN_CHECK(s.priority == saved.priority)
           << "timer claiming seq " << saved.seq
           << " re-bound with a different priority than the checkpoint";

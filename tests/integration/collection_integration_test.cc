@@ -42,6 +42,35 @@ TEST(CollectionIntegrationTest, CoolestCompletesOnSameDeployment) {
   }
 }
 
+// RunCoolest reads its temperatures from the prefab's sensing table at the
+// Coolest range; the per-SU PU-grid disk queries of NodeTemperatures are
+// the oracle. Checked bit for bit, with the next-hop tables they produce,
+// on the Fig. 6(c) points (n = 500, N = 100, A = 125², p_t 0.1 to 0.45).
+TEST(CollectionIntegrationTest, CoolestTemperaturesMatchDiskQueries) {
+  for (const double p_t : {0.1, 0.2, 0.3, 0.4, 0.45}) {
+    ScenarioConfig config = ScenarioConfig::ScaledDefaults(0.25);
+    config.pu_activity = p_t;
+    const Scenario scenario(config, 0);
+    const std::vector<double> from_table = CoolestTemperatures(scenario);
+    const std::vector<double> oracle = routing::NodeTemperatures(
+        scenario.su_positions(), scenario.MakePrimaryNetwork(),
+        CoolestSensingRange(config));
+    ASSERT_EQ(from_table.size(), oracle.size());
+    for (std::size_t v = 0; v < oracle.size(); ++v) {
+      ASSERT_EQ(from_table[v], oracle[v]) << "p_t=" << p_t << " node " << v;
+    }
+    for (routing::TemperatureMetric metric :
+         {routing::TemperatureMetric::kAccumulated,
+          routing::TemperatureMetric::kHighest, routing::TemperatureMetric::kMixed}) {
+      EXPECT_EQ(routing::CoolestNextHops(scenario.secondary_graph(), from_table,
+                                         scenario.sink(), metric),
+                routing::CoolestNextHops(scenario.secondary_graph(), oracle,
+                                         scenario.sink(), metric))
+          << "p_t=" << p_t << " " << routing::ToString(metric);
+    }
+  }
+}
+
 TEST(CollectionIntegrationTest, DeterministicAcrossIdenticalRuns) {
   const Scenario scenario(SmallConfig(), 1);
   const CollectionResult a = RunAddc(scenario);

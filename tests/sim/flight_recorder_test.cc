@@ -43,16 +43,16 @@ TEST(FlightRecorderTest, CountersCoverWholeRunNotJustTheRing) {
 
 TEST(FlightRecorderTest, SimulatorMirrorsKindNamesOnAttachAndRegister) {
   Simulator simulator;
-  const std::uint16_t early = simulator.RegisterEventKind("test.early");
+  const std::uint16_t early = simulator.RegisterEventKind("test.early").id;
   FlightRecorder recorder(16);
   simulator.AttachFlightRecorder(&recorder);
-  const std::uint16_t late = simulator.RegisterEventKind("test.late");
+  const std::uint16_t late = simulator.RegisterEventKind("test.late").id;
   ASSERT_GT(recorder.kind_names().size(), late);
   EXPECT_EQ(recorder.KindName(0), "unnamed");
   EXPECT_EQ(recorder.KindName(early), "test.early");
   EXPECT_EQ(recorder.KindName(late), "test.late");
   // Re-registering the same name returns the same id.
-  EXPECT_EQ(simulator.RegisterEventKind("test.early"), early);
+  EXPECT_EQ(simulator.RegisterEventKind("test.early").id, early);
 }
 
 TEST(FlightRecorderTest, RecordsCausalParentAcrossTimerChain) {

@@ -223,6 +223,8 @@ int RunSelfTest(const std::string& root) {
       {"src__core__bad_suppression.cc", "suppression-justification"},
       {"src__mac__bad_raw_schedule.cc", "raw-schedule-in-mac"},
       {"src__mac__bad_unnamed_timer.cc", "unnamed-timer-kind"},
+      {"src__mac__bad_unregistered_kind.cc", "unnamed-timer-kind"},
+      {"src__mac__clean_kind_handle.cc", ""},
       {"src__obs__bad_artifact_write.cc", "raw-artifact-write"},
       {"src__harness__bad_parallel_runner_alloc.cc", "hot-path-alloc"},
       {"src__core__clean_tokenizer.cc", ""},

@@ -38,6 +38,39 @@ std::vector<std::string> UnorderedContainerNames(
   return names;
 }
 
+// Names assigned from a RegisterEventKind call that carries a non-empty
+// string literal on its own line or the next (`kind = sim.RegisterEventKind(
+// "layer.kind")`, with or without a declaration in front): the kind
+// handles a Bind may name instead of a literal.
+std::vector<std::string> RegisteredKindHandles(
+    const std::vector<std::string>& code, const std::vector<bool>& line_has_string) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const std::string& line = code[i];
+    const std::size_t call = line.find("RegisterEventKind");
+    if (call == std::string::npos) continue;
+    if (!line_has_string[i] && !(i + 1 < code.size() && line_has_string[i + 1])) {
+      continue;
+    }
+    // The assignment's `=` is the last one before the call that is not part
+    // of a comparison.
+    std::size_t eq = std::string::npos;
+    for (std::size_t k = 0; k < call; ++k) {
+      const bool compare = (k + 1 < line.size() && line[k + 1] == '=') ||
+                           (k > 0 && std::string("=!<>").find(line[k - 1]) !=
+                                         std::string::npos);
+      if (line[k] == '=' && !compare) eq = k;
+    }
+    if (eq == std::string::npos) continue;
+    std::size_t end = eq;
+    while (end > 0 && line[end - 1] == ' ') --end;
+    std::size_t begin = end;
+    while (begin > 0 && IsIdentChar(line[begin - 1])) --begin;
+    if (begin < end) names.push_back(line.substr(begin, end - begin));
+  }
+  return names;
+}
+
 std::string ExpectedHeaderGuard(const std::string& logical_path) {
   // src/geom/vec2.h ⇒ CRN_GEOM_VEC2_H_
   std::string trimmed = logical_path;
@@ -164,6 +197,11 @@ std::vector<Finding> RunFileRules(const SourceFile& file) {
       }
     }
   }
+  // Kind handles: names assigned from RegisterEventKind("layer.kind") with
+  // a literal on that line or the next. A Bind naming one is named.
+  const std::vector<std::string> kind_handles =
+      in_mac ? RegisteredKindHandles(code, line_has_string)
+             : std::vector<std::string>{};
 
   for (std::size_t i = 0; i < code.size(); ++i) {
     const std::string& line = code[i];
@@ -242,11 +280,15 @@ std::vector<Finding> RunFileRules(const SourceFile& file) {
         bool named = false;
         for (std::size_t j = i; j < code.size() && j <= i + 3 && !named; ++j) {
           named = line_has_string[j];
+          for (const std::string& handle : kind_handles) {
+            named = named || ContainsWord(code[j], handle);
+          }
         }
         if (!named) {
           add(static_cast<int>(i), "unnamed-timer-kind",
               "Timer::Bind in src/mac without a named event kind; use the "
-              "Bind(sim, priority, \"layer.kind\", owner, fn) overload so "
+              "Bind(sim, priority, \"layer.kind\", owner, fn) overload, or "
+              "bind under a handle from RegisterEventKind(\"layer.kind\"), so "
               "flight-recorder dumps and sched.* metrics stay decodable");
         }
       }
