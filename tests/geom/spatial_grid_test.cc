@@ -282,5 +282,112 @@ TEST(DynamicSpatialGridTest, RandomWorkloadMatchesReference) {
   }
 }
 
+// The order model of a membership grid: one vector per cell (row-major
+// from the area's lower-left corner), Insert appends and Erase swap-removes
+// within the cell — the semantics the MAC's arm order was pinned under.
+class SwapEraseModel {
+ public:
+  SwapEraseModel(const std::vector<Vec2>& points, Aabb area, double cell_size)
+      : points_(points), area_(area), cell_size_(cell_size) {
+    cols_ = std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(area.Width() / cell_size)));
+    rows_ = std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(area.Height() / cell_size)));
+    cells_.resize(static_cast<std::size_t>(cols_ * rows_));
+  }
+
+  void Insert(std::int32_t i) {
+    std::vector<std::int32_t>& cell = cells_[CellOf(points_[i])];
+    if (std::find(cell.begin(), cell.end(), i) == cell.end()) cell.push_back(i);
+  }
+  void Erase(std::int32_t i) {
+    std::vector<std::int32_t>& cell = cells_[CellOf(points_[i])];
+    const auto it = std::find(cell.begin(), cell.end(), i);
+    if (it == cell.end()) return;
+    *it = cell.back();
+    cell.pop_back();
+  }
+  [[nodiscard]] std::vector<std::int32_t> Members() const {
+    std::vector<std::int32_t> all;
+    for (const auto& cell : cells_) all.insert(all.end(), cell.begin(), cell.end());
+    return all;
+  }
+  // Members within the disk, cell-major over the covering cells.
+  [[nodiscard]] std::vector<std::int32_t> Disk(Vec2 center, double radius) const {
+    std::vector<std::int32_t> result;
+    for (std::int32_t i : Members()) {
+      if (DistanceSquared(points_[i], center) <= radius * radius) result.push_back(i);
+    }
+    return result;
+  }
+
+ private:
+  [[nodiscard]] std::size_t CellOf(Vec2 p) const {
+    const std::int64_t cx = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(std::floor((p.x - area_.min.x) / cell_size_)), 0, cols_ - 1);
+    const std::int64_t cy = std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(std::floor((p.y - area_.min.y) / cell_size_)), 0, rows_ - 1);
+    return static_cast<std::size_t>(cy * cols_ + cx);
+  }
+
+  const std::vector<Vec2>& points_;
+  Aabb area_;
+  double cell_size_;
+  std::int64_t cols_ = 1;
+  std::int64_t rows_ = 1;
+  std::vector<std::vector<std::int32_t>> cells_;
+};
+
+std::vector<std::int32_t> VisitOrder(const DynamicSpatialGrid& grid, Vec2 center,
+                                     double radius) {
+  std::vector<std::int32_t> visited;
+  grid.ForEachMemberInDisk(center, radius, [&](std::int32_t v) { visited.push_back(v); });
+  return visited;
+}
+
+// Unsorted visit order over random Insert/Erase against the swap-erase
+// model (the MAC's freeze and resume arms follow this order), and the
+// checkpoint round trip: re-inserting MembersInIterationOrder into a fresh
+// grid, and into a copy of one, reproduces the order.
+TEST(DynamicSpatialGridTest, VisitOrderMatchesPerCellSwapEraseModel) {
+  const Aabb area = Aabb::Square(60.0);
+  for (std::uint64_t seed : {5, 6, 7}) {
+    for (double cell_size : {4.0, 9.0, 25.0}) {
+      const auto points = RandomPoints(160, area, seed);
+      DynamicSpatialGrid grid(points, area, cell_size);
+      SwapEraseModel model(points, area, cell_size);
+      Rng rng(seed * 101 + 7);
+      for (int step = 0; step < 3000; ++step) {
+        const auto i = static_cast<std::int32_t>(rng.UniformInt(points.size()));
+        if (rng.Bernoulli(0.55)) {
+          grid.Insert(i);
+          model.Insert(i);
+        } else {
+          grid.Erase(i);
+          model.Erase(i);
+        }
+        if (step % 50 != 0) continue;
+        ASSERT_EQ(grid.MembersInIterationOrder(), model.Members())
+            << "seed " << seed << " cell " << cell_size << " step " << step;
+        ASSERT_EQ(grid.member_count(), model.Members().size());
+        const Vec2 center{rng.UniformDouble(-10.0, 70.0), rng.UniformDouble(-10.0, 70.0)};
+        const double radius = rng.UniformDouble(0.0, 40.0);
+        ASSERT_EQ(VisitOrder(grid, center, radius), model.Disk(center, radius))
+            << "seed " << seed << " cell " << cell_size << " step " << step;
+
+        const std::vector<std::int32_t> saved = grid.MembersInIterationOrder();
+        DynamicSpatialGrid fresh(points, area, cell_size);
+        DynamicSpatialGrid copied(fresh);  // shares the layout, as the MAC's grids do
+        for (const std::int32_t v : saved) {
+          fresh.Insert(v);
+          copied.Insert(v);
+        }
+        ASSERT_EQ(fresh.MembersInIterationOrder(), saved);
+        ASSERT_EQ(copied.MembersInIterationOrder(), saved);
+        ASSERT_EQ(VisitOrder(fresh, center, radius), VisitOrder(grid, center, radius));
+        ASSERT_EQ(fresh.member_count(), 0U + saved.size());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crn::geom

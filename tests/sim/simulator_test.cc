@@ -132,6 +132,58 @@ TEST_P(SimulatorTest, TimerDestructionCancelsPendingFire) {
   EXPECT_EQ(fired, 0);
 }
 
+// A running callback binds more than one page of new timers, so the slot
+// arena grows while the callback's own slot is in use, then re-arms
+// itself; a later callback grows the arena again and destroys its own
+// timer. Slots never move, so the engine's bookkeeping on the running slot
+// after the callback returns stays valid (the asan-ubsan preset checks the
+// memory side).
+TEST_P(SimulatorTest, CallbacksSurviveArenaGrowthAndSelfDestruction) {
+  std::vector<std::unique_ptr<Timer>> grown;
+  int grown_fires = 0;
+  const auto grow = [&](int count, TimeNs first) {
+    for (int k = 0; k < count; ++k) {
+      grown.push_back(std::make_unique<Timer>());
+      grown.back()->Bind(simulator, EventPriority::kDefault, [&grown_fires] { ++grown_fires; });
+      grown.back()->ArmAt(first + k);
+    }
+  };
+  int growing_fires = 0;
+  Timer growing;
+  growing.Bind(simulator, EventPriority::kDefault, [&] {
+    if (++growing_fires > 1) return;
+    grow(700, 100);  // more than two 256-slot pages
+    growing.ArmAfter(5000);
+  });
+  int doomed_fires = 0;
+  auto doomed = std::make_unique<Timer>();
+  doomed->Bind(simulator, EventPriority::kDefault, [&] {
+    ++doomed_fires;
+    grow(300, 2000);
+    doomed->ArmAfter(10);  // cancelled by the destruction below
+    doomed.reset();        // released after this callback returns
+  });
+  growing.ArmAt(1);
+  doomed->ArmAt(2);
+  simulator.Run();
+  EXPECT_EQ(growing_fires, 2);
+  EXPECT_EQ(doomed_fires, 1);
+  EXPECT_EQ(doomed, nullptr);
+  EXPECT_EQ(grown_fires, 1000);
+  EXPECT_EQ(simulator.pending_count(), 0u);
+
+  // The arena keeps working after the growth: a fresh timer binds, fires
+  // and re-arms like any other.
+  int later_fires = 0;
+  Timer later;
+  later.Bind(simulator, EventPriority::kDefault, [&] {
+    if (++later_fires < 3) later.ArmAfter(1);
+  });
+  later.ArmAfter(1);
+  simulator.Run();
+  EXPECT_EQ(later_fires, 3);
+}
+
 TEST_P(SimulatorTest, TimerMoveTransfersOwnership) {
   std::vector<int> fired;
   std::vector<Timer> timers;
