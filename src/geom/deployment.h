@@ -2,8 +2,8 @@
 //
 // The paper deploys both networks i.i.d. uniformly over a square of size
 // A = c0·n. For the secondary network the induced unit-disk graph must be
-// connected (a standing assumption of the paper, §III), so the generator
-// resamples until connectivity holds — see deployment.cc for the bound on
+// connected (a standing assumption of the paper, §III), so the scenario
+// resamples until connectivity holds — ScenarioPrefab::TryBuild caps the
 // retry count.
 #ifndef CRN_GEOM_DEPLOYMENT_H_
 #define CRN_GEOM_DEPLOYMENT_H_
@@ -31,8 +31,10 @@ std::vector<Vec2> ClusteredDeployment(std::int32_t count, std::int32_t cluster_c
                                       double cluster_radius, Aabb area, Rng& rng);
 
 // True when the unit-disk graph over `points` with communication radius
-// `radius` is connected (single component). O(n · neighbors) via BFS over a
-// spatial grid.
+// `radius` is connected (single component). Rejects a draw with an isolated
+// point before any traversal, then joins grid cells narrower than r/√2
+// (each a clique) with a union-find; O(n · neighbors) at worst
+// (deployment.cc, DESIGN.md §5).
 bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius);
 
 }  // namespace crn::geom

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -53,11 +54,43 @@ class SpatialGrid {
     }
   }
 
+  // True when some other point lies within `radius` of point `index` (a
+  // duplicate of its position counts; the point itself does not): a disk
+  // query that stops at the first such point.
+  [[nodiscard]] bool HasNeighbor(std::int32_t index, double radius) const {
+    const Vec2 center = points_[index];
+    const double r2 = radius * radius;
+    const CellRange range = CoveringCells(center, radius);
+    for (std::int32_t row = range.first_row; row <= range.last_row; row += cols_) {
+      const std::int32_t end = cell_start_[row + range.cx_hi + 1];
+      for (std::int32_t i = cell_start_[row + range.cx_lo]; i < end; ++i) {
+        if (DistanceSquared(cell_positions_[i], center) <= r2 && cell_points_[i] != index) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
   // Convenience: collects indices of all points within `radius` of `center`.
   [[nodiscard]] std::vector<std::int32_t> QueryDisk(Vec2 center, double radius) const;
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] Vec2 position(std::int32_t index) const { return points_[index]; }
+
+  // The cells themselves, for algorithms that work cell by cell. Cell
+  // (cx, cy) is cy * cols() + cx; its side is cell_size(), which the cap
+  // may have made larger than the size asked for.
+  [[nodiscard]] double cell_size() const { return cell_size_; }
+  [[nodiscard]] std::int32_t cols() const { return cols_; }
+  [[nodiscard]] std::int32_t rows() const { return rows_; }
+  // The points in `cell` in insertion order, and their positions.
+  [[nodiscard]] std::span<const std::int32_t> CellPoints(std::int32_t cell) const {
+    return {cell_points_.data() + cell_start_[cell], CellCount(cell)};
+  }
+  [[nodiscard]] std::span<const Vec2> CellPositions(std::int32_t cell) const {
+    return {cell_positions_.data() + cell_start_[cell], CellCount(cell)};
+  }
 
  private:
   // The covering cells of a disk: rows [first_row, last_row] (as offsets
@@ -74,6 +107,10 @@ class SpatialGrid {
             ClampedCell((center.y + radius - bounds_.min.y) / cell_size_, rows_) * cols_,
             ClampedCell((center.x - radius - bounds_.min.x) / cell_size_, cols_),
             ClampedCell((center.x + radius - bounds_.min.x) / cell_size_, cols_)};
+  }
+
+  [[nodiscard]] std::size_t CellCount(std::int32_t cell) const {
+    return static_cast<std::size_t>(cell_start_[cell + 1] - cell_start_[cell]);
   }
 
   [[nodiscard]] std::int32_t CellOf(Vec2 p) const {

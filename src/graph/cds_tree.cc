@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <tuple>
 
@@ -21,16 +22,24 @@ const char* ToString(NodeRole role) {
   return "unknown";
 }
 
-std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
-                                        const BfsLayering& bfs) {
+std::vector<NodeId> RankByLevel(const BfsLayering& bfs) {
+  const auto n = static_cast<NodeId>(bfs.level.size());
+  // level_start[l] is where level l's nodes begin in the ranking.
+  std::vector<std::int32_t> level_start(static_cast<std::size_t>(bfs.max_level) + 2, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    CRN_CHECK(bfs.level[v] >= 0) << "node " << v << " is unreached";
+    ++level_start[bfs.level[v] + 1];
+  }
+  std::partial_sum(level_start.begin(), level_start.end(), level_start.begin());
+  std::vector<NodeId> ranked(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) ranked[level_start[bfs.level[v]]++] = v;
+  return ranked;
+}
+
+namespace {
+
+std::vector<char> GreedyMis(const UnitDiskGraph& graph, const std::vector<NodeId>& ranked) {
   const auto n = graph.node_count();
-  // Rank nodes by (BFS level, id); the BFS visitation order from a FIFO
-  // queue over sorted adjacency lists is exactly that order per level, but
-  // we sort explicitly to make the invariant independent of queue details.
-  std::vector<NodeId> ranked(bfs.order);
-  std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-    return std::make_pair(bfs.level[a], a) < std::make_pair(bfs.level[b], b);
-  });
   std::vector<char> in_mis(n, 0);
   std::vector<char> dominated(n, 0);
   for (NodeId v : ranked) {
@@ -44,22 +53,24 @@ std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
   return in_mis;
 }
 
+}  // namespace
+
+std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,
+                                        const BfsLayering& bfs) {
+  return GreedyMis(graph, RankByLevel(bfs));
+}
+
 CdsTree::CdsTree(const UnitDiskGraph& graph, NodeId root) : root_(root) {
   const auto n = graph.node_count();
   CRN_CHECK(root >= 0 && root < n);
   const BfsLayering bfs = BreadthFirstLayering(graph, root);
-  const std::vector<char> in_mis = MaximalIndependentSet(graph, bfs);
+  const std::vector<NodeId> ranked = RankByLevel(bfs);
+  const std::vector<char> in_mis = GreedyMis(graph, ranked);
   CRN_CHECK(in_mis[root]) << "root has BFS rank 0 and must be a dominator";
 
   role_.assign(n, NodeRole::kDominatee);
   parent_.assign(n, kInvalidNode);
-  std::vector<std::int64_t> rank(n, 0);
   {
-    std::vector<NodeId> ranked(bfs.order);
-    std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-      return std::make_pair(bfs.level[a], a) < std::make_pair(bfs.level[b], b);
-    });
-    for (std::int32_t i = 0; i < n; ++i) rank[ranked[i]] = i;
     // Connect dominators in rank order. `connected[w]` means w is a
     // dominator already attached to the tree.
     std::vector<char> connected(n, 0);

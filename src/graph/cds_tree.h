@@ -32,6 +32,10 @@ enum class NodeRole : std::uint8_t {
 
 const char* ToString(NodeRole role);
 
+// Every node in (BFS level, id) order: one counting pass over the levels,
+// then the ids in ascending order into their level's range.
+std::vector<NodeId> RankByLevel(const BfsLayering& bfs);
+
 // Maximal independent set greedily in (level, id) rank order; the root is
 // always selected first. Returned as a membership mask.
 std::vector<char> MaximalIndependentSet(const UnitDiskGraph& graph,

@@ -361,8 +361,11 @@ void CollectionMac::BeginContention(NodeId node) {
   const bool pu_busy = SensePuBusy(node);
   agent_pu_busy_[node] = pu_busy ? 1 : 0;
   const std::uint64_t word = pu_sense_[node].word;  // this window's, just sensed
+  contender_words_.push_back(word);
   sense_mismatch_ |= pu_busy ? ~word : word;
   sense_busy_ += pu_busy ? 1 : 0;
+  // A sensing error leaves a flag that its word does not predict.
+  if (pu_busy != (((word >> primary_.window_slot()) & 1) != 0)) sense_epoch_ = kNoEpoch;
   agent_su_busy_[node] = ComputeSuBusyCount(node);
   UpdateFreezeState(node);
 }
@@ -375,6 +378,8 @@ void CollectionMac::LeaveContention(NodeId node) {
   contending_list_[pos] = moved;
   contending_slot_[moved] = pos;
   contending_list_.pop_back();
+  contender_words_[pos] = contender_words_.back();
+  contender_words_.pop_back();
   contending_slot_[node] = -1;
   sensing_grid_.Erase(node);
   sense_busy_ -= agent_pu_busy_[node];
@@ -837,36 +842,61 @@ void CollectionMac::RefreshContenderPuBusy() {
   // Refresh every contending SU's PU-side busy flag; each check doubles as
   // one spectrum-opportunity observation (Lemma 7 validation). With exact
   // sensing, a slot the summary clears changes no flag: book the
-  // observations and skip the loop. Sensing errors draw per contender, in
-  // list order, so then the loop always runs.
+  // observations and skip the loop, and a slot it does not clear reads the
+  // flags off the contenders' words. Sensing errors draw per contender, in
+  // list order, and a window's first slot needs its new words, so then the
+  // loop runs.
   const std::uint64_t epoch = primary_.window_epoch();
+  const std::int32_t slot = primary_.window_slot();
   const bool exact =
       config_.sensing_false_alarm <= 0.0 && config_.sensing_missed_detection <= 0.0;
-  if (exact && sense_epoch_ == epoch &&
-      ((sense_mismatch_ >> primary_.window_slot()) & 1) == 0) {
+  const auto contenders = static_cast<std::int64_t>(contending_list_.size());
+  if (exact && sense_epoch_ == epoch && ((sense_mismatch_ >> slot) & 1) == 0) {
     CRN_DCHECK(SenseSummaryHolds());
-    const auto contenders = static_cast<std::int64_t>(contending_list_.size());
     stats_.slot_checks_total += contenders;
     stats_.slot_checks_free += contenders - sense_busy_;
     return;
   }
   std::uint64_t mismatch = 0;
   std::int64_t busy = 0;
-  for (NodeId node : contending_list_) {
-    const bool pu_busy = SensePuBusy(node);
-    ++stats_.slot_checks_total;
-    if (!pu_busy) ++stats_.slot_checks_free;
-    if (pu_busy != (agent_pu_busy_[node] != 0)) {
-      agent_pu_busy_[node] = pu_busy ? 1 : 0;
-      UpdateFreezeState(node);
+  if (exact && sense_epoch_ == epoch && word_scan_) {
+    // Later in a window the loop's flags are the words' bits at this slot:
+    // a flag flips where the bit differs from the previous slot's.
+    CRN_DCHECK(slot > 0 && ContenderWordsHold());
+    for (std::size_t i = 0; i < contending_list_.size(); ++i) {
+      const std::uint64_t word = contender_words_[i];
+      const std::uint64_t bit = (word >> slot) & 1;
+      if (bit != ((word >> (slot - 1)) & 1)) {
+        const NodeId node = contending_list_[i];
+        agent_pu_busy_[node] = static_cast<std::uint8_t>(bit);
+        UpdateFreezeState(node);
+      }
+      mismatch |= word ^ (0 - bit);  // bit set: ~word
+      busy += static_cast<std::int64_t>(bit);
     }
-    const std::uint64_t word = pu_sense_[node].word;
-    mismatch |= pu_busy ? ~word : word;
-    busy += pu_busy ? 1 : 0;
+    stats_.slot_checks_total += contenders;
+    stats_.slot_checks_free += contenders - busy;
+  } else {
+    for (std::size_t i = 0; i < contending_list_.size(); ++i) {
+      const NodeId node = contending_list_[i];
+      const bool pu_busy = SensePuBusy(node);
+      ++stats_.slot_checks_total;
+      if (!pu_busy) ++stats_.slot_checks_free;
+      if (pu_busy != (agent_pu_busy_[node] != 0)) {
+        agent_pu_busy_[node] = pu_busy ? 1 : 0;
+        UpdateFreezeState(node);
+      }
+      const std::uint64_t word = pu_sense_[node].word;
+      contender_words_[i] = word;
+      mismatch |= pu_busy ? ~word : word;
+      busy += pu_busy ? 1 : 0;
+    }
   }
   sense_mismatch_ = mismatch;
   sense_busy_ = busy;
-  sense_epoch_ = epoch;
+  // Flags drawn with sensing errors do not follow the words.
+  sense_epoch_ = exact ? epoch : kNoEpoch;
+  CRN_DCHECK(!exact || SenseSummaryHolds());
 }
 
 bool CollectionMac::SenseSummaryHolds() {
@@ -876,6 +906,21 @@ bool CollectionMac::SenseSummaryHolds() {
     busy += agent_pu_busy_[node];
   }
   return busy == sense_busy_;
+}
+
+bool CollectionMac::ContenderWordsHold() {
+  if (contender_words_.size() != contending_list_.size()) return false;
+  const std::int32_t previous = primary_.window_slot() - 1;
+  for (std::size_t i = 0; i < contending_list_.size(); ++i) {
+    const NodeId node = contending_list_[i];
+    static_cast<void>(ComputePuBusy(node));  // refreshes the node's word
+    const std::uint64_t word = contender_words_[i];
+    if (word != pu_sense_[node].word ||
+        ((word >> previous) & 1) != agent_pu_busy_[node]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void CollectionMac::AuditPrimaryReceptions() {
@@ -994,6 +1039,7 @@ void CollectionMac::SaveState(sim::StateWriter& writer) const {
 void CollectionMac::LoadState(sim::StateReader& reader) {
   Transfer(*this, reader);
   sense_epoch_ = kNoEpoch;  // the loaded flags and contenders are new
+  contender_words_.assign(contending_list_.size(), 0);
 }
 
 template <class Self, class Ar>

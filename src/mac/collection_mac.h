@@ -244,6 +244,11 @@ class CollectionMac {
   // words (pu/primary_network.h), which it caches for the window.
   [[nodiscard]] bool ComputePuBusy(NodeId node);
 
+  // Tests only: every slot boundary that would read the contenders' flags
+  // off their window words re-senses them instead, as before the word scan
+  // existed. Outcomes must not change; the scan's tests compare the two.
+  void DisableWordScanForTesting() { word_scan_ = false; }
+
   // Swaps the detector error rates mid-run (sensing-error burst faults).
   // Takes effect from the next sensing decision; both must be in [0, 1].
   void SetSensingErrorRates(double false_alarm, double missed_detection);
@@ -364,11 +369,16 @@ class CollectionMac {
   // false-alarm / missed-detection probabilities.
   [[nodiscard]] bool SensePuBusy(NodeId node);
   // The slot boundary's re-sense of every contender's PU-busy flag, skipped
-  // when the sensing summary (below) shows that none can change.
+  // when the sensing summary (below) shows that none can change, and read
+  // off contender_words_ when it shows which can.
   void RefreshContenderPuBusy();
   // Debug check of a skipped re-sense: every contender's flag is its ground
   // truth, and sense_busy_ counts the set flags.
   [[nodiscard]] bool SenseSummaryHolds();
+  // Debug check before a word scan: contender_words_ holds each contender's
+  // word of this window, and each flag is its word's bit in the previous
+  // slot.
+  [[nodiscard]] bool ContenderWordsHold();
   [[nodiscard]] std::int32_t ComputeSuBusyCount(NodeId node) const;
 
   // --- transmissions ----------------------------------------------------
@@ -444,10 +454,18 @@ class CollectionMac {
   // joining contender ORs itself in and a leaving one keeps its bits (a
   // superset still says which slots need the loop). A boundary whose bit is
   // clear, with exact sensing, changes no flag and skips the loop. A cache:
-  // not checkpointed, invalidated by LoadState.
+  // not checkpointed, invalidated by LoadState and by any sensing error.
   std::uint64_t sense_mismatch_ = 0;
   std::int64_t sense_busy_ = 0;
   std::uint64_t sense_epoch_ = kNoEpoch;
+  // Each contender's PuSense word, parallel to contending_list_. While
+  // sense_epoch_ is the current window, every contender's flag is its
+  // word's bit in the slot it was last sensed in, so with exact sensing a
+  // flag flips at window slot s exactly where bits s and s - 1 differ: a
+  // boundary whose summary bit is set scans these words instead of
+  // re-sensing every contender.
+  std::vector<std::uint64_t> contender_words_;
+  bool word_scan_ = true;
   std::vector<char> failed_;
   // Sensing set: nodes currently in kContending, as both an iterable list
   // (slot-boundary PU refresh) and a spatial grid (tx start/stop

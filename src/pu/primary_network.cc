@@ -11,12 +11,6 @@
 
 namespace crn::pu {
 
-namespace {
-
-constexpr double kGridCellOverRadius = 1.0;
-
-}  // namespace
-
 const char* ToString(ActivityProcess process) {
   switch (process) {
     case ActivityProcess::kIid:
@@ -36,7 +30,7 @@ PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
                                std::vector<geom::Vec2> positions)
     : config_(config),
       positions_(std::move(positions)),
-      grid_(positions_, area, std::max(config.radius * kGridCellOverRadius, 1.0)) {
+      area_(area) {
   CRN_CHECK(config.power > 0.0) << "P_p=" << config.power;
   CRN_CHECK(config.radius > 0.0) << "R=" << config.radius;
   CRN_CHECK(config.activity >= 0.0 && config.activity <= 1.0)

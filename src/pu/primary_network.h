@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geom/spatial_grid.h"
 #include "geom/vec2.h"
 #include "pu/activity_stream.h"
 #include "sim/time.h"
@@ -74,9 +73,8 @@ class PrimaryNetwork {
   [[nodiscard]] geom::Vec2 position(PuId id) const { return positions_[id]; }
   [[nodiscard]] const std::vector<geom::Vec2>& positions() const { return positions_; }
 
-  // Static spatial index over PU positions; SUs use it once to precompute
-  // "PUs within my carrier-sensing range".
-  [[nodiscard]] const geom::SpatialGrid& grid() const { return grid_; }
+  // The deployment area the PUs were placed in.
+  [[nodiscard]] geom::Aabb area() const { return area_; }
 
   // Re-samples every PU's activity for the slot starting now. Activity
   // randomness comes from `rng` (a dedicated stream owned by the caller),
@@ -149,11 +147,11 @@ class PrimaryNetwork {
 
   // Checkpoint protocol (sim/checkpoint.h, section "pu"): per-slot activity
   // state, receiver draws, cumulative counters, and the (possibly
-  // fault-overridden) activity target. Positions and the spatial grid are
-  // not serialized — the restore path reconstructs the network from the
-  // scenario first, then loads this state on top. The window is not saved
-  // either: a load leaves the loaded slot as a one-slot window, and the
-  // next ResampleSlot draws from the restored stream.
+  // fault-overridden) activity target. Positions are not serialized — the
+  // restore path reconstructs the network from the scenario first, then
+  // loads this state on top. The window is not saved either: a load leaves
+  // the loaded slot as a one-slot window, and the next ResampleSlot draws
+  // from the restored stream.
   void SaveState(sim::StateWriter& writer) const;
   void LoadState(sim::StateReader& reader);
 
@@ -175,7 +173,7 @@ class PrimaryNetwork {
 
   PrimaryConfig config_;
   std::vector<geom::Vec2> positions_;
-  geom::SpatialGrid grid_;
+  geom::Aabb area_;
   std::vector<std::uint64_t> activity_mask_;
   // The window: window_len_ slots drawn, window_pos_ of them handed out.
   // For windows drawn from a stream (allocated by the first): rows_ holds

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/check.h"
+#include "geom/spatial_grid.h"
 
 namespace crn::routing {
 
@@ -25,11 +26,12 @@ std::vector<double> NodeTemperatures(const std::vector<geom::Vec2>& positions,
                                      const pu::PrimaryNetwork& primary,
                                      double sensing_range) {
   CRN_CHECK(sensing_range > 0.0);
+  const geom::SpatialGrid grid(primary.positions(), primary.area(), sensing_range);
   std::vector<double> temperatures;
   temperatures.reserve(positions.size());
   for (const geom::Vec2& pos : positions) {
     std::int32_t nearby = 0;
-    primary.grid().ForEachInDisk(pos, sensing_range, [&](pu::PuId) { ++nearby; });
+    grid.ForEachInDisk(pos, sensing_range, [&](pu::PuId) { ++nearby; });
     temperatures.push_back(NodeTemperature(nearby, primary.config().activity));
   }
   return temperatures;

@@ -19,16 +19,35 @@ namespace {
 constexpr std::size_t kMaxSectionName = 4096;
 constexpr std::uint32_t kMaxStringLength = 1U << 30U;
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 CRC tables: kCrcTables[0] is the bytewise table, and
+// kCrcTables[k][b] is the CRC register after byte b followed by k zero
+// bytes, so eight table reads advance the register by eight bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1U) ^ ((crc & 1U) != 0 ? 0xEDB88320U : 0U);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      tables[k][i] = (tables[k - 1][i] >> 8U) ^ tables[0][tables[k - 1][i] & 0xFFU];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+// Four bytes as a little-endian word, on any host.
+std::uint32_t LoadLe32(const unsigned char* bytes) {
+  return static_cast<std::uint32_t>(bytes[0]) | static_cast<std::uint32_t>(bytes[1]) << 8U |
+         static_cast<std::uint32_t>(bytes[2]) << 16U |
+         static_cast<std::uint32_t>(bytes[3]) << 24U;
 }
 
 void AppendU32(std::string& out, std::uint32_t value) {
@@ -52,10 +71,27 @@ std::string HexU32(std::uint32_t value) {
 }  // namespace
 
 std::uint32_t Crc32(std::string_view data) {
-  static const std::array<std::uint32_t, 256> kTable = MakeCrcTable();
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t left = data.size();
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (; left >= 8; bytes += 8, left -= 8) {
+    const std::uint32_t low = crc ^ LoadLe32(bytes);
+    const std::uint32_t high = LoadLe32(bytes + 4);
+    crc = kCrcTables[7][low & 0xFFU] ^ kCrcTables[6][(low >> 8U) & 0xFFU] ^
+          kCrcTables[5][(low >> 16U) & 0xFFU] ^ kCrcTables[4][low >> 24U] ^
+          kCrcTables[3][high & 0xFFU] ^ kCrcTables[2][(high >> 8U) & 0xFFU] ^
+          kCrcTables[1][(high >> 16U) & 0xFFU] ^ kCrcTables[0][high >> 24U];
+  }
+  for (; left > 0; ++bytes, --left) {
+    crc = (crc >> 8U) ^ kCrcTables[0][(crc ^ *bytes) & 0xFFU];
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+std::uint32_t Crc32Bytewise(std::string_view data) {
   std::uint32_t crc = 0xFFFFFFFFU;
   for (const char byte : data) {
-    crc = (crc >> 8U) ^ kTable[(crc ^ static_cast<unsigned char>(byte)) & 0xFFU];
+    crc = (crc >> 8U) ^ kCrcTables[0][(crc ^ static_cast<unsigned char>(byte)) & 0xFFU];
   }
   return crc ^ 0xFFFFFFFFU;
 }

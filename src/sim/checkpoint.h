@@ -56,8 +56,12 @@ inline constexpr char kCheckpointMagic[8] = {'C', 'R', 'N', 'C',
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 
 // CRC-32 (IEEE 802.3 polynomial, reflected) over `data` — the per-section
-// integrity check. Exposed for tests and for the harness journal.
+// integrity check. Exposed for tests and for the harness journal. Eight
+// bytes per step (slice-by-8).
 std::uint32_t Crc32(std::string_view data);
+// The same CRC one byte per table step: the reference Crc32 is tested
+// against.
+std::uint32_t Crc32Bytewise(std::string_view data);
 
 // Accumulates named sections into one CRNCKPT1 blob. Usage:
 //   StateWriter writer;

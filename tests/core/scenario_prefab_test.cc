@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "core/collection.h"
@@ -225,6 +228,42 @@ TEST(ScenarioPrefabCacheTest, UnannouncedRequestsKeepTheirEntries) {
   EXPECT_FALSE(watch.expired());
   // Announcing a key after its first request would miscount its lifetime.
   EXPECT_THROW(cache.Announce(config, 0), ContractViolation);
+}
+
+// The geometries of the benchmark's four workloads (bench/suite) at the
+// default seed and each workload's repetitions: the deployment the
+// connectivity test accepts, its unit-disk graph, CDS tree and PU layout.
+// A faster IsUnitDiskConnected, UnitDiskGraph or CdsTree must not move one.
+TEST(ScenarioPrefabTest, BenchmarkGeometryDigestsArePinned) {
+  struct Workload {
+    double factor;  // of ScaledDefaults(0.25), as the benchmark scales it
+    std::vector<std::uint64_t> digests;  // by repetition
+  };
+  const std::vector<Workload> workloads{
+      {1.0, {0xf2862c82115ec628}},  // fig6c
+      {20.0, {0x087a0efa3b502673, 0xa3539d4e9a98121e}},  // horizon_n10k
+      {4.0,
+       {0x9785ef3c51df9630, 0x99224474663d60dd, 0xcbf945bfc3c7fd26, 0x8fc4f6f93968f41b,
+        0x36511ff475f6f659, 0xad86dcd6d0df5cfa, 0xcdbeac990d982c5a, 0x4dffa74176d888cf,
+        0x8c06110617cb8289, 0xf846fa98e87bb30f, 0x5da15f1c181fc698, 0x923ec6dc9b454b74,
+        0x700d975daf345515, 0xfff68c5ce6b18267, 0xe354640032a45b40,
+        0x5874a0d26490c5aa}},  // sweep_n2000
+      {3.2,
+       {0xc748c634b5970f03, 0x856f2a94e68e8106, 0xf767d677cf78c487,
+        0xe3a548b0db5b2efe}},  // observed_n1600
+  };
+  const ScenarioConfig base = ScenarioConfig::ScaledDefaults(0.25);
+  for (const Workload& workload : workloads) {
+    ScenarioConfig config = base;
+    config.seed = 0x5EEDADDC;
+    config.num_sus = static_cast<std::int32_t>(std::lround(base.num_sus * workload.factor));
+    config.num_pus = static_cast<std::int32_t>(std::lround(base.num_pus * workload.factor));
+    config.area_side = base.area_side * std::sqrt(workload.factor);
+    for (std::uint64_t rep = 0; rep < workload.digests.size(); ++rep) {
+      EXPECT_EQ(ScenarioPrefab::Build(config, rep)->GeometryDigest(), workload.digests[rep])
+          << "n=" << config.num_sus << ", repetition " << rep;
+    }
+  }
 }
 
 TEST(ScenarioPrefabTest, TryBuildReportsAnUnconnectableDeployment) {

@@ -129,6 +129,36 @@ TEST_P(SpatialGridOrderTest, QueriesVisitCellMajorThenIndexOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpatialGridOrderTest, ::testing::Values(1, 2, 3, 4));
 
+// HasNeighbor against all pairs and against a full disk query: a duplicate
+// position is a neighbour, the point itself is not, and a point exactly
+// `radius` away counts. Cell sizes include one the cap widens.
+TEST(SpatialGridTest, HasNeighborMatchesAllPairsAndDiskQueries) {
+  const Aabb area{{-20.0, 5.0}, {40.0, 65.0}};
+  auto points = RandomPoints(150, area, 23);
+  points.push_back(points[7]);     // duplicate pair
+  points.push_back({-20.0, 5.0});  // alone in a corner...
+  points.push_back({40.0, 65.0});  // ...and its opposite
+  points.push_back({10.0, 5.0});
+  points.push_back({13.0, 9.0});   // exactly 5 from the last
+  for (const double radius : {0.0, 1.0, 2.5, 5.0}) {
+    for (const double cell_size : {radius > 0.0 ? radius : 1.0, 3.3, 1e-9}) {
+      const SpatialGrid grid(points, area, cell_size);
+      for (std::int32_t i = 0; i < static_cast<std::int32_t>(points.size()); ++i) {
+        bool want = false;
+        for (std::int32_t j = 0; j < static_cast<std::int32_t>(points.size()); ++j) {
+          want = want || (j != i && DistanceSquared(points[i], points[j]) <= radius * radius);
+        }
+        bool visited_other = false;
+        grid.ForEachInDisk(points[i], radius,
+                           [&](std::int32_t j) { visited_other = visited_other || j != i; });
+        ASSERT_EQ(visited_other, want) << "point " << i << ", r=" << radius;
+        ASSERT_EQ(grid.HasNeighbor(i, radius), want)
+            << "point " << i << ", r=" << radius << ", cell " << cell_size;
+      }
+    }
+  }
+}
+
 // A radius whose cell coordinates pass the int32 range still covers every
 // cell (the clamp happens before the cast to a cell index).
 TEST(SpatialGridTest, HugeRadiiReachEveryPoint) {

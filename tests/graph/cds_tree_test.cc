@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "geom/deployment.h"
@@ -23,6 +26,23 @@ UnitDiskGraph RandomConnectedGraph(std::int32_t count, double side, double radiu
     points[0] = area.Center();  // root/base station at the center
   } while (!geom::IsUnitDiskConnected(points, area, radius));
   return UnitDiskGraph(points, area, radius);
+}
+
+// --- the (level, id) ranking ------------------------------------------------
+
+// The counting pass against a sort by (BFS level, id), from several roots.
+TEST(RankByLevelTest, MatchesASortByLevelThenId) {
+  for (const std::uint64_t seed : {1U, 2U, 3U}) {
+    const UnitDiskGraph graph = RandomConnectedGraph(300, 70.0, 10.0, seed);
+    for (const NodeId root : {0, 17, 299}) {
+      const BfsLayering bfs = BreadthFirstLayering(graph, root);
+      std::vector<NodeId> want(bfs.order);
+      std::sort(want.begin(), want.end(), [&](NodeId a, NodeId b) {
+        return std::make_pair(bfs.level[a], a) < std::make_pair(bfs.level[b], b);
+      });
+      ASSERT_EQ(RankByLevel(bfs), want) << "seed " << seed << ", root " << root;
+    }
+  }
 }
 
 // --- MIS properties over random graphs ------------------------------------

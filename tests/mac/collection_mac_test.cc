@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -478,6 +480,138 @@ TEST(CollectionMacTest, SenseSummaryFollowsEveryInvalidationInsideOneWindow) {
   EXPECT_EQ(restored.stats().delivered, h.mac.stats().delivered);
   EXPECT_GT(h.mac.stats().slot_checks_free, 0);
   EXPECT_LT(h.mac.stats().slot_checks_free, h.mac.stats().slot_checks_total);
+}
+
+// Every MacEvent field the word scan could move, in emission order, plus
+// the slot checks booked so far at each slot boundary.
+struct EventLog {
+  void Attach(CollectionMac& mac) {
+    mac.AddObserver([this, &mac](const MacEvent& event) {
+      entries.push_back({event.time, static_cast<std::int64_t>(event.kind), event.node,
+                         event.value});
+      if (event.kind == MacEvent::Kind::kSlotBoundary) {
+        entries.push_back({mac.stats().slot_checks_total, mac.stats().slot_checks_free, -1, 0});
+      }
+    });
+  }
+  std::vector<std::tuple<std::int64_t, std::int64_t, NodeId, std::int64_t>> entries;
+};
+
+std::string MacBlob(const CollectionMac& mac) {
+  sim::StateWriter writer;
+  mac.SaveState(writer);
+  return writer.Finish();
+}
+
+// The word scan against the re-sense loop at every boundary: two MACs on
+// one scenario, the second with the scan disabled, emit the same freezes,
+// resumes and every other event at the same instants, book the same slot
+// checks at every boundary, and save the same flags. A 30-node network
+// under 24 PUs at p_t = 0.3 for 600 slots, with a leave and a rejoin, a
+// PU-activity override, and a restore from a checkpoint taken mid-window.
+TEST(CollectionMacTest, WordScanMatchesTheResenseLoopAtEveryBoundary) {
+  MacConfig config = BasicConfig();
+  config.pcr = 25.0;
+  std::vector<Vec2> sus;
+  std::vector<NodeId> next_hop;
+  Rng layout(7);
+  sus.push_back({50.0, 50.0});
+  next_hop.push_back(0);
+  for (NodeId v = 1; v < 30; ++v) {
+    sus.push_back({layout.UniformDouble(0.0, 100.0), layout.UniformDouble(0.0, 100.0)});
+    next_hop.push_back(v < 6 ? 0 : static_cast<NodeId>(1 + layout.UniformInt(std::uint64_t{5})));
+  }
+  std::vector<Vec2> pus;
+  for (int p = 0; p < 24; ++p) {
+    pus.push_back({layout.UniformDouble(0.0, 100.0), layout.UniformDouble(0.0, 100.0)});
+  }
+  std::vector<NodeId> producers;
+  for (int k = 0; k < 40; ++k) {
+    for (NodeId v = 1; v < 30; ++v) producers.push_back(v);
+  }
+  Harness scan(sus, next_hop, pus, 0.3, config);
+  Harness loop(sus, next_hop, pus, 0.3, config);
+  loop.mac.DisableWordScanForTesting();
+  EventLog scan_log;
+  EventLog loop_log;
+  scan_log.Attach(scan.mac);
+  loop_log.Attach(loop.mac);
+  scan.mac.StartCollection(producers);
+  loop.mac.StartCollection(producers);
+  const auto run_both = [&](double ms) {
+    scan.simulator.RunUntil(sim::FromMilliseconds(ms));
+    loop.simulator.RunUntil(sim::FromMilliseconds(ms));
+    ASSERT_EQ(scan_log.entries, loop_log.entries) << "by " << ms << " ms";
+    ASSERT_EQ(MacBlob(scan.mac), MacBlob(loop.mac)) << "at " << ms << " ms";
+  };
+  run_both(40.5);
+  NodeId leaver = graph::kInvalidNode;
+  for (NodeId v = 29; v > 0 && leaver == graph::kInvalidNode; --v) {
+    if (!scan.mac.IsFailed(v) && next_hop[v] != v && v >= 6) leaver = v;
+  }
+  scan.mac.FailNode(leaver);
+  loop.mac.FailNode(leaver);
+  run_both(70.5);
+  scan.mac.RecoverNode(leaver);
+  loop.mac.RecoverNode(leaver);
+  run_both(85.5);
+  scan.primary.OverrideActivity(0.6);
+  loop.primary.OverrideActivity(0.6);
+  run_both(90.5);
+  scan.primary.OverrideActivity(0.3);
+  loop.primary.OverrideActivity(0.3);
+  run_both(95.5);  // window slots 64..127: mid-window
+
+  // Restored copies of both, each from its own blob.
+  struct Restored {
+    explicit Restored(const std::string& blob, const std::vector<Vec2>& sus,
+                      const std::vector<NodeId>& next_hop, const std::vector<Vec2>& pus,
+                      const MacConfig& config)
+        : primary(Harness::MakePrimary(pus, 0.3, config, Aabb::Square(100.0))) {
+      sim::StateReader reader(blob);
+      simulator.LoadRegistry(reader);
+      simulator.BeginRestore(reader);
+      mac.emplace(simulator, primary, sus, Aabb::Square(100.0), /*sink=*/0, next_hop, config,
+                  Rng(99));
+      primary.LoadState(reader);
+      mac->LoadState(reader);
+      EXPECT_TRUE(reader.ok()) << reader.error();
+      simulator.FinishRestore();
+    }
+    sim::Simulator simulator;
+    pu::PrimaryNetwork primary;
+    std::optional<CollectionMac> mac;
+  };
+  const auto save = [](Harness& h) {
+    sim::StateWriter writer;
+    h.simulator.SaveState(writer);
+    h.primary.SaveState(writer);
+    h.mac.SaveState(writer);
+    return writer.Finish();
+  };
+  const std::string blob = save(scan);
+  ASSERT_EQ(blob, save(loop));
+  Restored restored_scan(blob, sus, next_hop, pus, config);
+  Restored restored_loop(blob, sus, next_hop, pus, config);
+  restored_loop.mac->DisableWordScanForTesting();
+  EventLog restored_scan_log;
+  EventLog restored_loop_log;
+  restored_scan_log.Attach(*restored_scan.mac);
+  restored_loop_log.Attach(*restored_loop.mac);
+  run_both(600.5);
+  restored_scan.simulator.RunUntil(sim::FromMilliseconds(600.5));
+  restored_loop.simulator.RunUntil(sim::FromMilliseconds(600.5));
+  EXPECT_EQ(restored_scan_log.entries, restored_loop_log.entries);
+  EXPECT_EQ(MacBlob(*restored_scan.mac), MacBlob(*restored_loop.mac));
+  EXPECT_EQ(MacBlob(*restored_scan.mac), MacBlob(scan.mac));
+  const MacStats& stats = scan.mac.stats();
+  EXPECT_EQ(stats.slot_checks_total, loop.mac.stats().slot_checks_total);
+  EXPECT_EQ(stats.slot_checks_free, loop.mac.stats().slot_checks_free);
+  EXPECT_EQ(restored_scan.mac->stats().slot_checks_free, stats.slot_checks_free);
+  // Contention through most of the run, with busy and free checks.
+  EXPECT_GT(stats.slot_checks_total, 3000);
+  EXPECT_GT(stats.slot_checks_free, 0);
+  EXPECT_LT(stats.slot_checks_free, stats.slot_checks_total);
 }
 
 // Every MacConfig field is validated at construction with a message naming

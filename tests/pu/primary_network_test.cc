@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "geom/spatial_grid.h"
 #include "geom/vec2.h"
 
 namespace crn::pu {
@@ -109,8 +110,9 @@ TEST(PrimaryNetworkTest, GridFindsNearbyPus) {
   PrimaryConfig config = SmallConfig();
   config.count = 3;
   const PrimaryNetwork network(config, area, positions);
+  const geom::SpatialGrid grid(network.positions(), network.area(), config.radius);
   std::vector<PuId> near;
-  network.grid().ForEachInDisk({11, 10}, 3.0, [&](PuId id) { near.push_back(id); });
+  grid.ForEachInDisk({11, 10}, 3.0, [&](PuId id) { near.push_back(id); });
   std::sort(near.begin(), near.end());
   EXPECT_EQ(near, (std::vector<PuId>{0, 1}));
 }

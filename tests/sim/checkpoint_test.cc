@@ -97,6 +97,27 @@ TEST(CheckpointFormatTest, RoundTripIsBitExact) {
 TEST(CheckpointFormatTest, Crc32MatchesTheIeeeCheckValue) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926U);
   EXPECT_EQ(Crc32(""), 0x00000000U);
+  EXPECT_EQ(Crc32Bytewise("123456789"), 0xCBF43926U);
+}
+
+TEST(CheckpointFormatTest, SlicedCrc32MatchesTheBytewiseLoop) {
+  // Random bytes at every length 0..64 from every start 0..7 of one buffer,
+  // so each length meets each alignment and each tail length; then one
+  // long buffer.
+  Rng rng(2024);
+  std::string buffer(64 + 8, '\0');
+  for (char& byte : buffer) byte = static_cast<char>(rng.UniformInt(std::uint64_t{256}));
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const std::string_view data = std::string_view(buffer).substr(start, length);
+      ASSERT_EQ(Crc32(data), Crc32Bytewise(data)) << "start " << start << ", length " << length;
+    }
+  }
+  std::string large(100003, '\0');
+  for (char& byte : large) byte = static_cast<char>(rng.UniformInt(std::uint64_t{256}));
+  EXPECT_EQ(Crc32(std::string_view(large).substr(3)),
+            Crc32Bytewise(std::string_view(large).substr(3)));
+  EXPECT_EQ(Crc32(std::string(1000, '\xFF')), Crc32Bytewise(std::string(1000, '\xFF')));
 }
 
 TEST(CheckpointFormatTest, WrongMagicIsRejectedWithAnActionableError) {
@@ -178,7 +199,7 @@ TEST(CheckpointFormatTest, RandomGarbageNeverCrashesTheReader) {
     const std::size_t size = static_cast<std::size_t>(rng.UniformInt(257));
     std::string blob(size, '\0');
     for (char& byte : blob) {
-      byte = static_cast<char>(rng.UniformInt(256));
+      byte = static_cast<char>(rng.UniformInt(std::uint64_t{256}));
     }
     // Seed plausible prefixes half the time so parsing gets past the magic.
     if (round % 2 == 0 && blob.size() >= sizeof kCheckpointMagic) {
