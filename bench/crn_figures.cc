@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -798,32 +799,25 @@ bool RunFigure(const Figure& figure, BenchOptions options) {
 
 int main(int argc, char** argv) {
   harness::FlagParser flags(argc, argv);
-  const std::string name = flags.GetString("figure", "");
   std::string usage =
       "crn_figures --figure=NAME|all [flags] — regenerates one figure of the\n"
       "paper's evaluation, or every one in turn, and writes BENCH_<NAME>.json.\n"
       "NAME is one of:\n";
-  std::string names;
+  std::vector<std::string_view> names;
   for (const Figure& figure : kFigures) {
     std::string line = std::string("  ") + figure.name;
     line.resize(28, ' ');
     usage += line + figure.title + "\n";
-    names += std::string(figure.name) + "|";
+    names.push_back(figure.name);
   }
-  names += "all";
+  names.push_back("all");
   usage += "--json-out and --trace-out name one file, so they need one NAME.\n\n";
+  const std::string name = flags.GetChoice("figure", "", names);
   const BenchOptions options = harness::ResolveBenchOptions(flags, usage);
 
   std::vector<const Figure*> chosen;
   for (const Figure& figure : kFigures) {
     if (name == "all" || name == figure.name) chosen.push_back(&figure);
-  }
-  if (chosen.empty()) {
-    std::cerr << "error: "
-              << (name.empty() ? "--figure is required, one of "
-                               : "--figure=" + name + " is not one of ")
-              << names << "\n";
-    return 2;
   }
   if (chosen.size() > 1 && !(options.json_out.empty() && options.trace_out.empty())) {
     std::cerr << "error: --json-out and --trace-out name one file each; "

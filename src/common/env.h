@@ -1,9 +1,8 @@
-// Environment-variable helpers used by the bench binaries to pick between
-// scaled-down and full paper-scale configurations (see DESIGN.md §2).
+// Environment-variable lookup. Typed CRN_* values are read through the
+// ranged flag getters (harness/flags.h), which check them like flags.
 #ifndef CRN_COMMON_ENV_H_
 #define CRN_COMMON_ENV_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -11,12 +10,6 @@ namespace crn {
 
 // Returns the raw value of `name`, or nullopt when unset/empty.
 std::optional<std::string> GetEnv(const std::string& name);
-
-// Parses `name` as the given type; returns `fallback` when unset or
-// unparsable (a malformed value is reported on stderr, never fatal).
-std::int64_t GetEnvInt(const std::string& name, std::int64_t fallback);
-double GetEnvDouble(const std::string& name, double fallback);
-bool GetEnvBool(const std::string& name, bool fallback);
 
 }  // namespace crn
 

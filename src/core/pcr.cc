@@ -17,20 +17,17 @@ const char* ToString(C2Variant variant) {
   return "unknown";
 }
 
+double UncheckedC2(double alpha, C2Variant variant) {
+  const double hex = 6.0 * std::pow(std::sqrt(3.0) / 2.0, -alpha);
+  return variant == C2Variant::kPaper ? 6.0 + hex * (1.0 / (alpha - 2.0) - 1.0)
+                                      : 6.0 + hex / (alpha - 2.0);
+}
+
 double C2(double alpha, C2Variant variant) {
   CRN_CHECK(alpha > 2.0) << "alpha=" << alpha;
-  const double hex = 6.0 * std::pow(std::sqrt(3.0) / 2.0, -alpha);
-  double c2 = 0.0;
-  switch (variant) {
-    case C2Variant::kPaper:
-      c2 = 6.0 + hex * (1.0 / (alpha - 2.0) - 1.0);
-      CRN_CHECK(c2 > 0.0) << "the paper's printed c2 is non-positive at alpha="
-                          << alpha << " (see DESIGN.md §4); use kCorrected";
-      break;
-    case C2Variant::kCorrected:
-      c2 = 6.0 + hex / (alpha - 2.0);
-      break;
-  }
+  const double c2 = UncheckedC2(alpha, variant);
+  CRN_CHECK(c2 > 0.0) << "the paper's printed c2 is non-positive at alpha="
+                      << alpha << " (see DESIGN.md §4); use kCorrected";
   return c2;
 }
 

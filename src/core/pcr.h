@@ -15,7 +15,7 @@
 //   c2 = 6 + 6·(√3/2)^{-α}·(1/(α−2) − 1),
 // but the inequality it invokes is ζ(α−1) − 1 ≤ 1/(α−2), which yields
 //   c2 = 6 + 6·(√3/2)^{-α}·(1/(α−2)).
-// The printed constant is negative for α ≳ 4.3 and, even where positive,
+// The printed constant is negative for α ≳ 4.2038 and, even where positive,
 // yields a range too small to guarantee concurrency (the property tests
 // exhibit a counterexample). We expose both variants; all simulation
 // defaults use the corrected one.
@@ -44,9 +44,12 @@ struct PcrParams {
 };
 
 // The packing constant c2 of Lemma 2 for the given variant. Throws when the
-// paper variant is non-positive at this α (α ≳ 4.3), where the printed
-// formula stops being meaningful.
+// paper variant is non-positive at this α (above about 4.2038), where the
+// printed formula stops being meaningful.
 double C2(double alpha, C2Variant variant);
+// The variant's formula for α > 2 with no check on its sign: C2 throws
+// exactly where this is not positive (ScenarioConfig::Validate asks it).
+double UncheckedC2(double alpha, C2Variant variant);
 
 // κ of eq. (16): PCR in units of the SU radius r.
 //

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,6 +79,10 @@ struct ScenarioConfig {
   [[nodiscard]] double c0() const { return area() / static_cast<double>(num_sus); }
   [[nodiscard]] PcrParams MakePcrParams() const;
   [[nodiscard]] pu::PrimaryConfig MakePrimaryConfig() const;
+  // The first constraint this vector violates, as a message naming the
+  // field and its value; empty when a Scenario can be built and run on it.
+  // Both Scenario constructors CRN_CHECK it; the CLI reports it.
+  [[nodiscard]] std::string Validate() const;
 
   // Fig. 6 caption parameters (n = 2000, A = 250×250, N = 400, ...).
   static ScenarioConfig PaperDefaults();

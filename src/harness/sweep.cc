@@ -2,10 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <limits>
-#include <sstream>
 
-#include "common/env.h"
 #include "harness/flags.h"
 #include "harness/parallel_runner.h"
 #include "harness/profiler.h"
@@ -221,7 +218,8 @@ void RenderDelayTable(const SweepResult& result, std::ostream& out) {
 namespace {
 
 constexpr const char* kBenchUsage =
-    R"(Common bench flags (environment fallback in parentheses):
+    R"(Common bench flags (environment fallback in parentheses; counts stop at
+2^31 - 1, and a malformed or out-of-range flag or variable exits 2):
   --full-scale        the paper's exact configuration (CRN_FULL_SCALE=1)
   --scale=F           density-preserving scale factor in (0, 1], default 0.25
                       (CRN_SCALE); not with --full-scale
@@ -250,60 +248,26 @@ BenchOptions ResolveBenchOptions(FlagParser& flags, const std::string& usage) {
     std::exit(0);
   }
   BenchOptions options;
-  // Values that parse but cannot run: reported with the flag errors below
-  // (exit 2), never left to a CRN_CHECK or an allocation deep in a run.
-  std::vector<std::string> invalid;
-  options.full_scale =
-      flags.GetBool("full-scale", GetEnvBool("CRN_FULL_SCALE", false));
-  const double factor = flags.GetDouble("scale", GetEnvDouble("CRN_SCALE", 0.25));
-  if (options.full_scale) {
-    if (flags.Has("scale")) {
-      invalid.push_back("--full-scale and --scale conflict: the paper "
-                        "configuration has no scale factor");
-    }
-    options.base = core::ScenarioConfig::PaperDefaults();
-    options.repetitions = 10;  // the paper repeats each point 10 times
-  } else if (factor > 0.0 && factor <= 1.0) {  // false for NaN too
-    options.base = core::ScenarioConfig::ScaledDefaults(factor);
-    options.repetitions = 3;
-  } else {
-    std::ostringstream message;
-    message << (flags.Has("scale") ? "--scale" : "CRN_SCALE")
-            << " must be in (0, 1], got " << factor;
-    invalid.push_back(message.str());
-  }
-  // Counts are checked in int64, before the narrowing cast, which would
-  // wrap 2^32 + 1 to 1; a negative jobs or grain is not "auto" (0 is).
-  const auto count = [&](const char* name, const char* env, std::int64_t fallback,
-                         std::int64_t min) {
-    const std::int64_t value = flags.GetInt(name, GetEnvInt(env, fallback));
-    if (value < min || value > std::numeric_limits<std::int32_t>::max()) {
-      invalid.push_back((flags.Has(name) ? std::string("--") + name : env) +
-                        " must be in [" + std::to_string(min) +
-                        ", 2147483647], got " + std::to_string(value));
-    }
-    return value;
-  };
-  options.repetitions =
-      static_cast<std::int32_t>(count("reps", "CRN_REPS", options.repetitions, 1));
-  options.jobs = static_cast<std::int32_t>(count("jobs", "CRN_JOBS", 0, 0));
-  options.grain = count("grain", "CRN_GRAIN", 0, 0);
+  options.full_scale = flags.GetBool("full-scale", false, "CRN_FULL_SCALE");
+  const double factor = flags.GetDouble("scale", 0.25, kScaleRange, "CRN_SCALE");
+  options.base = options.full_scale ? core::ScenarioConfig::PaperDefaults()
+                                    : core::ScenarioConfig::ScaledDefaults(factor);
+  // The paper repeats each point 10 times.
+  options.repetitions = static_cast<std::int32_t>(
+      flags.GetInt("reps", options.full_scale ? 10 : 3, {.min = 1}, "CRN_REPS"));
+  options.jobs =
+      static_cast<std::int32_t>(flags.GetInt("jobs", 0, {.min = 0}, "CRN_JOBS"));
+  options.grain = flags.GetInt("grain", 0, {.min = 0}, "CRN_GRAIN");
   options.base.seed = static_cast<std::uint64_t>(flags.GetInt(
-      "seed", GetEnvInt("CRN_SEED", static_cast<std::int64_t>(options.base.seed))));
-  options.json_out = flags.GetString("json-out", GetEnv("CRN_JSON_OUT").value_or(""));
-  options.trace_out =
-      flags.GetString("trace-out", GetEnv("CRN_TRACE_OUT").value_or(""));
-  if (!flags.errors().empty() || !invalid.empty() ||
-      !flags.UnconsumedFlags().empty()) {
-    for (const std::string& error : flags.errors()) {
-      std::cerr << "error: " << error << "\n";
-    }
-    for (const std::string& error : invalid) {
-      std::cerr << "error: " << error << "\n";
-    }
-    for (const std::string& unknown : flags.UnconsumedFlags()) {
-      std::cerr << "error: unknown flag " << unknown << "\n";
-    }
+      "seed", static_cast<std::int64_t>(options.base.seed), kAnyInt64, "CRN_SEED"));
+  options.json_out = flags.GetString("json-out", "", "CRN_JSON_OUT");
+  options.trace_out = flags.GetString("trace-out", "", "CRN_TRACE_OUT");
+  const bool scale_conflict = options.full_scale && flags.Has("scale");
+  if (scale_conflict) {
+    std::cerr << "error: --full-scale and --scale conflict: the paper "
+                 "configuration has no scale factor\n";
+  }
+  if (flags.ReportErrors(std::cerr) || scale_conflict) {
     std::cerr << usage << kBenchUsage;
     std::exit(2);
   }

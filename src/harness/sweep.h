@@ -26,13 +26,13 @@
 #include "core/collection.h"
 #include "core/metrics.h"
 #include "core/scenario.h"
+#include "harness/flags.h"
 #include "harness/work_stealing.h"
 #include "obs/metrics.h"
 #include "routing/coolest.h"
 
 namespace crn::harness {
 
-class FlagParser;   // flags.h
 class RunProfiler;  // profiler.h
 
 // Repetition summary for one configuration.
@@ -144,19 +144,11 @@ ComparisonSummary RunRepeatedComparison(
 // Render phase: the Fig.-6-style Markdown delay table for a computed sweep.
 void RenderDelayTable(const SweepResult& result, std::ostream& out);
 
-// Bench configuration, resolved exactly once from CLI flags with
-// environment-variable fallback (DESIGN.md §2):
-//   --full-scale / CRN_FULL_SCALE=1   the paper's configuration, 10 reps;
-//   --scale=F    / CRN_SCALE=F        density-preserving factor in (0, 1]
-//                                     (def. 0.25), not with --full-scale;
-//   --reps=K     / CRN_REPS=K         repetition override, >= 1;
-//   --jobs=J     / CRN_JOBS=J         worker threads, >= 0 (0 = hardware,
-//                                     def.);
-//   --grain=G    / CRN_GRAIN=G        cells per work-stealing chunk, >= 0
-//                                     (0 = auto: cells/(4·jobs), min 1);
-//   --seed=S     / CRN_SEED=S         root scenario seed;
-//   --json-out=P / CRN_JSON_OUT=P     BENCH json path (def. BENCH_<name>.json);
-//   --trace-out=P / CRN_TRACE_OUT=P   Chrome trace (profiler spans) path.
+// ScenarioConfig::ScaledDefaults' domain, shared by every --scale flag.
+inline constexpr RealRange kScaleRange{.min = 0.0, .max = 1.0, .min_open = true};
+
+// Bench configuration, resolved exactly once from the common bench flags,
+// each with a CRN_* environment fallback (`--help` lists them; DESIGN.md §2).
 struct BenchOptions {
   core::ScenarioConfig base;
   std::int32_t repetitions = 3;
@@ -169,8 +161,8 @@ struct BenchOptions {
 
 // Parses argv (strictly: unknown flags are fatal) and the environment.
 // Handles --help itself. Exits the process (status 2) on usage errors,
-// including a scale no run can use, a repetition count outside [1, 2^31 - 1]
-// and a jobs or grain value outside [0, 2^31 - 1].
+// including a scale no run can use, a repetition count outside [1, 2^31 - 1],
+// a jobs or grain value outside [0, 2^31 - 1], and a malformed CRN_* value.
 BenchOptions ResolveBenchOptions(int argc, const char* const* argv);
 
 // The same, for a binary with flags of its own: it reads them from `flags`

@@ -21,6 +21,10 @@ const char* ToString(ActivityProcess process) {
   return "unknown";
 }
 
+bool MarkovReaches(double activity, double mean_burst_slots) {
+  return activity >= 1.0 || activity / (mean_burst_slots * (1.0 - activity)) <= 1.0;
+}
+
 PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
                                Rng deployment_rng)
     : PrimaryNetwork(config, area,
@@ -40,8 +44,7 @@ PrimaryNetwork::PrimaryNetwork(const PrimaryConfig& config, geom::Aabb area,
   if (config.process == ActivityProcess::kMarkov && config.activity < 1.0) {
     CRN_CHECK(config.mean_burst_slots >= 1.0)
         << "mean_burst_slots=" << config.mean_burst_slots;
-    CRN_CHECK(config.activity / (config.mean_burst_slots * (1.0 - config.activity)) <=
-              1.0)
+    CRN_CHECK(MarkovReaches(config.activity, config.mean_burst_slots))
         << "activity " << config.activity << " unreachable with mean burst "
         << config.mean_burst_slots << " (idle->active probability exceeds 1)";
   }
@@ -318,8 +321,8 @@ const std::vector<PuId>& PrimaryNetwork::active_transmitters() const {
 
 void PrimaryNetwork::OverrideActivity(double activity) {
   CRN_CHECK(activity >= 0.0 && activity <= 1.0) << "p_t=" << activity;
-  if (config_.process == ActivityProcess::kMarkov && activity < 1.0) {
-    CRN_CHECK(activity / (config_.mean_burst_slots * (1.0 - activity)) <= 1.0)
+  if (config_.process == ActivityProcess::kMarkov) {
+    CRN_CHECK(MarkovReaches(activity, config_.mean_burst_slots))
         << "activity " << activity << " unreachable with mean burst "
         << config_.mean_burst_slots << " (idle->active probability exceeds 1)";
   }

@@ -47,6 +47,11 @@ enum class ActivityProcess : std::uint8_t {
 
 const char* ToString(ActivityProcess process);
 
+// Whether the Markov chain with this mean burst has stationary activity p_t:
+// its idle->active probability p_t / (burst · (1 − p_t)) must be at most 1,
+// and p_t = 1 is the saturated chain.
+bool MarkovReaches(double activity, double mean_burst_slots);
+
 struct PrimaryConfig {
   std::int32_t count = 400;       // N
   double power = 10.0;            // P_p

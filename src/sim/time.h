@@ -20,6 +20,10 @@ constexpr double ToSeconds(TimeNs t) { return static_cast<double>(t) / kSecond; 
 constexpr TimeNs FromMilliseconds(double ms) {
   return static_cast<TimeNs>(ms * static_cast<double>(kMillisecond));
 }
+// FromMilliseconds converts every ms in [0, kMillisecondsPastClock) inside
+// the int64 clock; at the bound itself the product rounds to 2^63.
+inline constexpr double kMillisecondsPastClock =
+    0x1p63 / static_cast<double>(kMillisecond);
 
 }  // namespace crn::sim
 

@@ -9,12 +9,10 @@
 //   addc_sim --algorithm=addc --trace=/tmp/run.csv --seed=7
 //   addc_sim --continuous-interval-ms=5000 --snapshots=6
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -24,7 +22,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "core/collection.h"
 #include "core/scenario.h"
 #include "faults/fault_plan.h"
@@ -35,6 +32,7 @@
 #include "harness/parallel_runner.h"
 #include "harness/profiler.h"
 #include "harness/svg_export.h"
+#include "harness/sweep.h"
 #include "harness/sweep_journal.h"
 #include "harness/table.h"
 #include "obs/metrics.h"
@@ -46,37 +44,43 @@ using namespace crn;
 
 constexpr const char* kHelp = R"(addc_sim — ADDC / Coolest CRN data-collection simulator
 
+Each value is checked before any run; one out of range (INT counts stop at
+2^31 - 1), or a malformed CRN_GRAIN, exits 2 with an `error:` line.
+
 Scenario (defaults: the paper's Fig. 6 configuration scaled by --scale):
   --scale=F               density-preserving scale factor in (0, 1]
                           (default 0.25)
-  --n=INT                 number of SUs (overrides scale)
-  --area=F                area side in meters (overrides scale)
-  --num-pus=INT           number of PUs (overrides scale)
-  --pt=F                  PU per-slot activity p_t (default 0.3)
-  --pu-burst=F            Markov mean burst slots, >= 1 (0 = i.i.d., default 0)
-  --alpha=F               path-loss exponent, > 2 (default 4.0)
-  --pu-power=F --su-power=F --pu-radius=F --su-radius=F
-  --eta-p-db=F --eta-s-db=F
+  --n=INT --num-pus=INT   numbers of SUs (>= 1) and PUs (>= 0); with --area=F
+                          (area side in m, finite and > 0, area finite and
+                          > 0) they override scale
+  --pt=F                  PU per-slot activity p_t in [0, 1] (default 0.3)
+  --pu-burst=F            Markov mean burst slots, finite and >= 1, p_t at
+                          most F / (F + 1) or 1 (0 = i.i.d., default 0)
+  --alpha=F               path-loss exponent, finite and > 2, and below
+                          about 4.20 under --c2=paper (default 4.0)
+  --pu-power=F --su-power=F --pu-radius=F --su-radius=F   finite and > 0
+  --eta-p-db=F --eta-s-db=F   dB, linear value finite and > 0; all must give
+                          a finite PCR
   --c2=paper|corrected    PCR constant variant (default paper; see DESIGN.md)
   --fairness=BOOL         Algorithm 1 line-12 wait (default true)
-  --seed=INT --reps=INT   reproducibility (defaults 0x5EEDADDC, 1)
+  --seed=INT --reps=INT   reproducibility (defaults 0x5EEDADDC, 1; reps >= 1)
 
 Execution:
   --algorithm=addc|coolest|both   (default both)
   --metric=accumulated|highest|mixed   Coolest metric (default accumulated)
-  --jobs=INT              run repetitions in parallel (default 1 = serial;
-                          0 = hardware concurrency), in every mode. Output
-                          is bit-identical to serial.
-  --grain=INT             repetitions per work-stealing chunk (default 0 =
-                          auto, reps / (4 * jobs) floored at 1). Any value
-                          produces identical output — grain only trades
+  --jobs=INT              run repetitions in parallel, >= 0 (default 1 =
+                          serial; 0 = hardware concurrency), in every mode.
+                          Output is bit-identical to serial.
+  --grain=INT             repetitions per work-stealing chunk, >= 0 (default
+                          0 = auto, reps / (4 * jobs) floored at 1). Any
+                          value produces identical output — grain only trades
                           scheduling overhead against steal balance. Env
                           fallback: CRN_GRAIN.
   --continuous-interval-ms=F      run continuous collection (ADDC only; takes
                                   --audit/--faults/--metrics-out/--trace/--jobs
                                   like a snapshot run); F finite, > 0 and
-                                  below 2^63 ns
-  --snapshots=INT                 rounds for continuous mode (default 6)
+                                  below 2^63 ns (9223372036854.775 ms)
+  --snapshots=INT                 rounds for continuous mode, >= 1 (default 6)
   --faults=FILE           inject the fault plan in FILE into every ADDC run
                           (crashes + self-healing repair, sensing bursts, PU
                           perturbation — format in DESIGN.md §9); a script
@@ -100,10 +104,10 @@ Execution:
                                   run (arm/reschedule/disarm/fire with causal
                                   parent links) into a binary flight dump —
                                   decode with crn_trace
-  --flight-recorder-depth=INT     flight-recorder ring capacity in records
-                                  (default 65536; older records are overwritten)
+  --flight-recorder-depth=INT     flight-recorder ring capacity in records,
+                                  >= 1 (default 65536; older ones overwritten)
   --metrics-stride=INT            slots between series snapshots in the metrics
-                                  JSON (default 1024; 0 = final state only)
+                                  JSON, >= 0 (default 1024; 0 = final state only)
   --svg=FILE                      render the deployment + CDS tree as SVG
   --csv                           machine-readable result rows
 
@@ -114,7 +118,7 @@ Checkpoint / restore (DESIGN.md §14; single ADDC rep only):
                           --reps=1, and no --trace/--trace-out/
                           --continuous-interval-ms/--journal
   --checkpoint-every-events=INT   events between checkpoints (default 100000);
-                          INT > 0, needs --checkpoint-out
+                          INT >= 1, needs --checkpoint-out
   --restore=FILE          resume from a checkpoint written by
                           --checkpoint-out. Pass the same scenario flags and
                           attachment set as the checkpointed run — mismatches
@@ -176,15 +180,15 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const double scale = flags.GetDouble("scale", 0.25);
-  // An out-of-range scale is a usage error, reported below; never hand it
-  // to ScaledDefaults, which CHECKs it.
-  const bool scale_valid = scale > 0.0 && scale <= 1.0;  // false for NaN too
-  core::ScenarioConfig config =
-      core::ScenarioConfig::ScaledDefaults(scale_valid ? scale : 1.0);
-  const std::int64_t n_arg = flags.GetInt("n", config.num_sus);
+  // A value a getter rejects reads as its (valid) fallback until the errors
+  // are reported; ScenarioConfig::Validate then checks the scenario.
+  core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(
+      flags.GetDouble("scale", 0.25, harness::kScaleRange));
+  config.num_sus =
+      static_cast<std::int32_t>(flags.GetInt("n", config.num_sus, {.min = 1}));
   config.area_side = flags.GetDouble("area", config.area_side);
-  const std::int64_t num_pus_arg = flags.GetInt("num-pus", config.num_pus);
+  config.num_pus =
+      static_cast<std::int32_t>(flags.GetInt("num-pus", config.num_pus, {.min = 0}));
   config.pu_activity = flags.GetDouble("pt", config.pu_activity);
   config.alpha = flags.GetDouble("alpha", config.alpha);
   config.pu_power = flags.GetDouble("pu-power", config.pu_power);
@@ -195,7 +199,7 @@ int main(int argc, char** argv) {
   config.eta_s_db = flags.GetDouble("eta-s-db", config.eta_s_db);
   config.fairness_wait = flags.GetBool("fairness", config.fairness_wait);
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 0x5EEDADDCLL));
-  const double burst = flags.GetDouble("pu-burst", 0.0);
+  const double burst = flags.GetDouble("pu-burst", 0.0, {.min = 0.0});
   if (burst > 0.0) {
     config.pu_activity_process = pu::ActivityProcess::kMarkov;
     config.pu_mean_burst_slots = burst;
@@ -212,10 +216,9 @@ int main(int argc, char** argv) {
   if (metric_name == "highest") metric = routing::TemperatureMetric::kHighest;
   if (metric_name == "mixed") metric = routing::TemperatureMetric::kMixed;
 
-  const std::int64_t reps_arg = flags.GetInt("reps", 1);
-  const std::int64_t jobs_arg = flags.GetInt("jobs", 1);
-  const std::int64_t grain =
-      flags.GetInt("grain", crn::GetEnvInt("CRN_GRAIN", 0));
+  const auto reps = static_cast<std::int32_t>(flags.GetInt("reps", 1, {.min = 1}));
+  const auto jobs = static_cast<std::int32_t>(flags.GetInt("jobs", 1, {.min = 0}));
+  const std::int64_t grain = flags.GetInt("grain", 0, {.min = 0}, "CRN_GRAIN");
   const bool csv = flags.GetBool("csv", false);
   const bool audit = flags.GetBool("audit", false);
   const std::string trace_path = flags.GetString("trace", "");
@@ -223,129 +226,41 @@ int main(int argc, char** argv) {
   const std::string metrics_out = flags.GetString("metrics-out", "");
   const std::string flight_out = flags.GetString("flight-recorder-out", "");
   const std::int64_t flight_depth =
-      flags.GetInt("flight-recorder-depth", 1 << 16);
-  const std::int64_t metrics_stride_arg = flags.GetInt("metrics-stride", 1024);
+      flags.GetInt("flight-recorder-depth", 1 << 16, {.min = 1});
+  const auto metrics_stride =
+      static_cast<std::int32_t>(flags.GetInt("metrics-stride", 1024, {.min = 0}));
   const std::string svg_path = flags.GetString("svg", "");
-  const double continuous_ms = flags.GetDouble("continuous-interval-ms", 0.0);
-  const std::int64_t snapshots_arg = flags.GetInt("snapshots", 6);
+  const double continuous_ms =
+      flags.GetDouble("continuous-interval-ms", 0.0,
+                      {.min = 0.0, .max = sim::kMillisecondsPastClock, .min_open = true,
+                       .max_open = true});
+  const auto snapshots =
+      static_cast<std::int32_t>(flags.GetInt("snapshots", 6, {.min = 1}));
   const std::string faults_path = flags.GetString("faults", "");
   const std::string checkpoint_out = flags.GetString("checkpoint-out", "");
   const std::string restore_path = flags.GetString("restore", "");
-  const std::int64_t checkpoint_every =
-      flags.GetInt("checkpoint-every-events", 100000);
-  const std::int64_t crash_after = flags.GetInt("crash-after-events", 0);
+  const std::int64_t checkpoint_every = flags.GetInt(
+      "checkpoint-every-events", 100000, {.min = 1, .max = harness::kAnyInt64.max});
+  const std::int64_t crash_after = flags.GetInt(
+      "crash-after-events", 0, {.min = 0, .max = harness::kAnyInt64.max});
   const std::string journal_dir = flags.GetString("journal", "");
   const bool resume = flags.GetBool("resume", false);
 
-  if (!flags.errors().empty() || !flags.UnconsumedFlags().empty()) {
-    for (const std::string& error : flags.errors()) {
-      std::cerr << "error: " << error << "\n";
-    }
-    for (const std::string& unknown : flags.UnconsumedFlags()) {
-      std::cerr << "error: unknown flag " << unknown << "\n";
-    }
+  if (flags.ReportErrors(std::cerr)) {
     std::cerr << "run with --help for usage\n";
     return 2;
   }
-  if (!scale_valid) {
-    std::cerr << "error: --scale must be in (0, 1], got " << scale << "\n";
+  if (const std::string error = config.Validate(); !error.empty()) {
+    std::cerr << "error: " << error << "\n";
     return 2;
   }
-  // Counts that size allocations or loops, checked in int64 before the
-  // narrowing casts below (which would wrap 2^32 + 1 to 1): a value out of
-  // range would otherwise abort deep inside the run (std::length_error,
-  // CRN_CHECK) or quietly mean something else. 0 is "auto" for --jobs and
-  // --grain and "final state only" for --metrics-stride; below 0 is none.
-  struct Count {
-    const char* flag;
-    std::int64_t value;
-    std::int64_t min;
-  };
-  for (const Count& count :
-       {Count{"--n", n_arg, 1}, Count{"--num-pus", num_pus_arg, 0},
-        Count{"--reps", reps_arg, 1}, Count{"--snapshots", snapshots_arg, 1},
-        Count{"--flight-recorder-depth", flight_depth, 1},
-        Count{"--metrics-stride", metrics_stride_arg, 0},
-        Count{"--jobs", jobs_arg, 0},
-        Count{flags.Has("grain") ? "--grain" : "CRN_GRAIN", grain, 0}}) {
-    if (count.value < count.min ||
-        count.value > std::numeric_limits<std::int32_t>::max()) {
-      std::cerr << "error: " << count.flag << " must be >= " << count.min
-                << " and <= 2147483647, got " << count.value << "\n";
+  // The crash hook and the cadence apply only to checkpoints that are written.
+  for (const char* flag : {"crash-after-events", "checkpoint-every-events"}) {
+    if (flags.Has(flag) && checkpoint_out.empty()) {
+      std::cerr << "error: --" << flag << " needs --checkpoint-out\n";
       return 2;
     }
   }
-  config.num_sus = static_cast<std::int32_t>(n_arg);
-  config.num_pus = static_cast<std::int32_t>(num_pus_arg);
-  // Scenario values the simulator CHECKs (or would run on as NaN), rejected
-  // as usage errors before any run: lengths and powers positive and finite,
-  // α > 2 (the path-loss law's bound), p_t a probability, finite SIR
-  // thresholds, and a Markov mean burst of at least one slot.
-  const auto positive = [](double value) { return std::isfinite(value) && value > 0.0; };
-  const char* const kPositive = "finite and > 0";
-  struct Real {
-    const char* flag;
-    double value;
-    bool valid;
-    const char* range;
-  };
-  for (const Real& real : {
-           Real{"--area", config.area_side, positive(config.area_side), kPositive},
-           Real{"--pt", config.pu_activity,
-                config.pu_activity >= 0.0 && config.pu_activity <= 1.0, "in [0, 1]"},
-           Real{"--alpha", config.alpha,
-                std::isfinite(config.alpha) && config.alpha > 2.0, "finite and > 2"},
-           Real{"--pu-power", config.pu_power, positive(config.pu_power), kPositive},
-           Real{"--su-power", config.su_power, positive(config.su_power), kPositive},
-           Real{"--pu-radius", config.pu_radius, positive(config.pu_radius), kPositive},
-           Real{"--su-radius", config.su_radius, positive(config.su_radius), kPositive},
-           Real{"--eta-p-db", config.eta_p_db, std::isfinite(config.eta_p_db), "finite"},
-           Real{"--eta-s-db", config.eta_s_db, std::isfinite(config.eta_s_db), "finite"},
-           Real{"--pu-burst", burst,
-                burst == 0.0 || (std::isfinite(burst) && burst >= 1.0),
-                "0 (i.i.d.) or finite and >= 1"},
-           // Its nanoseconds must fit the int64 clock (sim::FromMilliseconds).
-           Real{"--continuous-interval-ms", continuous_ms,
-                !flags.Has("continuous-interval-ms") ||
-                    (positive(continuous_ms) &&
-                     continuous_ms * static_cast<double>(sim::kMillisecond) < 0x1p63),
-                "finite, > 0 and below 2^63 ns"}}) {
-    if (!real.valid) {
-      std::cerr << "error: " << real.flag << " must be " << real.range << ", got "
-                << real.value << "\n";
-      return 2;
-    }
-  }
-  // The Markov chain reaches p_t only while its idle->active probability
-  // p_t / (burst · (1 − p_t)) stays at most 1 (pu/primary_network.cc).
-  if (burst > 0.0 && config.pu_activity < 1.0 &&
-      config.pu_activity / (burst * (1.0 - config.pu_activity)) > 1.0) {
-    std::cerr << "error: --pt=" << config.pu_activity
-              << " is unreachable with --pu-burst=" << burst
-              << ": p_t must be at most burst / (burst + 1) or exactly 1\n";
-    return 2;
-  }
-  // The crash hook fires only at a checkpoint it would write.
-  if (flags.Has("crash-after-events") && (crash_after < 0 || checkpoint_out.empty())) {
-    std::cerr << "error: --crash-after-events must be >= 0 and needs --checkpoint-out, "
-                 "got "
-              << crash_after << (checkpoint_out.empty() ? " without --checkpoint-out" : "")
-              << "\n";
-    return 2;
-  }
-  // The cadence, too, applies only to checkpoints it would write.
-  if (flags.Has("checkpoint-every-events") &&
-      (checkpoint_every <= 0 || checkpoint_out.empty())) {
-    std::cerr << "error: --checkpoint-every-events must be > 0 and needs --checkpoint-out, "
-                 "got "
-              << checkpoint_every
-              << (checkpoint_out.empty() ? " without --checkpoint-out" : "") << "\n";
-    return 2;
-  }
-  const auto reps = static_cast<std::int32_t>(reps_arg);
-  const auto jobs = static_cast<std::int32_t>(jobs_arg);
-  const auto snapshots = static_cast<std::int32_t>(snapshots_arg);
-  const auto metrics_stride = static_cast<std::int32_t>(metrics_stride_arg);
 
   faults::FaultPlan fault_plan;
   if (std::string error;

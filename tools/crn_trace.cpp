@@ -46,6 +46,7 @@ Usage: crn_trace DUMP [options]
 Modes (default: decoded listing of the retained records):
   --stats                 per-kind arm/reschedule/disarm/fire counters
   --chain=SEQ             reconstruct the causal chain ending at event #SEQ
+                          (SEQ >= 0)
   --chrome-out=FILE       export retained records as Chrome trace-event JSON
                           (arm->fire / arm->disarm spans per node row; load in
                           Perfetto or chrome://tracing)
@@ -53,11 +54,13 @@ Modes (default: decoded listing of the retained records):
                           collapsed form ("root;...;kind count" per line)
 
 Filters (listing and exports):
-  --node=ID               only records owned by node ID
+  --node=ID               only records owned by node ID (ID >= 0)
   --kind=NAME             only records of the named event kind
-  --from-ms=F --to-ms=F   sim-time window in milliseconds
+  --from-ms=F --to-ms=F   sim-time window in milliseconds; F finite, >= 0
+                          and below 2^63 ns (9223372036854.775 ms)
   --limit=N               listing rows / chain links to print, newest kept
-                          (default 64; 0 = unlimited)
+                          (default 64; 0 = unlimited; N >= 0)
+A value outside its range exits 2 with an `error:` line.
 )";
 
 struct Filter {
@@ -291,29 +294,24 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool stats = flags.GetBool("stats", false);
-  const std::int64_t chain = flags.GetInt("chain", -1);
+  const harness::IntRange non_negative{.min = 0, .max = harness::kAnyInt64.max};
+  const std::int64_t chain = flags.GetInt("chain", 0, non_negative);
   const std::string chrome_out = flags.GetString("chrome-out", "");
   const std::string collapsed_out = flags.GetString("collapsed-out", "");
   Filter filter;
-  filter.node = flags.GetInt("node", -1);
+  filter.node = flags.GetInt("node", filter.node, non_negative);
   const std::string kind_name = flags.GetString("kind", "");
-  const double from_ms = flags.GetDouble("from-ms", -1.0);
-  const double to_ms = flags.GetDouble("to-ms", -1.0);
-  if (from_ms >= 0.0) filter.from_ns = sim::FromMilliseconds(from_ms);
-  if (to_ms >= 0.0) filter.to_ns = sim::FromMilliseconds(to_ms);
-  const std::int64_t limit = flags.GetInt("limit", 64);
+  const harness::RealRange ms{.min = 0.0, .max = sim::kMillisecondsPastClock,
+                              .max_open = true};
+  filter.from_ns = sim::FromMilliseconds(flags.GetDouble("from-ms", 0.0, ms));
+  if (flags.Has("to-ms")) {
+    filter.to_ns = sim::FromMilliseconds(flags.GetDouble("to-ms", 0.0, ms));
+  }
+  const std::int64_t limit = flags.GetInt("limit", 64, non_negative);
 
-  if (!flags.errors().empty() || !flags.UnconsumedFlags().empty() ||
-      flags.positionals().size() != 1) {
-    for (const std::string& error : flags.errors()) {
-      std::cerr << "error: " << error << "\n";
-    }
-    for (const std::string& unknown : flags.UnconsumedFlags()) {
-      std::cerr << "error: unknown flag " << unknown << "\n";
-    }
-    if (flags.positionals().size() != 1) {
-      std::cerr << "error: expected exactly one DUMP file argument\n";
-    }
+  const bool one_dump = flags.positionals().size() == 1;
+  if (!one_dump) std::cerr << "error: expected exactly one DUMP file argument\n";
+  if (flags.ReportErrors(std::cerr) || !one_dump) {
     std::cerr << "run with --help for usage\n";
     return 2;
   }
@@ -346,7 +344,7 @@ int main(int argc, char** argv) {
     PrintStats(dump);
     return 0;
   }
-  if (chain >= 0) {
+  if (flags.Has("chain")) {
     return PrintChain(dump, static_cast<std::uint64_t>(chain), limit);
   }
   if (!chrome_out.empty() || !collapsed_out.empty()) {
