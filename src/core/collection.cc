@@ -234,6 +234,8 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     }
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
   } else {
+    // A checkpoint records exact SIR floors, which lane mode does not keep.
+    if (checkpointing) mac.KeepSirFloors();
     // A restored run resumes mid-collection; LoadState replaced this.
     mac.StartSnapshotCollection(options.snapshot_interval, options.snapshot_count);
   }

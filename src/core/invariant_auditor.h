@@ -47,6 +47,7 @@
 #include "sim/flight_recorder.h"
 #include "sim/simulator.h"
 #include "spectrum/interference.h"
+#include "spectrum/lane_sum.h"
 
 namespace crn::core {
 
@@ -62,11 +63,11 @@ namespace pu_protection {
 [[nodiscard]] bool Flipped(double signal, double interference_pu,
                            double interference_su, double eta);
 
-// Relative half-width of the window around an approximate PU sum S̃ of
-// `terms` interferers that provably contains the exact sequential sum,
-// whatever the order of S̃'s additions and however the compiler contracts
-// each term's d² into an FMA. Infinite (nothing is decided) past 2^20 terms.
-[[nodiscard]] double Margin(std::size_t terms, double alpha);
+// The lane kernel and its window (spectrum/lane_sum.h), shared with the
+// MAC's SU receptions.
+using spectrum::lane_sum::ApproxInterference;
+using spectrum::lane_sum::kLanes;
+using spectrum::lane_sum::Margin;
 
 enum class Verdict : std::uint8_t {
   kFailsWithoutSu,  // no violation: the reception fails without SUs
@@ -80,20 +81,6 @@ enum class Verdict : std::uint8_t {
 // comfortably normal number.
 [[nodiscard]] Verdict Decide(double signal, double approx_pu,
                              double interference_su, double eta, double margin);
-
-// ApproxInterference's arrays are padded to a multiple of this many
-// doubles, a multiple of every lane width.
-inline constexpr std::size_t kLanes = 8;
-
-// Σ_q P·d(q, rx)^{-α} over the `count` positions (xs[q], ys[q]), each term
-// the same expression as PathLoss::ReceivedPowerSquared, summed in `width`
-// independent lanes, `width` one of simd::SupportedWidths(). An entry with
-// xs[q] = +inf adds exactly 0: the padding and the receiver's own PU.
-// `count` is a multiple of kLanes.
-[[nodiscard]] double ApproxInterference(const double* xs, const double* ys,
-                                        std::size_t count, geom::Vec2 rx,
-                                        double power, const spectrum::PathLoss& loss,
-                                        int width);
 
 }  // namespace pu_protection
 

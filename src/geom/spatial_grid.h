@@ -72,6 +72,17 @@ class SpatialGrid {
     return false;
   }
 
+  // How many points the cells a ForEachInDisk(center, radius) query scans
+  // hold: a bound on its visits, read off the CSR offsets alone.
+  [[nodiscard]] std::int32_t CandidateCount(Vec2 center, double radius) const {
+    const CellRange range = CoveringCells(center, radius);
+    std::int32_t count = 0;
+    for (std::int32_t row = range.first_row; row <= range.last_row; row += cols_) {
+      count += cell_start_[row + range.cx_hi + 1] - cell_start_[row + range.cx_lo];
+    }
+    return count;
+  }
+
   // Convenience: collects indices of all points within `radius` of `center`.
   [[nodiscard]] std::vector<std::int32_t> QueryDisk(Vec2 center, double radius) const;
 

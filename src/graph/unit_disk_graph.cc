@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -18,18 +19,24 @@ UnitDiskGraph::UnitDiskGraph(std::vector<geom::Vec2> positions, geom::Aabb area,
   if (n == 0) return;
 
   const geom::SpatialGrid grid(positions_, area_, radius_);
-  // One grid pass: each node's neighbours append to the CSR as its disk
-  // query finds them.
+  // The cells each disk query scans bound its neighbours, so one buffer of
+  // the summed bounds takes every list without growing; the lists then
+  // move once into an array of exactly their size.
+  std::int64_t bound = 0;
+  for (NodeId v = 0; v < n; ++v) bound += grid.CandidateCount(positions_[v], radius_);
+  const std::unique_ptr<NodeId[]> lists(new NodeId[static_cast<std::size_t>(bound)]);
+  NodeId* next = lists.get();
   for (NodeId v = 0; v < n; ++v) {
+    NodeId* const first = next;
     grid.ForEachInDisk(positions_[v], radius_, [&](NodeId u) {
-      if (u != v) adjacency_.push_back(u);
+      if (u != v) *next++ = u;
     });
     // Sorted neighbor lists make HasEdge O(log d) and iteration
     // deterministic regardless of grid cell order.
-    std::sort(adjacency_.begin() + offsets_[v], adjacency_.end());
-    offsets_[v + 1] = static_cast<std::int32_t>(adjacency_.size());
+    std::sort(first, next);
+    offsets_[v + 1] = static_cast<std::int32_t>(next - lists.get());
   }
-  adjacency_.shrink_to_fit();  // a cached graph holds no growth slack
+  adjacency_.assign(lists.get(), next);
 }
 
 bool UnitDiskGraph::HasEdge(NodeId a, NodeId b) const {

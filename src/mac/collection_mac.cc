@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
+#include "common/simd_width.h"
 #include "sim/checkpoint.h"
+#include "spectrum/lane_sum.h"
 
 namespace crn::mac {
 
@@ -239,6 +243,15 @@ void CollectionMac::SeedSnapshot(const std::vector<NodeId>& producers,
 }
 
 // --- agent lifecycle ------------------------------------------------------
+
+void CollectionMac::ChooseSirMode() {
+  sir_mode_chosen_ = true;
+  if (!observers_.empty() || keep_sir_floors_) return;
+  sir_lanes_ = true;
+  lane_margin_ = spectrum::lane_sum::Margin(
+      positions_.size() + static_cast<std::size_t>(primary_.count()), config_.alpha);
+  field_.UseLanes(simd::BestWidth());
+}
 
 void CollectionMac::ActivateIfIdle(NodeId node) {
   if (!failed_[node] && agent_phase_[node] == Phase::kIdle &&
@@ -739,9 +752,53 @@ double CollectionMac::EvaluateSir(Transmission& tx) {
   return tx.signal_power / interference;
 }
 
+bool CollectionMac::LaneSirFails(Transmission& tx) {
+  // The PU terms summed in lanes, then the SU terms in active_tx_ order:
+  // the in-order sum's terms in another order, so the in-order sum lies in
+  // the window around this one (DESIGN.md §10). No read is recorded.
+  tx.itf_ub_pu_epoch = field_.pu_epoch();
+  // No PU on the air and no other SU: both sums are exactly 0, SIR +inf.
+  if (active_tx_.size() == 1 && primary_.active_count() == 0) {
+    tx.itf_ub = 0.0;
+    return false;
+  }
+  const NodeId rx = tx.receiver;
+  double approx = field_.LanePuInterference(rx, primary_.active_transmitters());
+  for (const Transmission& other : active_tx_) {
+    if (other.transmitter == tx.transmitter) continue;
+    approx += field_.SuGainUnrecorded(other.transmitter, rx);
+  }
+  const double eta = config_.eta_s.linear();
+  // fl(signal / x) falls as x grows, so a comparison that holds at the
+  // window's far end holds at the in-order sum inside it.
+  const std::optional<spectrum::lane_sum::Window> window =
+      spectrum::lane_sum::Enclose(approx, lane_margin_);
+  if (window.has_value()) {
+    tx.itf_ub = window->high;
+    if (tx.signal_power / window->high >= eta) return false;
+    if (tx.signal_power / window->low < eta) return true;
+  }
+  ++sir_fallbacks_;
+  const double exact = InOrderInterference(tx);
+  tx.itf_ub = exact;
+  return exact > 0.0 && tx.signal_power / exact < eta;
+}
+
+double CollectionMac::InOrderInterference(const Transmission& tx) const {
+  double interference =
+      field_.InOrderPuInterference(tx.receiver, primary_.active_transmitters());
+  for (const Transmission& other : active_tx_) {
+    if (other.transmitter == tx.transmitter) continue;
+    interference += field_.SuGainUnrecorded(other.transmitter, tx.receiver);
+  }
+  return interference;
+}
+
 void CollectionMac::ReevaluateOngoingSirs() {
+  const double eta = config_.eta_s.linear();
   for (Transmission& tx : active_tx_) {
     if (!tx.receiver_ok) continue;  // verdict already sealed
+    if (sir_lanes_ && tx.min_sir < eta) continue;  // kSirFailure sealed
     if (tx.last_eval_epoch == field_.change_epoch()) {
       // No SIR-lowering event since this floor was set: interferers have
       // only dropped out, the SIR only rose, and min() would return the
@@ -753,7 +810,11 @@ void CollectionMac::ReevaluateOngoingSirs() {
       tx.last_eval_epoch = field_.change_epoch();
       continue;
     }
-    tx.min_sir = std::min(tx.min_sir, EvaluateSir(tx));
+    if (sir_lanes_) {
+      if (LaneSirFails(tx)) tx.min_sir = kSirSealed;
+    } else {
+      tx.min_sir = std::min(tx.min_sir, EvaluateSir(tx));
+    }
     tx.last_eval_epoch = field_.change_epoch();
   }
 }
@@ -771,7 +832,8 @@ bool CollectionMac::TrySirBoundSkip(Transmission& tx) {
   const Transmission& newest = active_tx_.back();
   CRN_DCHECK(newest.transmitter != tx.transmitter);
   spectrum::FieldWork& work = field_.work();
-  tx.itf_ub += field_.SuGain(newest.transmitter, tx.receiver);
+  tx.itf_ub += sir_lanes_ ? field_.SuGainUnrecorded(newest.transmitter, tx.receiver)
+                          : field_.SuGain(newest.transmitter, tx.receiver);
   // itf_ub ≥ the true interference (removals since the last full evaluation
   // only widen the slack), so signal/itf_ub is a SIR lower bound. The
   // margin absorbs FP reordering error — the bound and a from-scratch
@@ -779,8 +841,12 @@ bool CollectionMac::TrySirBoundSkip(Transmission& tx) {
   // relatively for k summed terms — so clearing it proves the exact
   // refloor would leave min() returning the stored floor unchanged:
   // skipping is bit-exact, never approximate.
+  // In lane mode the floor is unknown but the verdict is open, so the
+  // bound is tested against η_s itself: clearing it proves this
+  // evaluation would pass.
   constexpr double kSirSkipMargin = 1.0 + 1e-9;
-  if (tx.signal_power / tx.itf_ub >= tx.min_sir * kSirSkipMargin) {
+  const double floor = sir_lanes_ ? config_.eta_s.linear() : tx.min_sir;
+  if (tx.signal_power / tx.itf_ub >= floor * kSirSkipMargin) {
     ++work.bound_skips;
     return true;
   }
@@ -790,6 +856,8 @@ bool CollectionMac::TrySirBoundSkip(Transmission& tx) {
 // --- slot machinery ---------------------------------------------------------
 
 void CollectionMac::OnSlotBoundary() {
+  // The run's first event, before any transmission can start.
+  if (!sir_mode_chosen_) ChooseSirMode();
   const sim::TimeNs now = simulator_.now();
   if (now >= config_.max_sim_time) {
     stats_.timed_out = true;
@@ -1033,10 +1101,13 @@ void CollectionMac::CheckTermination() {
 // --- checkpointing ----------------------------------------------------------
 
 void CollectionMac::SaveState(sim::StateWriter& writer) const {
+  CRN_CHECK(!sir_lanes_) << "SaveState on a run in lane SIR mode, which keeps no SIR "
+                            "floors: call KeepSirFloors() before the run starts";
   Transfer(*this, writer);
 }
 
 void CollectionMac::LoadState(sim::StateReader& reader) {
+  sir_mode_chosen_ = true;  // a restored run keeps exact floors
   Transfer(*this, reader);
   sense_epoch_ = kNoEpoch;  // the loaded flags and contenders are new
   contender_words_.assign(contending_list_.size(), 0);

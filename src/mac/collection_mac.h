@@ -31,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "geom/spatial_grid.h"
@@ -216,9 +217,30 @@ class CollectionMac {
   // auditor, the metrics collector, the span tracer and the fairness tests
   // all watch the MAC through this one feed. Zero-cost when none is
   // attached: Emit returns before building the event.
+  // An observer attached before the run starts also keeps the run in exact
+  // SIR mode (below), so every kTxEnd carries its exact floor.
   void AddObserver(std::function<void(const MacEvent&)> observer) {
+    CRN_CHECK(!sir_lanes_) << "attach MAC observers before the run starts: this run "
+                              "decides receptions from lane sums and keeps no SIR floors";
     observers_.push_back(std::move(observer));
   }
+
+  // SIR mode (DESIGN.md §10, "Deciding SU receptions from a lane sum"),
+  // chosen at the run's first event (its first slot boundary). Exact mode
+  // keeps every reception's SIR floor from in-order sums; it runs whenever
+  // an observer is attached by then, a checkpoint may be saved
+  // (KeepSirFloors) or the run was restored. Lane mode decides each
+  // evaluation's verdict from a lane sum's proven window and keeps only the
+  // verdicts; both give the same outcomes. Call KeepSirFloors before the
+  // run starts when SaveState will be called.
+  void KeepSirFloors() {
+    CRN_CHECK(!sir_mode_chosen_) << "KeepSirFloors() after the run started";
+    keep_sir_floors_ = true;
+  }
+  [[nodiscard]] bool sir_lanes() const { return sir_lanes_; }
+  // Lane-mode evaluations whose window straddled η_s and fell back to the
+  // in-order sum. For tests; not a perf.* counter and not checkpointed.
+  [[nodiscard]] std::int64_t SirFallbacksForTesting() const { return sir_fallbacks_; }
 
   // --- network dynamics (§I: SUs may leave at any time) -----------------
   // Permanently removes an SU at the current simulation time: any in-flight
@@ -323,6 +345,8 @@ class CollectionMac {
     sim::TimeNs end = 0;
     sim::Timer end_timer;  // fires FinishTransmission(tx, /*aborted=*/false)
     double signal_power = 0.0;  // received power at the receiver
+    // The SIR floor in exact mode. In lane mode only its verdict is known:
+    // +inf until an evaluation fails, then kSirSealed.
     double min_sir = std::numeric_limits<double>::infinity();
     bool receiver_ok = true;    // false on half-duplex clash / capture loss
     bool announced = false;     // sensing notification delivered (latency)
@@ -331,7 +355,7 @@ class CollectionMac {
     // Dirty-set reevaluation state (interference_field.h): the change epoch
     // at the last min-SIR floor update.
     std::int64_t last_eval_epoch = -1;
-    // Append-incremental interference memo: the full
+    // Append-incremental interference memo (exact mode): the full
     // interference sum — PU terms plus the SU terms of active_tx_[0,
     // itf_count) — valid while no swap-and-pop reordered the list
     // (itf_shrink_epoch) and the active-PU set is unchanged (itf_pu_epoch).
@@ -342,11 +366,12 @@ class CollectionMac {
     std::int32_t itf_count = -1;
     std::int64_t itf_pu_epoch = -1;
     std::int64_t itf_shrink_epoch = -1;
-    // Interference upper bound: exact at the last full
-    // evaluation, then grown by each new interferer's gain while the PU set
-    // is unchanged. Removals only widen the slack, so signal/itf_ub is a
-    // SIR lower bound — when it clears min_sir (with an FP-safety margin)
-    // the refloor provably cannot move the floor and is skipped.
+    // Interference upper bound: exact at the last full evaluation (in lane
+    // mode the window's top, or the fallback's exact sum), then grown by
+    // each new interferer's gain while the PU set is unchanged. Removals
+    // only widen the slack, so signal/itf_ub is a SIR lower bound — when it
+    // clears min_sir (η_s in lane mode) with an FP-safety margin the
+    // refloor provably cannot move the floor (the verdict) and is skipped.
     double itf_ub = 0.0;
     std::int64_t itf_ub_pu_epoch = -1;
   };
@@ -390,7 +415,18 @@ class CollectionMac {
   void NotifySensorsTxEnd(NodeId transmitter);
   void ReevaluateOngoingSirs();
   bool TrySirBoundSkip(Transmission& tx);
+  // Exact mode: the SIR of one evaluation.
   double EvaluateSir(Transmission& tx);
+  // Lane mode: whether one evaluation's exact SIR, fl(signal / I) for the
+  // in-order sum I, falls below η_s — from the window around a lane sum, or
+  // from I itself when the window straddles η_s. Sets the bound skip's
+  // itf_ub; reads no memo but the field's PU lane sum.
+  bool LaneSirFails(Transmission& tx);
+  // The in-order PU + SU sum exact mode would take for tx, from scratch.
+  [[nodiscard]] double InOrderInterference(const Transmission& tx) const;
+  // Chooses the SIR mode at the run's first event (AddObserver,
+  // KeepSirFloors).
+  void ChooseSirMode();
 
   // --- slot machinery ----------------------------------------------------
   void OnSlotBoundary();
@@ -529,6 +565,17 @@ class CollectionMac {
   sim::EventKind tx_end_kind_;
   sim::EventKind tx_announce_kind_;
   sim::EventKind carrier_fade_kind_;
+
+  // SIR mode (ChooseSirMode). In lane mode, lane_margin_ is the relative
+  // window half-width for the most terms any sum can have (every PU and
+  // every other SU), and sir_fallbacks_ counts the in-order fallbacks.
+  // Neither is checkpointed: a lane-mode run never saves.
+  static constexpr double kSirSealed = 0.0;  // below every η_s
+  bool keep_sir_floors_ = false;
+  bool sir_mode_chosen_ = false;
+  bool sir_lanes_ = false;
+  double lane_margin_ = 0.0;
+  std::int64_t sir_fallbacks_ = 0;
 };
 
 }  // namespace crn::mac

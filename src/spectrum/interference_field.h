@@ -34,6 +34,17 @@
 // previous slot's and leaves both epochs alone when the set is unchanged —
 // at low activity most slots change nothing and whole refloors vanish.
 //
+// Lane mode (UseLanes; DESIGN.md §10, "Deciding SU receptions from a lane
+// sum"): a run that records no SIR floor sums the PU prefix in SIMD lanes
+// with spectrum/lane_sum.h, the kernel the invariant auditor's Lemma 2
+// check uses (DESIGN.md §7), over a padded copy of the active PUs'
+// positions refilled once per pu_epoch (LanePuInterference). The memo then
+// holds that lane sum, and no read is recorded. The lane sum differs from
+// the in-order sum only inside lane_sum::Margin's proven window, so the MAC
+// decides each reception's verdict from the window and recomputes the
+// in-order sum (InOrderPuInterference, unmemoized) only when the window
+// straddles η_s.
+//
 // All work is tallied in FieldWork; the counts are pure functions of
 // (scenario, seed), so perf regressions are caught by exact counter
 // comparison (tools/bench_delta.py) instead of wall-clock thresholds.
@@ -42,6 +53,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -49,6 +61,7 @@
 #include "geom/vec2.h"
 #include "sim/checkpoint.h"
 #include "spectrum/interference.h"
+#include "spectrum/lane_sum.h"
 
 namespace crn::spectrum {
 
@@ -128,6 +141,20 @@ class PairGainCache {
     return loss_.ReceivedPowerSquared(
         power_, geom::DistanceSquared(tx_[static_cast<std::size_t>(tx)],
                                       rx_[static_cast<std::size_t>(rx)]));
+  }
+
+  [[nodiscard]] geom::Vec2 tx_position(std::int32_t tx) const {
+    return tx_[static_cast<std::size_t>(tx)];
+  }
+
+  // Σ P·d^{-α} at `rx` over the padded lane copy (xs, ys) of transmitter
+  // positions, summed in `width` lanes (spectrum/lane_sum.h).
+  [[nodiscard]] double LaneSum(const std::vector<double>& xs,
+                               const std::vector<double>& ys, std::int32_t rx,
+                               int width) const {
+    return lane_sum::ApproxInterference(xs.data(), ys.data(), xs.size(),
+                                        rx_[static_cast<std::size_t>(rx)], power_,
+                                        loss_, width);
   }
 
   [[nodiscard]] std::int64_t allocated_rows() const {
@@ -228,6 +255,30 @@ class InterferenceField {
     return pu_gains_.Gain(pu, rx, work_);
   }
 
+  // SuGain's value without recording the read, for lane mode.
+  [[nodiscard]] double SuGainUnrecorded(std::int32_t tx, std::int32_t rx) const {
+    return su_gains_.Direct(tx, rx);
+  }
+
+  // Lane mode (DESIGN.md §10, "Deciding SU receptions from a lane sum"):
+  // from now on the PU sums come from LanePuInterference, in `width` lanes,
+  // one of simd::SupportedWidths(). Call once, before the first sum. A
+  // lane-mode field records no reads and is never checkpointed.
+  void UseLanes(int width) {
+    CRN_CHECK(lane_width_ == 0 && width > 0) << "UseLanes(" << width << ") called twice";
+    lane_width_ = width;
+  }
+
+  // The PU interference at SU `rx` as exact mode sums it: `active_pus` in
+  // ascending id order, one add at a time. Records no read, memoizes
+  // nothing.
+  [[nodiscard]] double InOrderPuInterference(
+      std::int32_t rx, const std::vector<std::int32_t>& active_pus) const {
+    double sum = 0.0;
+    for (const std::int32_t pu : active_pus) sum += pu_gains_.Direct(pu, rx);
+    return sum;
+  }
+
   // Aggregate PU interference at SU `rx` from `active_pus` (ascending PU
   // id — the PrimaryNetwork active-list order), whose activity bitmask is
   // `mask`. Accounts the reads a word at a time against `mask` and
@@ -238,6 +289,7 @@ class InterferenceField {
   [[nodiscard]] double PuInterference(std::int32_t rx,
                                       const std::vector<std::int32_t>& active_pus,
                                       const std::vector<std::uint64_t>& mask) {
+    CRN_DCHECK(lane_width_ == 0) << "the exact PU sum in a lane-mode field";
     const auto receiver = static_cast<std::size_t>(rx);
     if (pu_sum_epoch_[receiver] == pu_epoch_) {
       ++work_.pu_partials_reused;
@@ -246,8 +298,35 @@ class InterferenceField {
     CRN_DCHECK(MaskHolds(mask, active_pus))
         << "the activity mask and the active list name different PUs";
     pu_gains_.NoteReads(rx, mask, work_);
-    double sum = 0.0;
-    for (const std::int32_t pu : active_pus) sum += pu_gains_.Direct(pu, rx);
+    const double sum = InOrderPuInterference(rx, active_pus);
+    pu_sum_[receiver] = sum;
+    pu_sum_epoch_[receiver] = pu_epoch_;
+    return sum;
+  }
+
+  // Lane mode: the PU interference at SU `rx` summed in lanes over a
+  // padded copy of `active_pus`' positions, refilled at most once per
+  // pu_epoch, and memoized per receiver like PuInterference. Records no
+  // reads.
+  [[nodiscard]] double LanePuInterference(std::int32_t rx,
+                                          const std::vector<std::int32_t>& active_pus) {
+    CRN_DCHECK(lane_width_ != 0) << "LanePuInterference before UseLanes";
+    const auto receiver = static_cast<std::size_t>(rx);
+    if (pu_sum_epoch_[receiver] == pu_epoch_) return pu_sum_[receiver];
+    if (lane_epoch_ != pu_epoch_) {
+      // The active set changes only where pu_epoch does (NotePuSample).
+      const std::size_t padded =
+          (active_pus.size() + lane_sum::kLanes - 1) / lane_sum::kLanes * lane_sum::kLanes;
+      lane_x_.assign(padded, std::numeric_limits<double>::infinity());  // adds 0
+      lane_y_.assign(padded, 0.0);
+      for (std::size_t i = 0; i < active_pus.size(); ++i) {
+        const geom::Vec2 position = pu_gains_.tx_position(active_pus[i]);
+        lane_x_[i] = position.x;
+        lane_y_[i] = position.y;
+      }
+      lane_epoch_ = pu_epoch_;
+    }
+    const double sum = pu_gains_.LaneSum(lane_x_, lane_y_, rx, lane_width_);
     pu_sum_[receiver] = sum;
     pu_sum_epoch_[receiver] = pu_epoch_;
     return sum;
@@ -366,10 +445,17 @@ class InterferenceField {
   std::int64_t shrink_epoch_ = 0;
   std::size_t pu_count_;
   std::vector<std::uint64_t> previous_pu_mask_;  // last NotePuSample mask
-  // Per-receiver PU interference sums, valid while pu_sum_epoch_ matches
-  // pu_epoch_.
+  // Per-receiver PU interference sums (lane sums in lane mode), valid while
+  // pu_sum_epoch_ matches pu_epoch_.
   std::vector<double> pu_sum_;
   std::vector<std::int64_t> pu_sum_epoch_;
+  // Lane mode (UseLanes): the kernel width, 0 in exact mode, and the
+  // active PUs' positions padded with x = +inf to whole lane groups, as of
+  // pu_epoch lane_epoch_. Scratch, never checkpointed.
+  int lane_width_ = 0;
+  std::int64_t lane_epoch_ = -1;
+  std::vector<double> lane_x_;
+  std::vector<double> lane_y_;
 };
 
 }  // namespace crn::spectrum

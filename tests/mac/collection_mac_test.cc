@@ -269,6 +269,7 @@ TEST(CollectionMacCheckpointTest, RoundTripsNonEmptyQueues) {
   };
 
   Harness original(sus, next_hop, pus, 0.3, config);
+  original.mac.KeepSirFloors();  // the run is saved mid-flight
   original.mac.StartCollection(producers);
   ASSERT_EQ(original.simulator.RunUntilEvents(60), sim::RunStatus::kPaused);
   const MacStats& at_pause = original.mac.stats();

@@ -130,7 +130,7 @@ Checkpoint / restore (DESIGN.md §14; single ADDC rep only):
                           this process at the first checkpoint boundary at or
                           after INT events, *before* that checkpoint is
                           written (the on-disk file stays the previous one);
-                          INT >= 0, needs --checkpoint-out
+                          INT >= 1 (unset: never), needs --checkpoint-out
 
 Sweep journal (crash-safe repetition fan-out):
   --journal=DIR           record one atomic completion record per repetition
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   const std::int64_t checkpoint_every = flags.GetInt(
       "checkpoint-every-events", 100000, {.min = 1, .max = harness::kAnyInt64.max});
   const std::int64_t crash_after = flags.GetInt(
-      "crash-after-events", 0, {.min = 0, .max = harness::kAnyInt64.max});
+      "crash-after-events", 0, {.min = 1, .max = harness::kAnyInt64.max});
   const std::string journal_dir = flags.GetString("journal", "");
   const bool resume = flags.GetBool("resume", false);
 
