@@ -463,9 +463,15 @@ std::vector<double> CoolestTemperatures(const Scenario& scenario) {
 }
 
 CollectionResult RunCoolest(const Scenario& scenario,
-                            routing::TemperatureMetric metric) {
+                            routing::TemperatureMetric metric, RunOptions options) {
   const ScenarioConfig& config = scenario.config();
-  RunOptions options;
+  const RunOptions defaults;
+  CRN_CHECK(options.sensing_range == defaults.sensing_range &&
+            options.backoff_granularity == defaults.backoff_granularity &&
+            options.sensing_latency == defaults.sensing_latency &&
+            options.slot_aware_defer == defaults.slot_aware_defer)
+      << "RunCoolest sets the conventional MAC's sensing range, backoff "
+         "granularity, sensing latency and slot awareness itself";
   options.sensing_range = CoolestSensingRange(config);
   // Its conventional MAC contends in discrete slots with a carrier-detection
   // lag and no PU-slot awareness.

@@ -166,10 +166,15 @@ double CoolestSensingRange(const ScenarioConfig& config);
 // Coolest run's MAC reads. Equal to routing::NodeTemperatures at that range.
 std::vector<double> CoolestTemperatures(const Scenario& scenario);
 
-// Runs the Coolest-path baseline on the same deployment/MAC.
+// Runs the Coolest-path baseline on the same deployment/MAC. `options`
+// attaches sinks, faults and checkpoints as for RunAddc; the baseline sets
+// its four conventional-MAC fields (sensing_range, backoff_granularity,
+// sensing_latency, slot_aware_defer) itself, so they must keep their
+// defaults (CRN_CHECK).
 CollectionResult RunCoolest(const Scenario& scenario,
                             routing::TemperatureMetric metric =
-                                routing::TemperatureMetric::kAccumulated);
+                                routing::TemperatureMetric::kAccumulated,
+                            RunOptions options = {});
 
 // Shared plumbing: run a CSMA collection over an arbitrary next-hop table.
 // Exposed for tests and custom examples (e.g. hand-crafted routes).

@@ -3,6 +3,7 @@
 // headline ADDC-vs-Coolest ordering.
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "core/collection.h"
 #include "core/scenario.h"
 #include "graph/cds_tree.h"
@@ -40,6 +41,25 @@ TEST(CollectionIntegrationTest, CoolestCompletesOnSameDeployment) {
     EXPECT_TRUE(result.completed) << routing::ToString(metric);
     EXPECT_EQ(result.mac.delivered, SmallConfig().num_sus);
   }
+}
+
+// The baseline's conventional MAC is RunCoolest's to set: a caller's
+// RunOptions may attach sinks but not change any of its four fields.
+TEST(CollectionIntegrationTest, CoolestRejectsConventionalMacOverrides) {
+  const Scenario scenario(SmallConfig(), 0);
+  const auto metric = routing::TemperatureMetric::kAccumulated;
+  RunOptions range;
+  range.sensing_range = 12.0;
+  EXPECT_THROW(RunCoolest(scenario, metric, range), ContractViolation);
+  RunOptions granularity;
+  granularity.backoff_granularity = sim::kMillisecond;
+  EXPECT_THROW(RunCoolest(scenario, metric, granularity), ContractViolation);
+  RunOptions latency;
+  latency.sensing_latency = sim::kMillisecond;
+  EXPECT_THROW(RunCoolest(scenario, metric, latency), ContractViolation);
+  RunOptions slot_aware;
+  slot_aware.slot_aware_defer = false;
+  EXPECT_THROW(RunCoolest(scenario, metric, slot_aware), ContractViolation);
 }
 
 // RunCoolest reads its temperatures from the prefab's sensing table at the

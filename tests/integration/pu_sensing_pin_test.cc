@@ -7,7 +7,7 @@
 // boundaries change no busy flag: a long p_t = 0.45 run over hundreds of
 // windows, a sensing-error burst that starts and ends inside one window,
 // the fairness wait switched off, continuous collection, and a Coolest run
-// at p_t = 0.45. Every value below is exact: a change to how or when PU
+// at p_t = 0.45 (Fig. 6(c)'s most draw-heavy cell). Every value below is exact: a change to how or when PU
 // activity is drawn or sensed moves at least one of them.
 #include <gtest/gtest.h>
 
@@ -47,6 +47,7 @@ struct Cell {
   bool fairness_wait = true;
   std::int32_t snapshots = 1;  // > 1: continuous collection, one per interval
   sim::TimeNs snapshot_interval = 0;
+  bool coolest = false;  // Coolest routing instead of ADDC
 };
 
 struct Pins {
@@ -132,7 +133,9 @@ Outcome Run(const Cell& cell, std::int64_t checkpoint_every,
     };
   }
   options.restore_blob = restore_blob;
-  out.result = RunAddc(scenario, options);
+  out.result = cell.coolest
+                   ? RunCoolest(scenario, routing::TemperatureMetric::kAccumulated, options)
+                   : RunAddc(scenario, options);
   out.metrics_digest = metrics.Digest();
   if (traced) out.spans_digest = spans.Digest();
   return out;
@@ -148,8 +151,10 @@ std::int64_t SlotsSampled(const std::string& blob) {
   return slots;
 }
 
-void ExpectPinned(const Cell& cell, const Pins& pins) {
+// `traced_out`, when set, receives the traced run.
+void ExpectPinned(const Cell& cell, const Pins& pins, Outcome* traced_out = nullptr) {
   const Outcome traced = Run(cell, 0, nullptr);
+  if (traced_out != nullptr) *traced_out = traced;
   const Outcome checkpointed = Run(cell, cell.checkpoint_every, nullptr);
   std::uint64_t blobs_hash = 0xCBF29CE484222325ULL;
   for (const std::string& blob : checkpointed.blobs) blobs_hash = Fnv(blobs_hash, blob);
@@ -298,20 +303,17 @@ TEST(PuSensingPinTest, ContinuousCollection) {
                 94566, 6396, 2, 0xbdf470897f6fcd6cULL});
 }
 
-// Coolest routing at p_t = 0.45 (RunCoolest takes no options, so no sinks).
+// Coolest routing at p_t = 0.45: discrete backoffs, a carrier-detection lag
+// and no slot awareness, to the 6 s horizon.
 TEST(PuSensingPinTest, CoolestHighDutyCycle) {
-  const Cell cell{"coolest-pt45", 500, 100, kSide, 0.45, kIid, 4.0, 0.0, 0.0,
-                  nullptr, 6 * sim::kSecond, 0};
-  const CollectionResult result = RunCoolest(Scenario(Config(cell), 0));
-  const auto& mac = result.mac;
-  std::printf("[ pins     ] %s: {%a, %lld, %lld, %lld}\n", cell.name, result.delay_ms,
-              static_cast<long long>(mac.attempts),
-              static_cast<long long>(mac.slot_checks_total),
-              static_cast<long long>(mac.slot_checks_free));
-  EXPECT_EQ(result.delay_ms, 0x1.77p+12);
-  EXPECT_EQ(mac.attempts, 1077);
-  EXPECT_EQ(mac.slot_checks_total, 1906170);
-  EXPECT_EQ(mac.slot_checks_free, 1751);
+  Outcome traced;
+  ExpectPinned({"coolest-pt45", 500, 100, kSide, 0.45, kIid, 4.0, 0.0, 0.0, nullptr,
+                6 * sim::kSecond, 1500, true, 1, 0, /*coolest=*/true},
+               {0xe261f6593abe34edULL, 0x5a756967521a23f0ULL,
+                0xfe7c4473fc6743b5ULL, 0x1.77p+12,
+                1906170, 1751, 7, 0xd374315d73da8d62ULL},
+               &traced);
+  EXPECT_EQ(traced.result.mac.attempts, 1077);
 }
 
 }  // namespace
