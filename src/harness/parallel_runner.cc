@@ -14,7 +14,7 @@ std::int32_t ResolveJobs(std::int32_t requested) {
 }
 
 ParallelRunner::ParallelRunner(std::int32_t jobs, std::int64_t grain)
-    : jobs_(ResolveJobs(jobs)), grain_(grain) {}
+    : jobs_(ResolveJobs(jobs)), grain_(grain), workers_(jobs_ - 1) {}
 
 WorkStealingStats ParallelRunner::ForEachIndex(
     std::int64_t count, const std::function<void(std::int64_t)>& fn,

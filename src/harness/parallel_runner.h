@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 
+#include "common/spare_threads.h"
 #include "harness/work_stealing.h"
 
 namespace crn::harness {
@@ -32,7 +33,10 @@ class ParallelRunner {
   // `jobs` is taken through ResolveJobs(); a resolved value of 1 runs every
   // cell inline on the calling thread (the serial engine — no threads, no
   // synchronization). `grain` follows ResolveGrain() (work_stealing.h):
-  // >= 1 cells per chunk literally, 0 = auto.
+  // >= 1 cells per chunk literally, 0 = auto. The runner reserves jobs − 1
+  // threads of the spare-thread budget (common/spare_threads.h) for its
+  // lifetime, so cells that would start helper threads find none left when
+  // the workers fill every core.
   explicit ParallelRunner(std::int32_t jobs, std::int64_t grain = 0);
 
   [[nodiscard]] std::int32_t jobs() const { return jobs_; }
@@ -58,6 +62,7 @@ class ParallelRunner {
  private:
   std::int32_t jobs_;
   std::int64_t grain_;
+  spare_threads::Reservation workers_;
 };
 
 // Wall-clock stopwatch for experiment timing (bench JSON, speedup

@@ -1,8 +1,14 @@
 #include "pu/activity_stream.h"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 #include "common/check.h"
+#include "common/spare_threads.h"
 
 namespace crn::pu {
 
@@ -189,20 +195,185 @@ LaneKernel KernelFor(int width) {
   return RunLanes2;
 }
 
+// The block of kBlockDraws draws starting at serial state `base`, compared
+// against thresholds t0 (plane 0) and t1 (plane 1; written only when it
+// differs from t0), by the width-`width` kernel. Returns the serial state
+// after the block's last draw. The one fill routine: inline refills and the
+// helper thread both call it.
+Rng FillBlock(int width, const Rng& base, std::uint64_t t0, std::uint64_t t1,
+              std::uint64_t* plane0, std::uint64_t* plane1) {
+  LaneStates lanes;
+  for (int i = 0; i < 4; ++i) lanes[0][i] = base.state_word(i);
+  const LaneJump& jump = LaneJumpMatrix();
+  for (std::int32_t k = 1; k < ActivityStream::kLanes; ++k) {
+    ApplyJump(jump, lanes[k - 1], lanes[k]);
+  }
+  KernelFor(width)(lanes, t0, t1, t0 != t1, plane0, plane1);
+  const std::uint64_t* last = lanes[ActivityStream::kLanes - 1];
+  Rng next;
+  next.RestoreState(last[0], last[1], last[2], last[3]);
+  return next;
+}
+
+bool SameState(const Rng& a, const Rng& b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a.state_word(i) != b.state_word(i)) return false;
+  }
+  return true;
+}
+
+// Set only by tests: start every helper at the first refill, unbudgeted.
+std::atomic<bool> forced_for_testing{false};
+
 }  // namespace
 
+// A helper thread that draws the blocks after the consumer's current one
+// into a ring of kRingBlocks. Everything below `mutex_` is guarded by it,
+// except the planes of the one ring slot the helper is filling, which no
+// consumer reads until the helper publishes it under the mutex.
+//
+// The helper draws from `draw_base_` under `thresholds_`, publishing each
+// block at the ring's tail and advancing `draw_base_` to the block's end,
+// until the ring is full; it then sleeps until the consumer has taken half
+// the ring (one wake per kRingBlocks / 2 blocks, no spinning). Restart
+// empties the ring and bumps `epoch_`; a block the helper was drawing when
+// its epoch ended is dropped, never published. So every block in the ring
+// starts where the one before it ends, the first at the consumer's
+// next_base_, under the consumer's thresholds.
+class ActivityStream::Lookahead {
+ public:
+  Lookahead(int width, bool holds_permit, const Rng& base, std::uint64_t t0,
+            std::uint64_t t1)
+      : width_(width), holds_permit_(holds_permit), draw_base_(base), thresholds_{t0, t1} {
+    thread_ = std::thread([this] { Run(); });
+  }
+
+  ~Lookahead() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_one();
+    thread_.join();
+    if (holds_permit_) spare_threads::Release();
+  }
+
+  Lookahead(const Lookahead&) = delete;
+  Lookahead& operator=(const Lookahead&) = delete;
+
+  // Drops the lookahead: the helper draws next from `base` under (t0, t1).
+  void Restart(const Rng& base, std::uint64_t t0, std::uint64_t t1) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++epoch_;
+      count_ = 0;
+      draw_base_ = base;
+      thresholds_[0] = t0;
+      thresholds_[1] = t1;
+    }
+    wake_.notify_one();
+  }
+
+  // When a block is ready, copies its plane words (plane 1 only when
+  // `two_planes`) into `planes`, sets `next_base` to its end and returns
+  // true. The block starts at `base`. Re-raises a failure of the helper.
+  bool Take(const Rng& base, bool two_planes, PlaneArray& planes, Rng& next_base) {
+    bool wake = false;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (error_ != nullptr) std::rethrow_exception(error_);
+      if (count_ == 0) return false;
+      const Block& block = ring_[static_cast<std::size_t>(head_)];
+      CRN_DCHECK(block.epoch == epoch_) << "a block of a dropped lookahead was kept";
+      CRN_DCHECK(SameState(block.base, base)) << "the next block does not start at next_base_";
+      std::copy(block.planes[0].begin(), block.planes[0].end(), planes[0].begin());
+      if (two_planes) {
+        std::copy(block.planes[1].begin(), block.planes[1].end(), planes[1].begin());
+      }
+      next_base = block.next_base;
+      head_ = (head_ + 1) % kRingBlocks;
+      --count_;
+      wake = count_ == kRingBlocks / 2;
+    }
+    if (wake) wake_.notify_one();
+    return true;
+  }
+
+ private:
+  static constexpr std::int32_t kRingBlocks = 8;
+
+  struct Block {
+    std::uint64_t epoch = 0;
+    Rng base;
+    Rng next_base;
+    std::array<std::array<std::uint64_t, kBlockWords>, 2> planes{};
+  };
+
+  // The helper's loop. It allocates nothing; a failure is kept for the
+  // consumer's next Take to re-raise.
+  void Run() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    try {
+      for (;;) {
+        wake_.wait(lock, [this] { return stop_ || count_ < kRingBlocks; });
+        if (stop_) return;
+        const std::uint64_t epoch = epoch_;
+        const Rng base = draw_base_;
+        const std::uint64_t t0 = thresholds_[0];
+        const std::uint64_t t1 = thresholds_[1];
+        // Outside [head_, head_ + count_): no consumer reads it until it is
+        // published, and only this thread publishes.
+        Block& block = ring_[static_cast<std::size_t>((head_ + count_) % kRingBlocks)];
+        lock.unlock();
+        const Rng next =
+            FillBlock(width_, base, t0, t1, block.planes[0].data(), block.planes[1].data());
+        lock.lock();
+        if (epoch != epoch_) continue;  // restarted while drawing
+        block.epoch = epoch;
+        block.base = base;
+        block.next_base = next;
+        ++count_;
+        draw_base_ = next;
+      }
+    } catch (...) {
+      if (!lock.owns_lock()) lock.lock();
+      error_ = std::current_exception();
+    }
+  }
+
+  const int width_;
+  const bool holds_permit_;
+  std::mutex mutex_;
+  std::condition_variable wake_;  // the helper waits on it
+  bool stop_ = false;
+  std::uint64_t epoch_ = 0;
+  Rng draw_base_;
+  std::uint64_t thresholds_[2];
+  std::array<Block, kRingBlocks> ring_;
+  std::int32_t head_ = 0;
+  std::int32_t count_ = 0;
+  std::exception_ptr error_;
+  std::thread thread_;  // last: starts after every member it uses
+};
+
 ActivityStream::ActivityStream(const Rng& rng, int width)
-    : width_(width), base_(rng), next_base_(rng) {
+    : width_(width),
+      base_(rng),
+      next_base_(rng),
+      force_lookahead_(forced_for_testing.load(std::memory_order_relaxed)) {
   const std::vector<int> widths = simd::SupportedWidths();
   CRN_CHECK(std::find(widths.begin(), widths.end(), width) != widths.end())
       << "kernel width " << width << " is not runnable on this host";
 }
+
+ActivityStream::~ActivityStream() = default;
 
 void ActivityStream::ChangeThresholds(std::uint64_t plane0, std::uint64_t plane1) {
   thresholds_[0] = plane0;
   thresholds_[1] = plane1;
   two_planes_ = plane0 != plane1;
   if (pos_ < kBlockDraws) Fill();
+  RestartLookahead();
 }
 
 void ActivityStream::TakeAcrossBlocks(std::int32_t count, std::uint64_t* out) {
@@ -244,27 +415,46 @@ void ActivityStream::Seek(const Cursor& cursor) {
   if (skip == 0) {
     next_base_ = base_;
     pos_ = kBlockDraws;
-    return;
+  } else {
+    Fill();
+    pos_ = skip;
   }
-  Fill();
-  pos_ = skip;
+  RestartLookahead();
 }
 
 void ActivityStream::Refill() {
   base_ = next_base_;
   pos_ = 0;
+  if (lookahead_ != nullptr && lookahead_->Take(base_, two_planes_, planes_, next_base_)) {
+    ++helper_blocks_;
+    return;
+  }
   Fill();
+  if (lookahead_ != nullptr) {
+    // The helper was drawing this block, or had not started it: move it on
+    // to the next one.
+    RestartLookahead();
+    return;
+  }
+  if (++refills_ < kRefillsBeforeHelper && !force_lookahead_) return;
+  if (!force_lookahead_ && !spare_threads::TryAcquire()) return;
+  lookahead_ = std::make_unique<Lookahead>(width_, /*holds_permit=*/!force_lookahead_,
+                                           next_base_, thresholds_[0], thresholds_[1]);
 }
 
 void ActivityStream::Fill() {
-  LaneStates lanes;
-  for (int i = 0; i < 4; ++i) lanes[0][i] = base_.state_word(i);
-  const LaneJump& jump = LaneJumpMatrix();
-  for (std::int32_t k = 1; k < kLanes; ++k) ApplyJump(jump, lanes[k - 1], lanes[k]);
-  KernelFor(width_)(lanes, thresholds_[0], thresholds_[1], two_planes_,
-                    planes_[0].data(), planes_[1].data());
-  const std::uint64_t* last = lanes[kLanes - 1];
-  next_base_.RestoreState(last[0], last[1], last[2], last[3]);
+  next_base_ = FillBlock(width_, base_, thresholds_[0], thresholds_[1], planes_[0].data(),
+                         planes_[1].data());
 }
+
+void ActivityStream::RestartLookahead() {
+  if (lookahead_ != nullptr) lookahead_->Restart(next_base_, thresholds_[0], thresholds_[1]);
+}
+
+namespace internal {
+
+void ForceLookaheadForTesting(bool on) { forced_for_testing.store(on, std::memory_order_relaxed); }
+
+}  // namespace internal
 
 }  // namespace crn::pu

@@ -20,11 +20,22 @@
 // PUs turn on, active PUs turn off). The thresholds are the integer forms
 // of Rng::Bernoulli (Rng::BernoulliThreshold), so a bit equals the
 // Bernoulli outcome of that draw exactly.
+//
+// Blocks may be drawn ahead on a helper thread (DESIGN.md §12, "Drawn ahead
+// on a spare core"). From the 4th refill on, a stream that gets a permit
+// from the spare-thread budget (common/spare_threads.h) starts one helper
+// that fills the blocks after the current one into a small ring; a refill
+// takes the next ready block and draws inline, as before, when none is
+// ready. A block's bits are a function of its base state and thresholds
+// alone and both paths run one fill routine on them, so the helper changes
+// where a block is computed, never its bits. A threshold change, Seek and
+// Restore drop the lookahead.
 #ifndef CRN_PU_ACTIVITY_STREAM_H_
 #define CRN_PU_ACTIVITY_STREAM_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.h"
 #include "common/simd_width.h"
@@ -42,6 +53,10 @@ class ActivityStream {
   // simd::SupportedWidths(); every width runs the same integer operations
   // and yields the same bits.
   explicit ActivityStream(const Rng& rng, int width = simd::BestWidth());
+  // Stops and joins the helper, if one started, and returns its permit.
+  ~ActivityStream();
+  ActivityStream(const ActivityStream&) = delete;
+  ActivityStream& operator=(const ActivityStream&) = delete;
 
   // Sets the Bernoulli thresholds (Rng::BernoulliThreshold) the two bit
   // planes compare against. Free when unchanged; otherwise the unconsumed
@@ -103,19 +118,35 @@ class ActivityStream {
   // Re-anchors the stream at `rng`, dropping the lookahead.
   void Restore(const Rng& rng) { Seek({rng, 0}); }
 
+  // True once a helper thread draws this stream's blocks ahead.
+  [[nodiscard]] bool drawing_ahead() const { return lookahead_ != nullptr; }
+  // Blocks this stream took from its helper instead of drawing them.
+  [[nodiscard]] std::int64_t helper_blocks() const { return helper_blocks_; }
+
+  // Refills before a stream asks for a helper: a run that draws fewer
+  // blocks never starts a thread.
+  static constexpr std::int32_t kRefillsBeforeHelper = 4;
+
  private:
+  class Lookahead;  // the helper thread and its ring (activity_stream.cc)
+
   static constexpr std::int32_t kBlockWords = kBlockDraws / 64;
   // One spare word so a 64-bit read at any offset stays in bounds.
   static constexpr std::int32_t kPlaneWords = kBlockWords + 1;
+  using PlaneArray = std::array<std::array<std::uint64_t, kPlaneWords>, 2>;
 
   void ChangeThresholds(std::uint64_t plane0, std::uint64_t plane1);
   // Take for a run that does not fit in the current block, or before the
   // first block: refills as it goes.
   void TakeAcrossBlocks(std::int32_t count, std::uint64_t* out);
-  // Starts the next block at next_base_.
+  // Starts the next block at next_base_: takes it from the helper when it
+  // is ready, draws it inline otherwise.
   void Refill();
   // (Re)computes the block at base_ with the current thresholds.
   void Fill();
+  // Points the helper at next_base_ under the current thresholds, dropping
+  // whatever it drew before.
+  void RestartLookahead();
 
   int width_;
   std::uint64_t thresholds_[2] = {0, 0};
@@ -124,8 +155,23 @@ class ActivityStream {
   Rng next_base_;  // serial state after the block's last draw
   // Draws consumed from the block; kBlockDraws also before the first block.
   std::int32_t pos_ = kBlockDraws;
-  std::array<std::array<std::uint64_t, kPlaneWords>, 2> planes_{};
+  PlaneArray planes_{};
+  // Set from internal::ForceLookaheadForTesting when the stream is built.
+  bool force_lookahead_;
+  std::int32_t refills_ = 0;
+  std::int64_t helper_blocks_ = 0;
+  std::unique_ptr<Lookahead> lookahead_;  // null until a helper starts
 };
+
+namespace internal {
+
+// Makes every stream built afterwards start its helper at its first
+// refill, without a permit from the spare-thread budget; false restores
+// the budgeted start for streams built afterwards. For tests that check the
+// helper's blocks against inline ones.
+void ForceLookaheadForTesting(bool on);
+
+}  // namespace internal
 
 }  // namespace crn::pu
 

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/spare_threads.h"
+
 namespace crn::harness {
 namespace {
 
@@ -46,6 +48,26 @@ TEST(ParallelRunnerTest, SingleJobRunsInlineOnTheCallingThread) {
   runner.ForEachIndex(4, [&](std::int64_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
+}
+
+// A runner holds one spare thread per worker beyond the caller for its
+// lifetime; one whose workers fill every core leaves none for helpers
+// (pu/activity_stream.h), which then draw inline.
+TEST(ParallelRunnerTest, ReservesItsWorkersInTheSpareThreadBudget) {
+  const std::int32_t before = spare_threads::Available();
+  {
+    const ParallelRunner serial(1);
+    EXPECT_EQ(spare_threads::Available(), before);
+    const ParallelRunner runner(3);
+    EXPECT_EQ(spare_threads::Available(), before - 2);
+  }
+  EXPECT_EQ(spare_threads::Available(), before);
+  {
+    const ParallelRunner every_core(0);
+    EXPECT_LE(spare_threads::Available(), 0);
+    EXPECT_FALSE(spare_threads::TryAcquire());
+  }
+  EXPECT_EQ(spare_threads::Available(), before);
 }
 
 }  // namespace

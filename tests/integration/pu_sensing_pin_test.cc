@@ -7,10 +7,13 @@
 // boundaries change no busy flag: a long p_t = 0.45 run over hundreds of
 // windows, a sensing-error burst that starts and ends inside one window,
 // the fairness wait switched off, continuous collection, and a Coolest run
-// at p_t = 0.45 (Fig. 6(c)'s most draw-heavy cell). Every value below is exact: a change to how or when PU
+// at p_t = 0.45 (Fig. 6(c)'s most draw-heavy cell). Each cell is run with
+// its PU activity blocks drawn inline and drawn ahead on a helper thread
+// (pu/activity_stream.h). Every value below is exact: a change to how or when PU
 // activity is drawn or sensed moves at least one of them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -19,12 +22,14 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/spare_threads.h"
 #include "core/collection.h"
 #include "core/invariant_auditor.h"
 #include "core/scenario.h"
 #include "faults/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
+#include "pu/activity_stream.h"
 #include "sim/checkpoint.h"
 #include "sim/flight_recorder.h"
 
@@ -152,7 +157,7 @@ std::int64_t SlotsSampled(const std::string& blob) {
 }
 
 // `traced_out`, when set, receives the traced run.
-void ExpectPinned(const Cell& cell, const Pins& pins, Outcome* traced_out = nullptr) {
+void ExpectPinnedOnce(const Cell& cell, const Pins& pins, Outcome* traced_out) {
   const Outcome traced = Run(cell, 0, nullptr);
   if (traced_out != nullptr) *traced_out = traced;
   const Outcome checkpointed = Run(cell, cell.checkpoint_every, nullptr);
@@ -191,6 +196,22 @@ void ExpectPinned(const Cell& cell, const Pins& pins, Outcome* traced_out = null
   EXPECT_EQ(resumed.result.delay_ms, traced.result.delay_ms);
   EXPECT_EQ(resumed.result.mac.slot_checks_total, mac.slot_checks_total);
   EXPECT_EQ(resumed.result.mac.slot_checks_free, mac.slot_checks_free);
+}
+
+// Every cell runs twice: once with the spare-thread budget held at zero, so
+// every PU activity block is drawn inline, and once with every run's
+// activity stream drawing ahead on a helper thread from its first refill.
+// Both must meet every pin, the checkpoint bytes and the resume included.
+void ExpectPinned(const Cell& cell, const Pins& pins, Outcome* traced_out = nullptr) {
+  {
+    SCOPED_TRACE("blocks drawn inline");
+    const spare_threads::Reservation no_spare(std::max(0, spare_threads::Available()));
+    ExpectPinnedOnce(cell, pins, traced_out);
+  }
+  SCOPED_TRACE("blocks drawn ahead on a helper thread");
+  pu::internal::ForceLookaheadForTesting(true);
+  ExpectPinnedOnce(cell, pins, nullptr);
+  pu::internal::ForceLookaheadForTesting(false);
 }
 
 // N = 100 PUs (two 64-bit words of PU ids) among n = 500 SUs, and N = 1,100
