@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "common/check.h"
@@ -438,8 +439,13 @@ void ActivityStream::Refill() {
   }
   if (++refills_ < kRefillsBeforeHelper && !force_lookahead_) return;
   if (!force_lookahead_ && !spare_threads::TryAcquire()) return;
-  lookahead_ = std::make_unique<Lookahead>(width_, /*holds_permit=*/!force_lookahead_,
-                                           next_base_, thresholds_[0], thresholds_[1]);
+  try {
+    lookahead_ = std::make_unique<Lookahead>(width_, /*holds_permit=*/!force_lookahead_,
+                                             next_base_, thresholds_[0], thresholds_[1]);
+  } catch (const std::system_error&) {
+    // No thread could be started: draw inline, as without a permit.
+    if (!force_lookahead_) spare_threads::Release();
+  }
 }
 
 void ActivityStream::Fill() {

@@ -158,7 +158,7 @@ class ActivityStream {
   PlaneArray planes_{};
   // Set from internal::ForceLookaheadForTesting when the stream is built.
   bool force_lookahead_;
-  std::int32_t refills_ = 0;
+  std::int32_t refills_ = 0;  // inline refills while no helper runs
   std::int64_t helper_blocks_ = 0;
   std::unique_ptr<Lookahead> lookahead_;  // null until a helper starts
 };
