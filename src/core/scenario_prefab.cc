@@ -55,10 +55,6 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::TryBuild(
   // of those had an isolated point, which IsUnitDiskConnected finds without
   // a traversal (DESIGN.md §5). The attempt cap turns a mis-parameterized
   // config into a clear error instead of a hang.
-  // Every draw goes straight into su_positions and is indexed in one grid
-  // whose storage the next draw reuses.
-  prefab->su_positions.reserve(static_cast<std::size_t>(config.num_sus) + 1);
-  geom::SpatialGrid workspace;
   for (std::int32_t attempt = 0;; ++attempt) {
     if (attempt >= config.max_deployment_attempts) {
       std::ostringstream message;
@@ -71,14 +67,14 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefab::TryBuild(
     }
     prefab->su_positions.clear();
     prefab->su_positions.push_back(prefab->area.Center());  // base station
-    geom::AppendUniformDeployment(config.num_sus, prefab->area, su_rng,
-                                  prefab->su_positions);
+    auto sus = geom::UniformDeployment(config.num_sus, prefab->area, su_rng);
+    prefab->su_positions.insert(prefab->su_positions.end(), sus.begin(),
+                                sus.end());
     if (geom::IsUnitDiskConnected(prefab->su_positions, prefab->area,
-                                  config.su_radius, workspace)) {
+                                  config.su_radius)) {
       break;
     }
   }
-  workspace = geom::SpatialGrid();  // freed before the graph builds its own
   prefab->graph = std::make_unique<const graph::UnitDiskGraph>(
       prefab->su_positions, prefab->area, config.su_radius);
   prefab->tree = std::make_unique<const graph::CdsTree>(*prefab->graph,

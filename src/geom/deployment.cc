@@ -15,19 +15,14 @@
 namespace crn::geom {
 
 std::vector<Vec2> UniformDeployment(std::int32_t count, Aabb area, Rng& rng) {
-  std::vector<Vec2> points;
-  AppendUniformDeployment(count, area, rng, points);
-  return points;
-}
-
-void AppendUniformDeployment(std::int32_t count, Aabb area, Rng& rng,
-                             std::vector<Vec2>& points) {
   CRN_CHECK(count >= 0);
-  points.reserve(points.size() + static_cast<std::size_t>(count));
+  std::vector<Vec2> points;
+  points.reserve(count);
   for (std::int32_t i = 0; i < count; ++i) {
     points.push_back({rng.UniformDouble(area.min.x, area.max.x),
                       rng.UniformDouble(area.min.y, area.max.y)});
   }
+  return points;
 }
 
 std::vector<Vec2> JitteredGridDeployment(std::int32_t count, Aabb area, Rng& rng) {
@@ -203,17 +198,10 @@ bool PointsConnected(const SpatialGrid& grid, double radius) {
 }  // namespace
 
 bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius) {
-  SpatialGrid workspace;
-  return IsUnitDiskConnected(points, area, radius, workspace);
-}
-
-bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius,
-                         SpatialGrid& workspace) {
   if (points.size() <= 1) return true;
   CRN_CHECK(radius > 0.0);
   const double cell = kCellOverRadius * radius;
-  workspace.Assign(points, area, cell);
-  const SpatialGrid& grid = workspace;
+  const SpatialGrid grid(points, area, cell);
   // A cell is a clique when the cap kept the cell size and no point was
   // clamped into an edge cell from outside the area.
   const bool cliques =

@@ -12,16 +12,12 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "geom/spatial_grid.h"
 #include "geom/vec2.h"
 
 namespace crn::geom {
 
 // Samples `count` points i.i.d. uniformly in `area`.
 std::vector<Vec2> UniformDeployment(std::int32_t count, Aabb area, Rng& rng);
-// The same draws, appended to `points`.
-void AppendUniformDeployment(std::int32_t count, Aabb area, Rng& rng,
-                             std::vector<Vec2>& points);
 
 // Samples `count` points on a jittered grid covering `area`: one point per
 // grid cell, uniformly placed within the cell. Produces connected, evenly
@@ -40,10 +36,6 @@ std::vector<Vec2> ClusteredDeployment(std::int32_t count, std::int32_t cluster_c
 // (each a clique) with a union-find; O(n · neighbors) at worst
 // (deployment.cc, DESIGN.md §5).
 bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius);
-// The same test, indexing `points` in `workspace` (SpatialGrid::Assign), so
-// a caller that tests draw after draw reuses one grid's storage.
-bool IsUnitDiskConnected(const std::vector<Vec2>& points, Aabb area, double radius,
-                         SpatialGrid& workspace);
 
 }  // namespace crn::geom
 

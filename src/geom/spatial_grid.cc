@@ -52,39 +52,25 @@ GridShape ShapeOf(Aabb bounds, double cell_size, std::size_t points) {
 
 SpatialGrid::SpatialGrid(std::vector<Vec2> points, Aabb bounds, double cell_size)
     : points_(std::move(points)), bounds_(bounds) {
-  Index(cell_size);
-}
-
-void SpatialGrid::Assign(std::span<const Vec2> points, Aabb bounds, double cell_size) {
-  points_.assign(points.begin(), points.end());
-  bounds_ = bounds;
-  Index(cell_size);
-}
-
-void SpatialGrid::Index(double cell_size) {
-  const GridShape shape = ShapeOf(bounds_, cell_size, points_.size());
+  const GridShape shape = ShapeOf(bounds, cell_size, points_.size());
   cell_size_ = shape.cell_size;
   cols_ = shape.cols;
   rows_ = shape.rows;
 
-  // cell_start_[c + 1] first counts cell c's points, then holds where its
-  // next point goes, and ends where the cell ends: no arrays besides the
-  // CSR's own.
   const std::int32_t num_cells = cols_ * rows_;
-  cell_start_.assign(num_cells + 1, 0);
+  std::vector<std::int32_t> counts(num_cells, 0);
   for (const Vec2& p : points_) {
-    ++cell_start_[CellOf(p) + 1];
+    ++counts[CellOf(p)];
   }
-  std::int32_t start = 0;
+  cell_start_.assign(num_cells + 1, 0);
   for (std::int32_t c = 0; c < num_cells; ++c) {
-    const std::int32_t count = cell_start_[c + 1];
-    cell_start_[c + 1] = start;
-    start += count;
+    cell_start_[c + 1] = cell_start_[c] + counts[c];
   }
   cell_points_.resize(points_.size());
   cell_positions_.resize(points_.size());
+  std::vector<std::int32_t> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (std::int32_t i = 0; i < static_cast<std::int32_t>(points_.size()); ++i) {
-    const std::int32_t at = cell_start_[CellOf(points_[i]) + 1]++;
+    const std::int32_t at = cursor[CellOf(points_[i])]++;
     cell_points_[at] = i;
     cell_positions_[at] = points_[i];
   }

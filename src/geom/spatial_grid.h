@@ -35,13 +35,6 @@ class SpatialGrid {
   // whose area would need more than max(4 · points, 2^20) cells of that
   // size uses larger cells instead (spatial_grid.cc).
   SpatialGrid(std::vector<Vec2> points, Aabb bounds, double cell_size);
-  // An empty grid, for Assign to fill.
-  SpatialGrid() = default;
-
-  // Re-indexes the grid over a copy of `points`, as the constructor would,
-  // reusing its storage: a grid that held as many points and cells before
-  // allocates nothing.
-  void Assign(std::span<const Vec2> points, Aabb bounds, double cell_size);
 
   // Calls visit(index) for every point with Distance(point, center) <= radius,
   // in cell-major order (rows bottom to top, cells left to right), then in
@@ -130,9 +123,6 @@ class SpatialGrid {
   [[nodiscard]] std::size_t CellCount(std::int32_t cell) const {
     return static_cast<std::size_t>(cell_start_[cell + 1] - cell_start_[cell]);
   }
-
-  // Builds the cell layout of points_ over bounds_.
-  void Index(double cell_size);
 
   [[nodiscard]] std::int32_t CellOf(Vec2 p) const {
     const std::int32_t cx = ClampedCell((p.x - bounds_.min.x) / cell_size_, cols_);

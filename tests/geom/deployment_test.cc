@@ -38,21 +38,6 @@ TEST(DeploymentTest, UniformCoversAreaEvenly) {
   }
 }
 
-TEST(DeploymentTest, AppendDrawsWhatUniformReturns) {
-  const Aabb area = Aabb::Square(50.0);
-  Rng a(9);
-  Rng b(9);
-  const std::vector<Vec2> drawn = UniformDeployment(300, area, a);
-  std::vector<Vec2> appended{{-1.0, -1.0}};
-  AppendUniformDeployment(300, area, b, appended);
-  ASSERT_EQ(appended.size(), 301U);
-  for (std::size_t i = 0; i < drawn.size(); ++i) {
-    EXPECT_EQ(appended[i + 1].x, drawn[i].x);
-    EXPECT_EQ(appended[i + 1].y, drawn[i].y);
-  }
-  EXPECT_EQ(a(), b());
-}
-
 TEST(DeploymentTest, UniformZeroCount) {
   Rng rng(3);
   EXPECT_TRUE(UniformDeployment(0, Aabb::Square(10.0), rng).empty());
@@ -174,7 +159,6 @@ void ExpectMatchesAllPairs(const std::vector<Vec2>& points, Aabb area, double ra
 // disconnected without an isolated point.
 TEST(ConnectivityTest, MatchesAllPairsUnionFindNearTheThreshold) {
   Rng rng(31);
-  SpatialGrid workspace;  // reused across draws of every size and area
   int connected = 0;
   int isolated = 0;
   int split = 0;  // disconnected, no isolated point
@@ -200,7 +184,6 @@ TEST(ConnectivityTest, MatchesAllPairsUnionFindNearTheThreshold) {
     }
     const bool want = ConnectedByAllPairs(points, radius);
     ASSERT_EQ(IsUnitDiskConnected(points, area, radius), want) << "draw " << draw;
-    ASSERT_EQ(IsUnitDiskConnected(points, area, radius, workspace), want) << "draw " << draw;
     if (want) {
       ++connected;
     } else if (HasIsolatedPoint(points, radius)) {

@@ -209,32 +209,6 @@ TEST(SpatialGridTest, HugeAreasCapTheCellCount) {
   EXPECT_EQ(grid.QueryDisk({1e7, 1e7}, 0.0), (std::vector<std::int32_t>{51}));
 }
 
-// A reused grid holds the layout a fresh one builds, after a larger and
-// after a smaller point set.
-TEST(SpatialGridTest, AssignMatchesAFreshGrid) {
-  SpatialGrid reused;
-  for (const std::int32_t count : {800, 50, 400, 0, 3}) {
-    SCOPED_TRACE(::testing::Message() << count << " points");
-    const Aabb area{{-5.0, 2.0}, {60.0 + count / 10.0, 40.0}};
-    const std::vector<Vec2> points = RandomPoints(count, area, 100 + count);
-    const double cell = 1.0 + count / 400.0;
-    reused.Assign(points, area, cell);
-    const SpatialGrid fresh(points, area, cell);
-    ASSERT_EQ(reused.size(), fresh.size());
-    ASSERT_EQ(reused.cell_size(), fresh.cell_size());
-    ASSERT_EQ(reused.cols(), fresh.cols());
-    ASSERT_EQ(reused.rows(), fresh.rows());
-    for (std::int32_t c = 0; c < fresh.cols() * fresh.rows(); ++c) {
-      const auto want = fresh.CellPoints(c);
-      const auto got = reused.CellPoints(c);
-      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(), got.end())) << "cell " << c;
-    }
-    for (std::int32_t i = 0; i < count; ++i) {
-      EXPECT_EQ(reused.QueryDisk(points[i], 3.0), fresh.QueryDisk(points[i], 3.0));
-    }
-  }
-}
-
 TEST(SpatialGridTest, RejectsNonFiniteBounds) {
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(SpatialGrid({}, Aabb{{0.0, 0.0}, {inf, 10.0}}, 1.0), ContractViolation);
