@@ -32,13 +32,17 @@ bool TryAcquire() {
 
 void Release() { Budget().fetch_add(1, std::memory_order_relaxed); }
 
-std::int32_t Available() { return Budget().load(std::memory_order_relaxed); }
-
 Reservation::Reservation(std::int32_t count) : count_(count) {
   CRN_CHECK(count >= 0) << "cannot reserve " << count << " spare threads";
   Budget().fetch_sub(count_, std::memory_order_relaxed);
 }
 
 Reservation::~Reservation() { Budget().fetch_add(count_, std::memory_order_relaxed); }
+
+namespace internal {
+
+std::int32_t Available() { return Budget().load(std::memory_order_relaxed); }
+
+}  // namespace internal
 
 }  // namespace crn::spare_threads

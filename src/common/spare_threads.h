@@ -21,8 +21,6 @@ namespace crn::spare_threads {
 [[nodiscard]] bool TryAcquire();
 // Returns a permit TryAcquire took.
 void Release();
-// Permits free now (negative while reservations exceed the budget).
-[[nodiscard]] std::int32_t Available();
 
 // Holds `count` permits (count >= 0) from construction to destruction,
 // free or not.
@@ -36,6 +34,14 @@ class Reservation {
  private:
   std::int32_t count_;
 };
+
+namespace internal {
+
+// Permits free now (negative while reservations exceed the budget). For
+// tests that check what a stream or a pool took.
+[[nodiscard]] std::int32_t Available();
+
+}  // namespace internal
 
 }  // namespace crn::spare_threads
 

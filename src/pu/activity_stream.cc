@@ -240,7 +240,9 @@ std::atomic<bool> forced_for_testing{false};
 // empties the ring and bumps `epoch_`; a block the helper was drawing when
 // its epoch ended is dropped, never published. So every block in the ring
 // starts where the one before it ends, the first at the consumer's
-// next_base_, under the consumer's thresholds.
+// next_base_, under the consumer's thresholds. A consumer that finds the
+// ring empty while the helper draws the block it needs waits for that
+// block rather than draw it a second time.
 class ActivityStream::Lookahead {
  public:
   Lookahead(int width, bool holds_permit, const Rng& base, std::uint64_t t0,
@@ -275,13 +277,23 @@ class ActivityStream::Lookahead {
     wake_.notify_one();
   }
 
-  // When a block is ready, copies its plane words (plane 1 only when
-  // `two_planes`) into `planes`, sets `next_base` to its end and returns
-  // true. The block starts at `base`. Re-raises a failure of the helper.
+  // When a block is ready, or the helper is drawing it, copies its plane
+  // words (plane 1 only when `two_planes`) into `planes`, sets `next_base`
+  // to its end and returns true. The block starts at `base`. Re-raises a
+  // failure of the helper.
   bool Take(const Rng& base, bool two_planes, PlaneArray& planes, Rng& next_base) {
     bool wake = false;
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (count_ == 0 && drawing_epoch_ == epoch_) {
+        // With the ring empty the helper draws from the consumer's
+        // next_base_, so its block is this one. Only this thread restarts
+        // or stops the helper, so the block is published or a failure is
+        // kept before the wait ends.
+        waiting_ = true;
+        ready_.wait(lock, [this] { return count_ > 0 || error_ != nullptr; });
+        waiting_ = false;
+      }
       if (error_ != nullptr) std::rethrow_exception(error_);
       if (count_ == 0) return false;
       const Block& block = ring_[static_cast<std::size_t>(head_)];
@@ -302,6 +314,8 @@ class ActivityStream::Lookahead {
 
  private:
   static constexpr std::int32_t kRingBlocks = 8;
+  // drawing_epoch_ while the helper draws no block; epoch_ never reaches it.
+  static constexpr std::uint64_t kNotDrawing = ~std::uint64_t{0};
 
   struct Block {
     std::uint64_t epoch = 0;
@@ -325,29 +339,36 @@ class ActivityStream::Lookahead {
         // Outside [head_, head_ + count_): no consumer reads it until it is
         // published, and only this thread publishes.
         Block& block = ring_[static_cast<std::size_t>((head_ + count_) % kRingBlocks)];
+        drawing_epoch_ = epoch;
         lock.unlock();
         const Rng next =
             FillBlock(width_, base, t0, t1, block.planes[0].data(), block.planes[1].data());
         lock.lock();
+        drawing_epoch_ = kNotDrawing;
         if (epoch != epoch_) continue;  // restarted while drawing
         block.epoch = epoch;
         block.base = base;
         block.next_base = next;
         ++count_;
         draw_base_ = next;
+        if (waiting_) ready_.notify_one();
       }
     } catch (...) {
       if (!lock.owns_lock()) lock.lock();
       error_ = std::current_exception();
+      if (waiting_) ready_.notify_one();
     }
   }
 
   const int width_;
   const bool holds_permit_;
   std::mutex mutex_;
-  std::condition_variable wake_;  // the helper waits on it
+  std::condition_variable wake_;   // the helper waits on it
+  std::condition_variable ready_;  // a consumer waits on it for a block
   bool stop_ = false;
+  bool waiting_ = false;  // a consumer waits on ready_
   std::uint64_t epoch_ = 0;
+  std::uint64_t drawing_epoch_ = kNotDrawing;  // the epoch of the block in the helper's hands
   Rng draw_base_;
   std::uint64_t thresholds_[2];
   std::array<Block, kRingBlocks> ring_;
@@ -432,8 +453,7 @@ void ActivityStream::Refill() {
   }
   Fill();
   if (lookahead_ != nullptr) {
-    // The helper was drawing this block, or had not started it: move it on
-    // to the next one.
+    // The helper had not started this block: move it on to the next one.
     RestartLookahead();
     return;
   }
@@ -460,6 +480,10 @@ void ActivityStream::RestartLookahead() {
 namespace internal {
 
 void ForceLookaheadForTesting(bool on) { forced_for_testing.store(on, std::memory_order_relaxed); }
+
+bool DrawingAhead(const ActivityStream& stream) { return stream.lookahead_ != nullptr; }
+
+std::int64_t HelperBlocks(const ActivityStream& stream) { return stream.helper_blocks_; }
 
 }  // namespace internal
 

@@ -42,6 +42,17 @@
 
 namespace crn::pu {
 
+class ActivityStream;
+
+namespace internal {
+
+// True once a helper thread draws `stream`'s blocks ahead.
+bool DrawingAhead(const ActivityStream& stream);
+// Blocks `stream` took from its helper instead of drawing them.
+std::int64_t HelperBlocks(const ActivityStream& stream);
+
+}  // namespace internal
+
 class ActivityStream {
  public:
   static constexpr std::int32_t kLanes = 8;
@@ -118,17 +129,14 @@ class ActivityStream {
   // Re-anchors the stream at `rng`, dropping the lookahead.
   void Restore(const Rng& rng) { Seek({rng, 0}); }
 
-  // True once a helper thread draws this stream's blocks ahead.
-  [[nodiscard]] bool drawing_ahead() const { return lookahead_ != nullptr; }
-  // Blocks this stream took from its helper instead of drawing them.
-  [[nodiscard]] std::int64_t helper_blocks() const { return helper_blocks_; }
-
   // Refills before a stream asks for a helper: a run that draws fewer
   // blocks never starts a thread.
   static constexpr std::int32_t kRefillsBeforeHelper = 4;
 
  private:
   class Lookahead;  // the helper thread and its ring (activity_stream.cc)
+  friend bool internal::DrawingAhead(const ActivityStream& stream);
+  friend std::int64_t internal::HelperBlocks(const ActivityStream& stream);
 
   static constexpr std::int32_t kBlockWords = kBlockDraws / 64;
   // One spare word so a 64-bit read at any offset stays in bounds.
@@ -170,6 +178,16 @@ namespace internal {
 // the budgeted start for streams built afterwards. For tests that check the
 // helper's blocks against inline ones.
 void ForceLookaheadForTesting(bool on);
+
+// ForceLookaheadForTesting(true) for its lifetime, so a test that throws
+// leaves no later test forced.
+class ScopedForceLookaheadForTesting {
+ public:
+  ScopedForceLookaheadForTesting() { ForceLookaheadForTesting(true); }
+  ~ScopedForceLookaheadForTesting() { ForceLookaheadForTesting(false); }
+  ScopedForceLookaheadForTesting(const ScopedForceLookaheadForTesting&) = delete;
+  ScopedForceLookaheadForTesting& operator=(const ScopedForceLookaheadForTesting&) = delete;
+};
 
 }  // namespace internal
 

@@ -54,20 +54,20 @@ TEST(ParallelRunnerTest, SingleJobRunsInlineOnTheCallingThread) {
 // lifetime; one whose workers fill every core leaves none for helpers
 // (pu/activity_stream.h), which then draw inline.
 TEST(ParallelRunnerTest, ReservesItsWorkersInTheSpareThreadBudget) {
-  const std::int32_t before = spare_threads::Available();
+  const std::int32_t before = spare_threads::internal::Available();
   {
     const ParallelRunner serial(1);
-    EXPECT_EQ(spare_threads::Available(), before);
+    EXPECT_EQ(spare_threads::internal::Available(), before);
     const ParallelRunner runner(3);
-    EXPECT_EQ(spare_threads::Available(), before - 2);
+    EXPECT_EQ(spare_threads::internal::Available(), before - 2);
   }
-  EXPECT_EQ(spare_threads::Available(), before);
+  EXPECT_EQ(spare_threads::internal::Available(), before);
   {
     const ParallelRunner every_core(0);
-    EXPECT_LE(spare_threads::Available(), 0);
+    EXPECT_LE(spare_threads::internal::Available(), 0);
     EXPECT_FALSE(spare_threads::TryAcquire());
   }
-  EXPECT_EQ(spare_threads::Available(), before);
+  EXPECT_EQ(spare_threads::internal::Available(), before);
 }
 
 }  // namespace

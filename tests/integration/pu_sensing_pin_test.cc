@@ -205,13 +205,12 @@ void ExpectPinnedOnce(const Cell& cell, const Pins& pins, Outcome* traced_out) {
 void ExpectPinned(const Cell& cell, const Pins& pins, Outcome* traced_out = nullptr) {
   {
     SCOPED_TRACE("blocks drawn inline");
-    const spare_threads::Reservation no_spare(std::max(0, spare_threads::Available()));
+    const spare_threads::Reservation no_spare(std::max(0, spare_threads::internal::Available()));
     ExpectPinnedOnce(cell, pins, traced_out);
   }
   SCOPED_TRACE("blocks drawn ahead on a helper thread");
-  pu::internal::ForceLookaheadForTesting(true);
+  const pu::internal::ScopedForceLookaheadForTesting forced;
   ExpectPinnedOnce(cell, pins, nullptr);
-  pu::internal::ForceLookaheadForTesting(false);
 }
 
 // N = 100 PUs (two 64-bit words of PU ids) among n = 500 SUs, and N = 1,100

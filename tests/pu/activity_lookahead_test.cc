@@ -37,16 +37,14 @@ constexpr std::int32_t kBlock = ActivityStream::kBlockDraws;
 // Builds a stream whose helper starts at its first refill, whatever the
 // budget holds; resets the hook for streams built later.
 std::unique_ptr<ActivityStream> ForcedStream(const Rng& rng, int width) {
-  internal::ForceLookaheadForTesting(true);
-  auto stream = std::make_unique<ActivityStream>(rng, width);
-  internal::ForceLookaheadForTesting(false);
-  return stream;
+  const internal::ScopedForceLookaheadForTesting forced;
+  return std::make_unique<ActivityStream>(rng, width);
 }
 
 // Holds every free permit of the spare-thread budget, so streams built
 // under it draw inline.
 struct NoSpareThreads {
-  spare_threads::Reservation all{std::max(0, spare_threads::Available())};
+  spare_threads::Reservation all{std::max(0, spare_threads::internal::Available())};
 };
 
 // Drives a helper stream and an inline stream through the same calls and
@@ -113,12 +111,12 @@ TEST(ActivityLookaheadTest, HelperMatchesInlineAtEveryWidth) {
     ASSERT_TRUE(pair.SetThresholds(mid, mid));
     // Let the helper fill its ring, then take runs that straddle blocks.
     ASSERT_TRUE(pair.Take(1));
-    ASSERT_TRUE(pair.ahead().drawing_ahead());
+    ASSERT_TRUE(internal::DrawingAhead(pair.ahead()));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     for (const std::int32_t count : {kBlock - 1, 2, kBlock, 3 * kBlock + 17, 100, kBlock}) {
       ASSERT_TRUE(pair.Take(count)) << "run of " << count;
     }
-    EXPECT_GT(pair.ahead().helper_blocks(), 0);
+    EXPECT_GT(internal::HelperBlocks(pair.ahead()), 0);
 
     // Markov two-plane reads, then a threshold change in the middle of a
     // block, each across block boundaries.
@@ -187,14 +185,35 @@ TEST(ActivityLookaheadTest, HelperMatchesInlineOverMixedCalls) {
         break;
     }
   }
-  EXPECT_GT(pair.ahead().helper_blocks(), 0);
+  EXPECT_GT(internal::HelperBlocks(pair.ahead()), 0);
+}
+
+// A consumer that takes whole blocks back to back outruns the helper. It
+// then waits for the block the helper is drawing instead of drawing it
+// again, so the helper still hands over blocks and the bits stay equal.
+TEST(ActivityLookaheadTest, DrawBoundConsumerTakesTheHelpersBlocks) {
+  const NoSpareThreads budget;
+  const std::uint64_t threshold = Rng::BernoulliThreshold(0.45);
+  constexpr int kBlocks = 256;
+  constexpr std::int32_t kWords = kBlock / 64;
+  const std::unique_ptr<ActivityStream> ahead = ForcedStream(Rng(11), simd::BestWidth());
+  ActivityStream serial(Rng(11));
+  ahead->SetThresholds(threshold, threshold);
+  serial.SetThresholds(threshold, threshold);
+  std::vector<std::uint64_t> got(kBlocks * kWords);
+  for (int block = 0; block < kBlocks; ++block) ahead->Take(kBlock, &got[block * kWords]);
+  std::vector<std::uint64_t> want(kBlocks * kWords);
+  for (int block = 0; block < kBlocks; ++block) serial.Take(kBlock, &want[block * kWords]);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(SameState(ahead->State(), serial.State()));
+  EXPECT_GT(internal::HelperBlocks(*ahead), 0);
 }
 
 TEST(ActivityLookaheadTest, StartsAtTheFourthRefillWithAPermit) {
-  if (spare_threads::Available() < 1) {
+  if (spare_threads::internal::Available() < 1) {
     GTEST_SKIP() << "no spare hardware thread on this host";
   }
-  const std::int32_t before = spare_threads::Available();
+  const std::int32_t before = spare_threads::internal::Available();
   const std::uint64_t threshold = Rng::BernoulliThreshold(0.3);
   {
     ActivityStream stream(Rng(3));
@@ -202,18 +221,18 @@ TEST(ActivityLookaheadTest, StartsAtTheFourthRefillWithAPermit) {
     std::vector<std::uint64_t> words(kBlock / 64);
     for (std::int32_t refill = 1; refill < ActivityStream::kRefillsBeforeHelper; ++refill) {
       stream.Take(kBlock, words.data());
-      EXPECT_FALSE(stream.drawing_ahead()) << "refill " << refill;
+      EXPECT_FALSE(internal::DrawingAhead(stream)) << "refill " << refill;
     }
     stream.Take(kBlock, words.data());
-    EXPECT_TRUE(stream.drawing_ahead());
-    EXPECT_EQ(spare_threads::Available(), before - 1);
+    EXPECT_TRUE(internal::DrawingAhead(stream));
+    EXPECT_EQ(spare_threads::internal::Available(), before - 1);
   }
-  EXPECT_EQ(spare_threads::Available(), before);
+  EXPECT_EQ(spare_threads::internal::Available(), before);
 }
 
 TEST(ActivityLookaheadTest, NoSpareThreadNoHelper) {
   const NoSpareThreads budget;
-  ASSERT_LE(spare_threads::Available(), 0);
+  ASSERT_LE(spare_threads::internal::Available(), 0);
   const std::uint64_t threshold = Rng::BernoulliThreshold(0.3);
   ActivityStream stream(Rng(3));
   stream.SetThresholds(threshold, threshold);
@@ -221,8 +240,8 @@ TEST(ActivityLookaheadTest, NoSpareThreadNoHelper) {
   for (std::int32_t refill = 0; refill < 4 * ActivityStream::kRefillsBeforeHelper; ++refill) {
     stream.Take(kBlock, words.data());
   }
-  EXPECT_FALSE(stream.drawing_ahead());
-  EXPECT_EQ(stream.helper_blocks(), 0);
+  EXPECT_FALSE(internal::DrawingAhead(stream));
+  EXPECT_EQ(internal::HelperBlocks(stream), 0);
 }
 
 }  // namespace
