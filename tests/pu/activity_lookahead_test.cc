@@ -24,6 +24,10 @@ namespace crn::pu {
 namespace {
 
 constexpr std::int32_t kBlock = ActivityStream::kBlockDraws;
+// The helper hands over a block only once its thread has run, which a
+// loaded host may put off, so checks that it did wait on wall time rather
+// than on a count of blocks.
+constexpr auto kHelperDeadline = std::chrono::seconds(10);
 
 ::testing::AssertionResult SameState(const Rng& a, const Rng& b) {
   for (int i = 0; i < 4; ++i) {
@@ -95,6 +99,18 @@ class Pair {
     return SameStates();
   }
 
+  // Takes whole blocks until the helper has handed one over.
+  ::testing::AssertionResult TakeUntilHelped() {
+    const auto deadline = std::chrono::steady_clock::now() + kHelperDeadline;
+    while (internal::HelperBlocks(*ahead_) == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return ::testing::AssertionFailure() << "the helper handed over no block";
+      }
+      if (::testing::AssertionResult same = Take(kBlock); !same) return same;
+    }
+    return ::testing::AssertionSuccess();
+  }
+
  private:
   std::unique_ptr<ActivityStream> ahead_;
   ActivityStream inline_;
@@ -116,7 +132,7 @@ TEST(ActivityLookaheadTest, HelperMatchesInlineAtEveryWidth) {
     for (const std::int32_t count : {kBlock - 1, 2, kBlock, 3 * kBlock + 17, 100, kBlock}) {
       ASSERT_TRUE(pair.Take(count)) << "run of " << count;
     }
-    EXPECT_GT(internal::HelperBlocks(pair.ahead()), 0);
+    ASSERT_TRUE(pair.TakeUntilHelped());
 
     // Markov two-plane reads, then a threshold change in the middle of a
     // block, each across block boundaries.
@@ -185,28 +201,45 @@ TEST(ActivityLookaheadTest, HelperMatchesInlineOverMixedCalls) {
         break;
     }
   }
-  EXPECT_GT(internal::HelperBlocks(pair.ahead()), 0);
+  ASSERT_TRUE(pair.TakeUntilHelped());
+}
+
+// FNV-1a over 64-bit words.
+std::uint64_t Fold(std::uint64_t hash, const std::vector<std::uint64_t>& words) {
+  for (const std::uint64_t word : words) hash = (hash ^ word) * 0x100000001B3;
+  return hash;
 }
 
 // A consumer that takes whole blocks back to back outruns the helper. It
 // then waits for the block the helper is drawing instead of drawing it
 // again, so the helper still hands over blocks and the bits stay equal.
+// Without that wait it would draw every block itself and restart the
+// helper each time, and the loop below would run to its deadline.
 TEST(ActivityLookaheadTest, DrawBoundConsumerTakesTheHelpersBlocks) {
   const NoSpareThreads budget;
   const std::uint64_t threshold = Rng::BernoulliThreshold(0.45);
-  constexpr int kBlocks = 256;
-  constexpr std::int32_t kWords = kBlock / 64;
   const std::unique_ptr<ActivityStream> ahead = ForcedStream(Rng(11), simd::BestWidth());
-  ActivityStream serial(Rng(11));
   ahead->SetThresholds(threshold, threshold);
+  std::vector<std::uint64_t> words(kBlock / 64);
+  std::uint64_t got = 0xCBF29CE484222325;
+  std::int64_t blocks = 0;
+  const auto deadline = std::chrono::steady_clock::now() + kHelperDeadline;
+  while (blocks < 256 || (internal::HelperBlocks(*ahead) == 0 &&
+                          std::chrono::steady_clock::now() < deadline)) {
+    ahead->Take(kBlock, words.data());
+    got = Fold(got, words);
+    ++blocks;
+  }
+  EXPECT_GT(internal::HelperBlocks(*ahead), 0);
+  ActivityStream serial(Rng(11));
   serial.SetThresholds(threshold, threshold);
-  std::vector<std::uint64_t> got(kBlocks * kWords);
-  for (int block = 0; block < kBlocks; ++block) ahead->Take(kBlock, &got[block * kWords]);
-  std::vector<std::uint64_t> want(kBlocks * kWords);
-  for (int block = 0; block < kBlocks; ++block) serial.Take(kBlock, &want[block * kWords]);
+  std::uint64_t want = 0xCBF29CE484222325;
+  for (std::int64_t block = 0; block < blocks; ++block) {
+    serial.Take(kBlock, words.data());
+    want = Fold(want, words);
+  }
   EXPECT_EQ(got, want);
   EXPECT_TRUE(SameState(ahead->State(), serial.State()));
-  EXPECT_GT(internal::HelperBlocks(*ahead), 0);
 }
 
 TEST(ActivityLookaheadTest, StartsAtTheFourthRefillWithAPermit) {
