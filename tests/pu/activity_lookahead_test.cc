@@ -213,8 +213,8 @@ std::uint64_t Fold(std::uint64_t hash, const std::vector<std::uint64_t>& words) 
 // A consumer that takes whole blocks back to back outruns the helper. It
 // then waits for the block the helper is drawing instead of drawing it
 // again, so the helper still hands over blocks and the bits stay equal.
-// Without that wait it would draw every block itself and restart the
-// helper each time, and the loop below would run to its deadline.
+// How many it hands over depends on when the helper's thread runs, so only
+// that it hands over one is checked.
 TEST(ActivityLookaheadTest, DrawBoundConsumerTakesTheHelpersBlocks) {
   const NoSpareThreads budget;
   const std::uint64_t threshold = Rng::BernoulliThreshold(0.45);
