@@ -45,58 +45,74 @@ mac::MacConfig MakeMacConfig(const ScenarioConfig& config, double sensing_range,
 
 // Binds a checkpoint blob to the run that produced it. Restore reconstructs
 // the run from scratch, so the caller must hand back the same scenario,
-// next-hop label, and attachment set — this section is how a mismatch fails
-// with a message instead of a silent digest fork (or a CRN_CHECK deep in
-// some component's LoadState).
-void WriteRunSection(sim::StateWriter& writer, const Scenario& scenario,
-                     const std::string& label, const RunOptions& options) {
-  writer.BeginSection("run");
-  writer.WriteString(label);
-  writer.WriteU64(scenario.config().seed);
-  writer.WriteU64(scenario.repetition());
-  writer.WriteI32(scenario.config().num_sus);
-  writer.WriteI32(scenario.config().num_pus);
-  writer.WriteBool(options.audit_report != nullptr);
-  writer.WriteBool(options.metrics != nullptr);
-  writer.WriteBool(options.faults != nullptr);
-  writer.WriteBool(options.flight_recorder != nullptr);
-  writer.EndSection();
-}
+// next-hop label, and attachment set — the "run" section is how a mismatch
+// fails with a message instead of a silent digest fork (or a CRN_CHECK deep
+// in some component's LoadState).
+struct RunFingerprint {
+  struct ScenarioId {
+    std::uint64_t seed = 0;
+    std::uint64_t repetition = 0;
+    std::int32_t num_sus = 0;
+    std::int32_t num_pus = 0;
+    friend bool operator==(const ScenarioId&, const ScenarioId&) = default;
+  };
+  struct Attachments {
+    bool audit = false;
+    bool metrics = false;
+    bool faults = false;
+    bool flight = false;
+    friend bool operator==(const Attachments&, const Attachments&) = default;
+  };
+  std::string label;
+  ScenarioId scenario;
+  Attachments attachments;
 
-void CheckRunSection(sim::StateReader& reader, const Scenario& scenario,
-                     const std::string& label, const RunOptions& options) {
-  if (!reader.BeginSection("run")) return;
-  const std::string saved_label = reader.ReadString();
-  const std::uint64_t saved_seed = reader.ReadU64();
-  const std::uint64_t saved_rep = reader.ReadU64();
-  const std::int32_t saved_sus = reader.ReadI32();
-  const std::int32_t saved_pus = reader.ReadI32();
-  const bool saved_audit = reader.ReadBool();
-  const bool saved_metrics = reader.ReadBool();
-  const bool saved_faults = reader.ReadBool();
-  const bool saved_flight = reader.ReadBool();
-  reader.EndSection();
+  static RunFingerprint Of(const Scenario& scenario, const std::string& label,
+                           const RunOptions& options) {
+    return {label,
+            {scenario.config().seed, scenario.repetition(),
+             scenario.config().num_sus, scenario.config().num_pus},
+            {options.audit_report != nullptr, options.metrics != nullptr,
+             options.faults != nullptr, options.flight_recorder != nullptr}};
+  }
+
+  // The "run" section's field list (sim/checkpoint.h).
+  template <class Self, class Ar>
+  static void Transfer(Self& self, Ar& ar) {
+    if (!ar.BeginSection("run")) return;
+    ar.Io(self.label);
+    ar.Io(self.scenario.seed);
+    ar.Io(self.scenario.repetition);
+    ar.Io(self.scenario.num_sus);
+    ar.Io(self.scenario.num_pus);
+    ar.Io(self.attachments.audit);
+    ar.Io(self.attachments.metrics);
+    ar.Io(self.attachments.faults);
+    ar.Io(self.attachments.flight);
+    ar.EndSection();
+  }
+};
+
+void CheckRunSection(sim::StateReader& reader, const RunFingerprint& run) {
+  RunFingerprint saved;
+  RunFingerprint::Transfer(saved, reader);
   if (!reader.ok()) return;
-  CRN_CHECK(saved_label == label)
-      << "checkpoint was taken from a '" << saved_label
-      << "' run but restore was asked to resume '" << label << "'";
-  CRN_CHECK(saved_seed == scenario.config().seed &&
-            saved_rep == scenario.repetition() &&
-            saved_sus == scenario.config().num_sus &&
-            saved_pus == scenario.config().num_pus)
-      << "checkpoint scenario (seed " << saved_seed << ", repetition "
-      << saved_rep << ", " << saved_sus << " SUs, " << saved_pus
+  CRN_CHECK(saved.label == run.label)
+      << "checkpoint was taken from a '" << saved.label
+      << "' run but restore was asked to resume '" << run.label << "'";
+  const RunFingerprint::ScenarioId& was = saved.scenario;
+  const RunFingerprint::ScenarioId& is = run.scenario;
+  CRN_CHECK(was == is)
+      << "checkpoint scenario (seed " << was.seed << ", repetition "
+      << was.repetition << ", " << was.num_sus << " SUs, " << was.num_pus
       << " PUs) does not match the scenario handed to restore (seed "
-      << scenario.config().seed << ", repetition " << scenario.repetition()
-      << ", " << scenario.config().num_sus << " SUs, "
-      << scenario.config().num_pus << " PUs)";
-  CRN_CHECK(saved_audit == (options.audit_report != nullptr) &&
-            saved_metrics == (options.metrics != nullptr) &&
-            saved_faults == (options.faults != nullptr) &&
-            saved_flight == (options.flight_recorder != nullptr))
-      << "checkpoint attachment set (audit=" << saved_audit
-      << ", metrics=" << saved_metrics << ", faults=" << saved_faults
-      << ", flight=" << saved_flight
+      << is.seed << ", repetition " << is.repetition << ", " << is.num_sus
+      << " SUs, " << is.num_pus << " PUs)";
+  const RunFingerprint::Attachments& had = saved.attachments;
+  CRN_CHECK(had == run.attachments)
+      << "checkpoint attachment set (audit=" << had.audit
+      << ", metrics=" << had.metrics << ", faults=" << had.faults
+      << ", flight=" << had.flight
       << ") does not match the restore options — attach the same sinks the "
          "checkpointed run had";
 }
@@ -143,7 +159,7 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   if (restoring) {
     reader.emplace(*options.restore_blob);
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
-    CheckRunSection(*reader, scenario, algorithm_label, options);
+    CheckRunSection(*reader, RunFingerprint::Of(scenario, algorithm_label, options));
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
     simulator.LoadRegistry(*reader);
     CRN_CHECK(reader->ok()) << "cannot restore: " << reader->error();
@@ -245,7 +261,8 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
   // below pauses there before calling this.
   const auto save_checkpoint = [&] {
     sim::StateWriter writer;
-    WriteRunSection(writer, scenario, algorithm_label, options);
+    const RunFingerprint run = RunFingerprint::Of(scenario, algorithm_label, options);
+    RunFingerprint::Transfer(run, writer);
     simulator.SaveState(writer);  // "sim.registry" + "sim.core"
     primary.SaveState(writer);
     mac.SaveState(writer);
@@ -299,7 +316,7 @@ CollectionResult RunWithNextHops(const Scenario& scenario,
     // Exact SIR work accounting (DESIGN.md §10): seed-stable operation
     // counts. The label is a constant — the interference field has one
     // engine — kept because metrics digests, bench/suite/pins.json,
-    // crn_bench and tools/bench_delta.py all key on "{engine=cached}".
+    // crn_bench and WorkCounterPinTest all key on "{engine=cached}".
     const spectrum::FieldWork& work = mac.sir_work();
     const obs::Labels engine{{"engine", "cached"}};
     options.metrics->GetCounter("perf.sir_evaluations", engine)

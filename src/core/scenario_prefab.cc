@@ -152,7 +152,6 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
     const ScenarioConfig& config, std::uint64_t repetition) {
   const PrefabKey key = PrefabKey::Of(config, repetition);
   Entry* entry = nullptr;
-  bool first_request = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     std::unique_ptr<Entry>& slot = entries_[key];
@@ -161,9 +160,8 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
     // Counted at the first request, not at build completion, so the split
     // is a pure function of the request sequence's key set: misses =
     // distinct keys, hits = requests - misses, at every jobs value.
-    first_request = !entry->requested;
+    ++(entry->requested ? stats_.hits : stats_.misses);
     entry->requested = true;
-    ++(first_request ? stats_.misses : stats_.hits);
     CRN_CHECK(entry->announced == 0 || entry->claimed < entry->announced)
         << "request " << entry->claimed + 1 << " for (seed=" << config.seed
         << ", repetition=" << repetition << ") exceeds the "
@@ -187,16 +185,6 @@ std::shared_ptr<const ScenarioPrefab> ScenarioPrefabCache::Get(
     if (entry->announced > 0 && ++entry->served == entry->announced) {
       entry->prefab.reset();
     }
-  }
-  if (verify_ && !first_request) {
-    const std::shared_ptr<const ScenarioPrefab> fresh =
-        ScenarioPrefab::Build(config, repetition);
-    CRN_CHECK(fresh->GeometryDigest() == prefab->GeometryDigest())
-        << "prefab cache equivalence violated (seed=" << config.seed
-        << ", repetition=" << repetition
-        << "): cached geometry differs from a fresh build";
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.verified;
   }
   return prefab;
 }

@@ -70,9 +70,9 @@ struct ScenarioPrefab {
   std::unique_ptr<const graph::CdsTree> tree;  // rooted at the base station
 
   // Deploys (resampling until the secondary graph is connected), builds the
-  // graph and the CDS tree. Pure function of the key fields — the CHECKed
-  // contract the cache's equivalence mode re-verifies. CRN_CHECKs that a
-  // connected draw came within config.max_deployment_attempts.
+  // graph and the CDS tree. Pure function of the key fields, which is what
+  // lets a cache share one build. CRN_CHECKs that a connected draw came
+  // within config.max_deployment_attempts.
   static std::shared_ptr<const ScenarioPrefab> Build(
       const ScenarioConfig& config, std::uint64_t repetition);
   // The same, but a deployment that stays disconnected for every attempt is
@@ -118,22 +118,22 @@ struct ScenarioPrefab {
 // prefab as soon as the last announced request for it has been served, so
 // a sweep holds each geometry only while a cell still needs it. A key that
 // was never announced stays cached for the cache's lifetime.
+//
+// Tier-1 gates: WorkCounterPinTest.DelaySweepN2000AtJobs1To4 pins the
+// counters of the n = 2,000 delay sweep at jobs 1, 2 and 4;
+// ParallelSweepTest.PrefabCacheDoesNotChangeAnyDigest checks every cell of
+// a shared-prefab sweep against a freshly built scenario, and
+// WorkCounterPinTest.CacheVerificationDigestN100 pins the digest that
+// per-cell rebuilds produced.
 class ScenarioPrefabCache {
  public:
   struct Stats {
     std::int64_t hits = 0;
     std::int64_t misses = 0;
     std::int64_t bytes = 0;
-    // Equivalence mode only: cache hits re-verified against a fresh build.
-    std::int64_t verified = 0;
   };
 
-  // `verify` turns on the digest-verified equivalence mode: every cache hit
-  // rebuilds the prefab from scratch and CRN_CHECKs GeometryDigest()
-  // equality — cached ≡ rebuilt, proven per hit. Test/CI mode; the rebuild
-  // obviously forfeits the cache's speedup.
-  explicit ScenarioPrefabCache(bool verify = false) : verify_(verify) {}
-
+  ScenarioPrefabCache() = default;
   ScenarioPrefabCache(const ScenarioPrefabCache&) = delete;
   ScenarioPrefabCache& operator=(const ScenarioPrefabCache&) = delete;
 
@@ -161,7 +161,6 @@ class ScenarioPrefabCache {
     std::int64_t served = 0;
   };
 
-  bool verify_;
   mutable std::mutex mutex_;
   std::map<PrefabKey, std::unique_ptr<Entry>> entries_;
   Stats stats_;

@@ -194,20 +194,11 @@ Json ToJson(const SweepResult& result) {
     points.Push(ToJson(result.summaries[i], result.labels[i]));
   }
   json["points"] = std::move(points);
-  if (!result.metric_values.empty()) {
-    // Merged registry state (SweepSpec.metrics), sorted keys — the
-    // machine-readable work accounting bench_delta.py compares.
-    Json metrics = Json::Object();
-    for (const auto& [key, value] : result.metric_values) {
-      metrics[key] = value;
-    }
-    json["metrics"] = std::move(metrics);
-  }
   if (result.pool.tasks > 0) {
-    // Scheduling diagnostics from the fan-out engine. Kept out of "metrics"
-    // deliberately: steals depends on OS scheduling, so it must never enter
-    // the digest-compared registry state. bench_delta.py gates it here with
-    // the chunk count as its natural upper bound.
+    // Scheduling diagnostics from the fan-out engine. Steals depend on OS
+    // scheduling, so they never enter the digest-compared registry state;
+    // the chunk count bounds them (WorkCounterPinTest.DelaySweepN2000AtJobs1To4
+    // checks it).
     Json pool = Json::Object();
     pool["tasks"] = result.pool.tasks;
     pool["chunks"] = result.pool.chunks;

@@ -70,9 +70,10 @@ SweepResult RunSweep(const SweepSpec& spec) {
   // points varying only MAC/spectrum parameters skip the rebuild, and cells
   // on one PCR share its sensing table too. Deployment is a pure function
   // of (config, rep), so shared and rebuilt geometry are bit-identical
-  // (verify_prefabs re-proves it per hit). Every cell's request is
-  // announced, so each geometry is freed once its last cell has taken it.
-  core::ScenarioPrefabCache prefab_cache(spec.verify_prefabs);
+  // (ParallelSweepTest.PrefabCacheDoesNotChangeAnyDigest). Every cell's
+  // request is announced, so each geometry is freed once its last cell has
+  // taken it.
+  core::ScenarioPrefabCache prefab_cache;
   for (const SweepPoint& point : spec.points) {
     for (std::int64_t cell = 0; cell < cells_per_point; ++cell) {
       prefab_cache.Announce(point.config, static_cast<std::uint64_t>(cell / algorithms));
@@ -171,12 +172,8 @@ SweepResult RunSweep(const SweepSpec& spec) {
     spec.metrics->GetCounter("prefab.hits").Add(stats.hits);
     spec.metrics->GetCounter("prefab.misses").Add(stats.misses);
     spec.metrics->GetCounter("prefab.bytes").Add(stats.bytes);
-    if (spec.verify_prefabs) {
-      spec.metrics->GetCounter("prefab.verified").Add(stats.verified);
-    }
-    // Counter/gauge state snapshot for the BENCH json "metrics" section.
-    // Capture iterates sorted keys, so the pairs are already in the
-    // deterministic order the json writer and bench_delta.py rely on.
+    // Counter/gauge state snapshot. Capture iterates sorted keys, so the
+    // pairs come in a deterministic order; WorkCounterPinTest pins them.
     const obs::Snapshot snapshot = spec.metrics->Capture(0);
     for (const obs::SnapshotEntry& entry : snapshot.entries) {
       if (entry.kind == obs::MetricKind::kHistogram) continue;

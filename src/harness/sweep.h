@@ -80,10 +80,6 @@ struct SweepSpec {
   // 1 — ResolveGrain in work_stealing.h). Any value yields bit-identical
   // results; grain trades scheduling flexibility against claim traffic.
   std::int64_t grain = 0;
-  // Equivalence mode: every prefab-cache hit is digest-checked against a
-  // freshly built prefab (cached ≡ rebuilt, CRN_CHECK). Forfeits the
-  // cache's speedup; used by tests and CI, not benches.
-  bool verify_prefabs = false;
 
   // Observability (both optional, both jobs-invariant):
   // `metrics` — every ADDC cell runs with its own MetricsRegistry; the
@@ -107,11 +103,13 @@ struct SweepResult {
   std::uint64_t seed = 0;                      // points.front().config.seed
   std::uint64_t trace_digest = 0;              // fold over all cells; 0 if off
   double wall_seconds = 0.0;
-  // Counter/gauge state of SweepSpec.metrics after the reduce, rendered as
-  // (sorted key, value) pairs — the BENCH json "metrics" section. Empty
-  // when no registry was attached; histograms are presentation-layer and
-  // stay out. Includes the deterministic prefab.{hits,misses,bytes}
-  // counters whenever a registry was attached.
+  // Counter/gauge state of SweepSpec.metrics after the reduce, as (sorted
+  // key, value) pairs. Empty when no registry was attached; histograms are
+  // presentation-layer and stay out. Includes the deterministic
+  // prefab.{hits,misses,bytes} counters whenever a registry was attached.
+  // crn_bench reads its per-layer counts here, and WorkCounterPinTest pins
+  // the perf.* and prefab.* values of the throughput rungs and the n = 2,000
+  // delay sweep.
   std::vector<std::pair<std::string, std::int64_t>> metric_values;
   // Scheduling diagnostics from the cell fan-out (the BENCH json "pool"
   // section). tasks/chunks/workers are deterministic given (spec, jobs);

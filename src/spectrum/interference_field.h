@@ -46,8 +46,8 @@
 // straddles η_s.
 //
 // All work is tallied in FieldWork; the counts are pure functions of
-// (scenario, seed), so perf regressions are caught by exact counter
-// comparison (tools/bench_delta.py) instead of wall-clock thresholds.
+// (scenario, seed), so perf regressions are caught by exact counter pins
+// (WorkCounterPinTest, SirFieldPinTest) instead of wall-clock thresholds.
 #ifndef CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 #define CRN_SPECTRUM_INTERFERENCE_FIELD_H_
 
@@ -72,8 +72,8 @@ struct FieldWork {
   std::int64_t sir_evaluations = 0;     // full SIR computations performed
   // Interference terms charged as computed: only a pair's first read (a
   // gain_cache_miss). Every gain is recomputed on every read, so this counts
-  // distinct pairs read, not arithmetic done or saved. The CI budget is
-  // pinned on this count.
+  // distinct pairs read, not arithmetic done or saved. WorkCounterPinTest
+  // pins this count, with the other seven, on every throughput rung.
   std::int64_t sir_terms_evaluated = 0;
   std::int64_t gain_cache_hits = 0;     // reads of a pair read before
   std::int64_t gain_cache_misses = 0;   // first reads of a pair

@@ -103,15 +103,6 @@ TEST(ScenarioPrefabCacheTest, SharesOneBuildPerKeyWithExactCounters) {
   EXPECT_EQ(stats.bytes, first->ApproxBytes() + other_rep->ApproxBytes());
 }
 
-TEST(ScenarioPrefabCacheTest, VerifyModeRechecksEveryHit) {
-  ScenarioPrefabCache cache(/*verify=*/true);
-  const ScenarioConfig config = TinyConfig();
-  cache.Get(config, 0);
-  cache.Get(config, 0);
-  cache.Get(config, 0);
-  EXPECT_EQ(cache.stats().verified, 2);
-}
-
 TEST(ScenarioPrefabCacheTest, CachedScenarioRunsBitIdenticalToRebuilt) {
   const ScenarioConfig config = TinyConfig();
   ScenarioPrefabCache cache;
@@ -203,18 +194,6 @@ TEST(ScenarioPrefabCacheTest, AnnouncingChangesNoCounter) {
   EXPECT_EQ(plain.stats().bytes, announced.stats().bytes);
   EXPECT_EQ(announced.stats().misses, 2);
   EXPECT_EQ(announced.stats().hits, 4);
-}
-
-TEST(ScenarioPrefabCacheTest, VerifyModeRechecksEveryAnnouncedHit) {
-  ScenarioPrefabCache cache(/*verify=*/true);
-  const ScenarioConfig config = TinyConfig();
-  for (int request = 0; request < 3; ++request) cache.Announce(config, 0);
-  std::weak_ptr<const ScenarioPrefab> watch = cache.Get(config, 0);
-  cache.Get(config, 0);
-  EXPECT_FALSE(watch.expired());
-  cache.Get(config, 0);  // the last request: verified, then dropped
-  EXPECT_TRUE(watch.expired());
-  EXPECT_EQ(cache.stats().verified, 2);
 }
 
 TEST(ScenarioPrefabCacheTest, UnannouncedRequestsKeepTheirEntries) {

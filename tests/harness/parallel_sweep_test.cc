@@ -187,11 +187,10 @@ TEST(ParallelSweepTest, MetricsFoldIsBitIdenticalAcrossJobs) {
 }
 
 TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
-  // The bench_sim_throughput contract: an addc_only sweep's captured perf.*
-  // counters are pure functions of (scenario, seed) — the same at any jobs
-  // value — which is what lets CI compare them against a committed baseline
-  // exactly. Two identical points, like the bench sweeps' verification
-  // points, must also agree with each other.
+  // An addc_only sweep's captured perf.* counters are pure functions of
+  // (scenario, seed), the same at any jobs value, which is what lets
+  // WorkCounterPinTest pin them exactly. Two identical points, like its
+  // cache-verification points, must also agree with each other.
   const auto make = [](std::int32_t jobs, obs::MetricsRegistry* metrics) {
     core::ScenarioConfig config = core::ScenarioConfig::ScaledDefaults(0.05);
     config.seed = 11;
@@ -219,8 +218,8 @@ TEST(ParallelSweepTest, AddcOnlyPerfCountersAreJobsInvariant) {
             serial.summaries[1].addc_trace_digest);
   EXPECT_EQ(serial.trace_digest, parallel.trace_digest);
 
-  // The captured counter state is identical and carries the perf.* keys the
-  // bench and tools/bench_delta.py consume.
+  // The captured counter state is identical and carries the perf.* keys
+  // crn_bench and WorkCounterPinTest read.
   ASSERT_EQ(serial.metric_values.size(), parallel.metric_values.size());
   ASSERT_FALSE(serial.metric_values.empty());
   bool saw_terms = false;
@@ -383,21 +382,6 @@ TEST(ParallelSweepTest, PrefabCacheDoesNotChangeAnyDigest) {
   ASSERT_NE(core::Scenario(pcr_axis.points[1].config, 0).pcr(),
             core::Scenario(pcr_axis.points[2].config, 0).pcr());
   ExpectSweepMatchesFreshScenarios(pcr_axis);
-}
-
-TEST(ParallelSweepTest, VerifyPrefabsModeRebuildsAndMatchesEveryHit) {
-  // The digest-verified equivalence mode from the acceptance criteria:
-  // every cache hit rebuilds the geometry from scratch and CRN_CHECKs the
-  // GeometryDigest against the shared prefab, as a ctest.
-  obs::MetricsRegistry metrics;
-  SweepSpec spec = TinySpec(4);
-  spec.verify_prefabs = true;
-  spec.metrics = &metrics;
-  const SweepResult verified = RunSweep(spec);
-  const SweepResult plain = RunSweep(TinySpec(4));
-  EXPECT_EQ(verified.trace_digest, plain.trace_digest);
-  // 8 cells over 2 distinct geometries → 6 hits, each re-verified.
-  EXPECT_EQ(metrics.GetCounter("prefab.verified").value(), 6);
 }
 
 TEST(ParallelSweepTest, DigestCollectionDoesNotChangeResults) {

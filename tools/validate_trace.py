@@ -86,20 +86,6 @@ def validate_bench(path: str) -> None:
     for key in ("bench", "scale", "wall_seconds"):
         if key not in document:
             fail(f"{path}: missing '{key}'")
-    for sweep in document.get("sweeps", []):
-        metrics = sweep.get("metrics")
-        if metrics is None:
-            continue
-        title = sweep.get("title", "?")
-        if not isinstance(metrics, dict):
-            fail(f"{path}: sweep {title!r} metrics must be an object")
-        keys = list(metrics.keys())
-        if keys != sorted(keys):
-            fail(f"{path}: sweep {title!r} metrics keys must be sorted")
-        for key, value in metrics.items():
-            if not isinstance(value, int) or isinstance(value, bool):
-                fail(f"{path}: sweep {title!r} metric {key!r} must be an "
-                     f"integer counter, got {value!r}")
     profile = document.get("profile")
     if profile is not None:
         if "spans_total" not in profile or "phases" not in profile:
